@@ -17,6 +17,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 from . import motfiles, synth
 from .config import TrackerConfig
+from .kalman import NumericsError
 from .metrics import MetricsError, evaluate
 from .pipeline import Tracker
 
@@ -254,7 +255,7 @@ def main(argv=None) -> int:
         parser.error("bench needs --dets or --scene")
     try:
         return args.func(args)
-    except (OSError, ValueError, MetricsError) as exc:
+    except (OSError, ValueError, MetricsError, NumericsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -5,6 +5,9 @@ parsed ground-truth files and tracker outputs evaluate through the same path.
 Frame-level correspondence keeps previous-frame pairs alive while they still
 overlap (persistence bias), which is what makes switch and fragmentation
 counts meaningful.
+
+All three metrics read one sweep of the sequence: each frame's overlaps are
+computed once and kept sparse, as the nonzero (gt, result) entries.
 """
 
 from __future__ import annotations
@@ -81,21 +84,85 @@ class MetricsReport:
         return head + "\n" + row + "\n"
 
 
-def _frames_of(trajs: TrajectorySet) -> list[int]:
-    frames = set()
-    for per_frame in trajs.values():
-        frames.update(per_frame.keys())
-    return sorted(frames)
+
+def _check_threshold(iou_thr: float) -> None:
+    if not 0.0 < iou_thr < 1.0:
+        raise MetricsError("iou threshold must lie in (0, 1)")
 
 
-def _frame_boxes(trajs: TrajectorySet, frame: int) -> tuple[list[int], list[BoundingBox]]:
-    ids, boxes = [], []
-    for tid in sorted(trajs):
-        box = trajs[tid].get(frame)
-        if box is not None:
-            ids.append(tid)
+def _by_frame(trajs: TrajectorySet) -> tuple[list[int], dict[int, tuple[list[int], list[BoundingBox]]]]:
+    """Sorted ids, and per frame the ranks (positions in the sorted ids) and boxes present."""
+    ids = sorted(trajs)
+    index: dict[int, tuple[list[int], list[BoundingBox]]] = {}
+    for rank, tid in enumerate(ids):
+        for frame, box in trajs[tid].items():
+            ranks, boxes = index.setdefault(frame, ([], []))
+            ranks.append(rank)
             boxes.append(box)
-    return ids, boxes
+    return ids, index
+
+
+class _Sweep(NamedTuple):
+    """The per-frame overlaps of one (gt, res) pair, built once for every metric.
+
+    ``frames`` are the frames present in either set, ascending. Boxes are
+    numbered frame by frame: frame ``f``'s gt boxes are ``goff[f]:goff[f + 1]``,
+    in ascending id order, and ``g_rank`` holds each one's id as its rank in
+    ``gt_ids``; likewise ``roff`` and ``r_rank`` for result boxes. Frame
+    ``f``'s nonzero overlaps are entries ``eoff[f]:eoff[f + 1]`` of ``g_box``,
+    ``r_box`` (box numbers) and ``val``, in row-major order.
+    """
+
+    frames: list[int]
+    gt_ids: list[int]
+    res_ids: list[int]
+    g_rank: np.ndarray
+    r_rank: np.ndarray
+    goff: np.ndarray
+    roff: np.ndarray
+    eoff: np.ndarray
+    g_box: np.ndarray
+    r_box: np.ndarray
+    val: np.ndarray
+
+    def overlaps(self, f: int) -> np.ndarray:
+        """Frame ``f``'s dense overlap matrix; disjoint boxes overlap by exactly 0.0."""
+        g0, r0 = self.goff[f], self.roff[f]
+        s = slice(self.eoff[f], self.eoff[f + 1])
+        dense = np.zeros((self.goff[f + 1] - g0, self.roff[f + 1] - r0))
+        dense[self.g_box[s] - g0, self.r_box[s] - r0] = self.val[s]
+        return dense
+
+
+def _sweep(gt: TrajectorySet, res: TrajectorySet) -> _Sweep:
+    gt_ids, g_index = _by_frame(gt)
+    if not g_index:
+        raise MetricsError("ground truth is empty; metrics undefined")
+    res_ids, r_index = _by_frame(res)
+    frames = sorted(g_index.keys() | r_index.keys())
+    absent = ([], [])
+    g_rank, r_rank, goff, roff, eoff = [], [], [0], [0], [0]
+    g_box, r_box, val = [], [], []
+    for frame in frames:
+        g_ranks, g_boxes = g_index.pop(frame, absent)
+        r_ranks, r_boxes = r_index.pop(frame, absent)
+        n = 0
+        if g_boxes and r_boxes:
+            dense = iou_matrix(boxes_to_ltrb(g_boxes), boxes_to_ltrb(r_boxes))
+            rows, cols = np.nonzero(dense)
+            g_box.append(rows + goff[-1])
+            r_box.append(cols + roff[-1])
+            val.append(dense[rows, cols])
+            n = len(rows)
+        g_rank += g_ranks
+        r_rank += r_ranks
+        goff.append(len(g_rank))
+        roff.append(len(r_rank))
+        eoff.append(eoff[-1] + n)
+    g_rank, r_rank, goff, roff, eoff = (np.array(x, dtype=np.intp) for x in (g_rank, r_rank, goff, roff, eoff))
+    g_box, r_box = (np.concatenate(x) if x else np.zeros(0, dtype=np.intp) for x in (g_box, r_box))
+    val = np.concatenate(val) if val else np.zeros(0)
+    return _Sweep(frames, gt_ids, res_ids, g_rank, r_rank, goff, roff, eoff, g_box, r_box, val)
 
 
 def match_frame(
@@ -110,21 +177,25 @@ def match_frame(
     pairs are kept whenever they still clear the threshold, and the remainder
     is matched by maximum-overlap assignment.
     """
-    if not 0.0 < iou_thr < 1.0:
-        raise MetricsError("iou threshold must lie in (0, 1)")
+    _check_threshold(iou_thr)
     if not gt_boxes or not res_boxes:
         return []
-    overlaps = iou_matrix(boxes_to_ltrb(gt_boxes), boxes_to_ltrb(res_boxes))
+    return _match(iou_matrix(boxes_to_ltrb(gt_boxes), boxes_to_ltrb(res_boxes)), iou_thr, carry)
+
+
+def _match(overlaps: np.ndarray, iou_thr: float, carry: dict[int, int] | None) -> list[tuple[int, int]]:
+    """:func:`match_frame` on a precomputed (gt, res) overlap matrix."""
+    n_g, n_r = overlaps.shape
     pairs: list[tuple[int, int]] = []
     used_g, used_r = set(), set()
     if carry:
         for g, r in sorted(carry.items()):
-            if g < len(gt_boxes) and r < len(res_boxes) and overlaps[g, r] >= iou_thr:
+            if g < n_g and r < n_r and overlaps[g, r] >= iou_thr:
                 pairs.append((g, r))
                 used_g.add(g)
                 used_r.add(r)
-    free_g = [g for g in range(len(gt_boxes)) if g not in used_g]
-    free_r = [r for r in range(len(res_boxes)) if r not in used_r]
+    free_g = [g for g in range(n_g) if g not in used_g]
+    free_r = [r for r in range(n_r) if r not in used_r]
     if free_g and free_r:
         sub = overlaps[np.ix_(free_g, free_r)]
         rows, cols = linear_sum_assignment(1.0 - sub)
@@ -134,70 +205,48 @@ def match_frame(
     return sorted(pairs)
 
 
-def _accumulate(gt: TrajectorySet, res: TrajectorySet, iou_thr: float):
-    """Shared per-frame sweep: TP/FP/FN counts, switches, and coverage maps."""
-    if not gt or not _frames_of(gt):
-        raise MetricsError("ground truth is empty; metrics undefined")
-    frames = sorted(set(_frames_of(gt)) | set(_frames_of(res)))
-    fp = fn = idsw = tp = 0
-    gt_total = 0
-    last_match: dict[int, int] = {}
-    prev_pairs: dict[int, int] = {}
-    covered: dict[int, set[int]] = defaultdict(set)
-    pair_counts: dict[tuple[int, int], int] = defaultdict(int)
-    res_total = 0
-
-    for frame in frames:
-        g_ids, g_boxes = _frame_boxes(gt, frame)
-        r_ids, r_boxes = _frame_boxes(res, frame)
-        gt_total += len(g_ids)
-        res_total += len(r_ids)
-
-        carry = {}
-        for gi, gid in enumerate(g_ids):
-            want = prev_pairs.get(gid)
-            if want is not None and want in r_ids:
-                carry[gi] = r_ids.index(want)
-        pairs = match_frame(g_boxes, r_boxes, iou_thr, carry)
-
-        tp += len(pairs)
-        fn += len(g_ids) - len(pairs)
-        fp += len(r_ids) - len(pairs)
-        frame_pairs: dict[int, int] = {}
-        for gi, ri in pairs:
-            gid, rid = g_ids[gi], r_ids[ri]
-            frame_pairs[gid] = rid
-            if gid in last_match and last_match[gid] != rid:
-                idsw += 1
-            last_match[gid] = rid
-            covered[gid].add(frame)
-            pair_counts[(gid, rid)] += 1
-        prev_pairs = frame_pairs
-
-    return {
-        "fp": fp,
-        "fn": fn,
-        "idsw": idsw,
-        "tp": tp,
-        "gt_total": gt_total,
-        "res_total": res_total,
-        "covered": covered,
-        "pair_counts": pair_counts,
-    }
-
-
-def clear_mot(gt: TrajectorySet, res: TrajectorySet, iou_thr: float = 0.5):
+def clear_mot(gt: TrajectorySet, res: TrajectorySet, iou_thr: float = 0.5, *, sweep: _Sweep | None = None):
     """(MOTA, FP, FN, IDSW, FM, MT, ML, gt_total) under CLEAR conventions.
 
     Fragmentations count interruptions of a ground-truth trajectory's covered
     stretches; mostly-tracked/lost use the 80% / 20% coverage cutoffs.
+    ``sweep`` is the pair's overlap sweep; ``None`` builds it.
     """
-    acc = _accumulate(gt, res, iou_thr)
-    fm = 0
-    mt = ml = 0
-    for gid, per_frame in gt.items():
-        frames = sorted(per_frame)
-        cov = acc["covered"].get(gid, set())
+    _check_threshold(iou_thr)
+    sw = _sweep(gt, res) if sweep is None else sweep
+    fp = fn = idsw = gt_total = 0
+    last_match: dict[int, int] = {}
+    prev_pairs: dict[int, int] = {}
+    covered: dict[int, set[int]] = defaultdict(set)
+    for f, frame in enumerate(sw.frames):
+        g = sw.g_rank[sw.goff[f] : sw.goff[f + 1]].tolist()
+        r = sw.r_rank[sw.roff[f] : sw.roff[f + 1]].tolist()
+        gt_total += len(g)
+        pairs: list[tuple[int, int]] = []
+        if g and r:
+            col_of = {rk: c for c, rk in enumerate(r)}
+            carry = {}
+            for row, gk in enumerate(g):
+                want = prev_pairs.get(gk)
+                if want in col_of:
+                    carry[row] = col_of[want]
+            pairs = _match(sw.overlaps(f), iou_thr, carry)
+        fn += len(g) - len(pairs)
+        fp += len(r) - len(pairs)
+        frame_pairs: dict[int, int] = {}
+        for row, col in pairs:
+            gk, rk = g[row], r[col]
+            frame_pairs[gk] = rk
+            if gk in last_match and last_match[gk] != rk:
+                idsw += 1
+            last_match[gk] = rk
+            covered[gk].add(frame)
+        prev_pairs = frame_pairs
+
+    fm = mt = ml = 0
+    for rank, tid in enumerate(sw.gt_ids):
+        frames = sorted(gt[tid])
+        cov = covered.get(rank, set())
         runs = 0
         in_run = False
         for f in frames:
@@ -213,126 +262,94 @@ def clear_mot(gt: TrajectorySet, res: TrajectorySet, iou_thr: float = 0.5):
             mt += 1
         elif ratio <= 0.2:
             ml += 1
-    mota = 1.0 - (acc["fn"] + acc["fp"] + acc["idsw"]) / acc["gt_total"]
-    return mota, acc["fp"], acc["fn"], acc["idsw"], fm, mt, ml, acc["gt_total"]
+    mota = 1.0 - (fn + fp + idsw) / gt_total
+    return mota, fp, fn, idsw, fm, mt, ml, gt_total
 
 
-def idf1(gt: TrajectorySet, res: TrajectorySet, iou_thr: float = 0.5) -> float:
+def idf1(gt: TrajectorySet, res: TrajectorySet, iou_thr: float = 0.5, *, sweep: _Sweep | None = None) -> float:
     """Identity F1 from the optimal global id-to-id matching.
 
     The match count between a ground-truth id and a result id is the number
     of frames where their boxes clear the overlap threshold; the bipartite
-    matching maximizing total matched frames defines IDTP.
+    matching maximizing total matched frames defines IDTP. ``sweep`` is the
+    pair's overlap sweep; ``None`` builds it.
     """
-    acc = _accumulate(gt, res, iou_thr)
-    # Overlap counts per id pair, independent of the per-frame correspondence.
-    frames = sorted(set(_frames_of(gt)) | set(_frames_of(res)))
-    gt_ids = sorted(gt.keys())
-    res_ids = sorted(res.keys())
-    counts = np.zeros((len(gt_ids), len(res_ids)), dtype=np.int64)
-    g_index = {g: i for i, g in enumerate(gt_ids)}
-    r_index = {r: i for i, r in enumerate(res_ids)}
-    for frame in frames:
-        g_ids, g_boxes = _frame_boxes(gt, frame)
-        r_ids, r_boxes = _frame_boxes(res, frame)
-        if not g_ids or not r_ids:
-            continue
-        overlaps = iou_matrix(boxes_to_ltrb(g_boxes), boxes_to_ltrb(r_boxes))
-        hits = overlaps >= iou_thr
-        for a, gid in enumerate(g_ids):
-            for b, rid in enumerate(r_ids):
-                if hits[a, b]:
-                    counts[g_index[gid], r_index[rid]] += 1
+    _check_threshold(iou_thr)
+    sw = _sweep(gt, res) if sweep is None else sweep
+    n_g, n_r = len(sw.gt_ids), len(sw.res_ids)
+    hit = sw.val >= iou_thr
+    codes = sw.g_rank[sw.g_box[hit]] * n_r + sw.r_rank[sw.r_box[hit]]
+    counts = np.bincount(codes, minlength=n_g * n_r).reshape(n_g, n_r)
     idtp = 0
     if counts.size:
         rows, cols = linear_sum_assignment(-counts)
         idtp = int(counts[rows, cols].sum())
-    idfp = acc["res_total"] - idtp
-    idfn = acc["gt_total"] - idtp
+    idfp = len(sw.r_rank) - idtp
+    idfn = len(sw.g_rank) - idtp
     denom = 2 * idtp + idfp + idfn
     return (2 * idtp / denom) if denom else 0.0
 
 
-def hota(gt: TrajectorySet, res: TrajectorySet) -> HotaBreakdown:
+def hota(gt: TrajectorySet, res: TrajectorySet, *, sweep: _Sweep | None = None) -> HotaBreakdown:
     """HOTA with its detection/association components, per threshold and averaged.
 
-    Per threshold, detections are matched frame by frame with an assignment
-    that prefers pairs whose identities co-occur often across the sequence;
-    each matched pair then scores the fraction of its ids' detections that
-    are matched to each other.
+    Per threshold α, detections are matched frame by frame among the pairs
+    whose overlap clears α, with an assignment that prefers pairs whose
+    identities co-occur often across the sequence; each matched pair then
+    scores the fraction of its ids' detections that are matched to each other.
+    ``sweep`` is the pair's overlap sweep; ``None`` builds it.
+
+    Known divergence from TrackEval (Luiten et al., arXiv 2009.07736): here
+    the alignment score that steers the assignment is recomputed for each α
+    from the counts of id pairs whose overlap clears α, and each α has its own
+    assignment. TrackEval computes the alignment score once from the soft
+    (unthresholded) similarity and thresholds one assignment per frame. The
+    oracle-defined behaviour (``enumerate_hota_alpha`` in the tests) is kept.
     """
-    if not gt or not _frames_of(gt):
-        raise MetricsError("ground truth is empty; metrics undefined")
-    frames = sorted(set(_frames_of(gt)) | set(_frames_of(res)))
-    per_frame = []
-    gt_count: dict[int, int] = defaultdict(int)
-    res_count: dict[int, int] = defaultdict(int)
-    for frame in frames:
-        g_ids, g_boxes = _frame_boxes(gt, frame)
-        r_ids, r_boxes = _frame_boxes(res, frame)
-        overlaps = iou_matrix(boxes_to_ltrb(g_boxes), boxes_to_ltrb(r_boxes))
-        per_frame.append((g_ids, r_ids, overlaps))
-        for gid in g_ids:
-            gt_count[gid] += 1
-        for rid in r_ids:
-            res_count[rid] += 1
-    n_gt = sum(gt_count.values())
-    n_res = sum(res_count.values())
+    sw = _sweep(gt, res) if sweep is None else sweep
+    n_gt, n_res = len(sw.g_rank), len(sw.r_rank)
+    n_g, n_r = len(sw.gt_ids), len(sw.res_ids)
+    # Per entry: its id pair as one code, and gt_count + res_count of that pair.
+    # Codes span n_g * n_r, the size of the id-pair count matrix idf1 builds.
+    g_id, r_id = sw.g_rank[sw.g_box], sw.r_rank[sw.r_box]
+    code = g_id * n_r + r_id
+    total = np.bincount(sw.g_rank, minlength=n_g)[g_id] + np.bincount(sw.r_rank, minlength=n_r)[r_id]
 
     hota_alpha: dict[float, float] = {}
     det_alpha: dict[float, float] = {}
     ass_alpha: dict[float, float] = {}
     for alpha in HOTA_ALPHAS:
-        potential: dict[tuple[int, int], int] = defaultdict(int)
-        for g_ids, r_ids, overlaps in per_frame:
-            for a, gid in enumerate(g_ids):
-                for b, rid in enumerate(r_ids):
-                    if overlaps[a, b] >= alpha:
-                        potential[(gid, rid)] += 1
-        align: dict[tuple[int, int], float] = {}
-        for (gid, rid), cnt in potential.items():
-            align[(gid, rid)] = cnt / (gt_count[gid] + res_count[rid] - cnt)
+        eligible = sw.val >= alpha
+        e = np.flatnonzero(eligible)
+        potential = np.bincount(code[e], minlength=n_g * n_r)[code]
+        align = potential / (total - potential)
+        # Eligible pairs that share no box form the frame's matching as they
+        # stand: each costs less than zero and every other cell costs 1, so
+        # any optimal assignment contains them all. Only frames where eligible
+        # pairs share a box need the assignment.
+        g_e, r_e = sw.g_box[e], sw.r_box[e]
+        shared = np.zeros(len(eligible), dtype=bool)
+        shared[e] = (np.bincount(g_e, minlength=n_gt)[g_e] > 1) | (np.bincount(r_e, minlength=n_res)[r_e] > 1)
+        shared_before = np.concatenate(([0], np.cumsum(shared)))[sw.eoff]
+        matched = eligible.copy()
+        for f in np.flatnonzero(np.diff(shared_before)).tolist():
+            lo, g0, r0 = sw.eoff[f], sw.goff[f], sw.roff[f]
+            idx = lo + np.flatnonzero(eligible[lo : sw.eoff[f + 1]])
+            rows, cols = sw.g_box[idx] - g0, sw.r_box[idx] - r0
+            cost = np.ones((sw.goff[f + 1] - g0, sw.roff[f + 1] - r0))
+            cost[rows, cols] = -(align[idx] * (1.0 + sw.val[idx]))
+            entry = np.full(cost.shape, -1, dtype=np.intp)
+            entry[rows, cols] = idx
+            hit = entry[linear_sum_assignment(cost)]
+            matched[idx] = False
+            matched[hit[hit >= 0]] = True
+        m = np.flatnonzero(matched)  # frame by frame, rows ascending
 
-        matched: list[tuple[int, int]] = []
-        for g_ids, r_ids, overlaps in per_frame:
-            if not g_ids or not r_ids:
-                continue
-            score = np.zeros((len(g_ids), len(r_ids)))
-            eligible = np.zeros_like(score, dtype=bool)
-            for a, gid in enumerate(g_ids):
-                for b, rid in enumerate(r_ids):
-                    if overlaps[a, b] >= alpha:
-                        eligible[a, b] = True
-                        score[a, b] = align.get((gid, rid), 0.0) * (1.0 + overlaps[a, b])
-            if not eligible.any():
-                continue
-            cost = np.where(eligible, -score, 1.0)
-            rows, cols = linear_sum_assignment(cost)
-            for r, c in zip(rows, cols):
-                if eligible[r, c]:
-                    matched.append((g_ids[r], r_ids[c]))
-
-        tp = len(matched)
-        fn = n_gt - tp
-        fp = n_res - tp
-        denom = tp + fn + fp
-        if denom == 0:
-            hota_alpha[alpha] = det_alpha[alpha] = ass_alpha[alpha] = 0.0
-            continue
-        match_counts: dict[tuple[int, int], int] = defaultdict(int)
-        for pair in matched:
-            match_counts[pair] += 1
-        gt_matched: dict[int, int] = defaultdict(int)
-        res_matched: dict[int, int] = defaultdict(int)
-        for (gid, rid), cnt in match_counts.items():
-            gt_matched[gid] += cnt
-            res_matched[rid] += cnt
-        ass_sum = 0.0
-        for gid, rid in matched:
-            tpa = match_counts[(gid, rid)]
-            fna = gt_count[gid] - tpa
-            fpa = res_count[rid] - tpa
-            ass_sum += tpa / (tpa + fna + fpa)
+        tp = len(m)
+        denom = n_gt + n_res - tp
+        tpa = np.bincount(code[m], minlength=n_g * n_r)[code[m]]
+        # Summed in match order, one term at a time.
+        ass_sum = float(np.cumsum(tpa / (total[m] - tpa))[-1]) if tp else 0.0
         hota_alpha[alpha] = math.sqrt(ass_sum / denom)
         det_alpha[alpha] = tp / denom
         ass_alpha[alpha] = (ass_sum / tp) if tp else 0.0
@@ -349,9 +366,11 @@ def hota(gt: TrajectorySet, res: TrajectorySet) -> HotaBreakdown:
 
 
 def evaluate(gt: TrajectorySet, res: TrajectorySet, iou_thr: float = 0.5) -> MetricsReport:
-    mota, fp, fn, idsw, fm, mt, ml, gt_total = clear_mot(gt, res, iou_thr)
-    idf1_value = idf1(gt, res, iou_thr)
-    breakdown = hota(gt, res)
+    _check_threshold(iou_thr)
+    sweep = _sweep(gt, res)
+    mota, fp, fn, idsw, fm, mt, ml, gt_total = clear_mot(gt, res, iou_thr, sweep=sweep)
+    idf1_value = idf1(gt, res, iou_thr, sweep=sweep)
+    breakdown = hota(gt, res, sweep=sweep)
     return MetricsReport(
         mota=mota,
         idf1=idf1_value,

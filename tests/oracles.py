@@ -1,7 +1,10 @@
 """Independent brute-force reference implementations used to freeze expected values.
 
 Everything here favors obviousness over speed and shares no code path with
-the library functions it checks.
+the library functions it checks, except the reference evaluator at the end:
+it is the per-frame, pair-loop evaluator the library's one-sweep evaluator
+replaced, kept as it was, and it shares ``iou_matrix`` with the library so
+that the two can be required to agree exactly.
 """
 
 from __future__ import annotations
@@ -11,6 +14,16 @@ import math
 from collections import defaultdict
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
+
+from meshsort.geometry import BoundingBox, boxes_to_ltrb, iou_matrix
+from meshsort.metrics import (
+    HOTA_ALPHAS,
+    HotaBreakdown,
+    MetricsError,
+    MetricsReport,
+    TrajectorySet,
+)
 
 
 def brute_force_assignment(cost: np.ndarray, gate: float):
@@ -185,3 +198,296 @@ def brute_force_idf1(gt, res, iou_thr):
             best_idtp = max(best_idtp, idtp)
     denom = 2 * best_idtp + (n_res - best_idtp) + (n_gt - best_idtp)
     return (2 * best_idtp / denom) if denom else 0.0
+
+
+# --- reference evaluator ------------------------------------------------------
+
+
+def _ref_frames_of(trajs: TrajectorySet) -> list[int]:
+    frames = set()
+    for per_frame in trajs.values():
+        frames.update(per_frame.keys())
+    return sorted(frames)
+
+
+def _ref_frame_boxes(trajs: TrajectorySet, frame: int) -> tuple[list[int], list[BoundingBox]]:
+    ids, boxes = [], []
+    for tid in sorted(trajs):
+        box = trajs[tid].get(frame)
+        if box is not None:
+            ids.append(tid)
+            boxes.append(box)
+    return ids, boxes
+
+
+def _ref_match_frame(
+    gt_boxes: list[BoundingBox],
+    res_boxes: list[BoundingBox],
+    iou_thr: float,
+    carry: dict[int, int] | None = None,
+) -> list[tuple[int, int]]:
+    """Index pairs (gt, res) matched at one frame.
+
+    ``carry`` maps gt indices to res indices from the previous frame; those
+    pairs are kept whenever they still clear the threshold, and the remainder
+    is matched by maximum-overlap assignment.
+    """
+    if not 0.0 < iou_thr < 1.0:
+        raise MetricsError("iou threshold must lie in (0, 1)")
+    if not gt_boxes or not res_boxes:
+        return []
+    overlaps = iou_matrix(boxes_to_ltrb(gt_boxes), boxes_to_ltrb(res_boxes))
+    pairs: list[tuple[int, int]] = []
+    used_g, used_r = set(), set()
+    if carry:
+        for g, r in sorted(carry.items()):
+            if g < len(gt_boxes) and r < len(res_boxes) and overlaps[g, r] >= iou_thr:
+                pairs.append((g, r))
+                used_g.add(g)
+                used_r.add(r)
+    free_g = [g for g in range(len(gt_boxes)) if g not in used_g]
+    free_r = [r for r in range(len(res_boxes)) if r not in used_r]
+    if free_g and free_r:
+        sub = overlaps[np.ix_(free_g, free_r)]
+        rows, cols = linear_sum_assignment(1.0 - sub)
+        for r, c in zip(rows, cols):
+            if sub[r, c] >= iou_thr:
+                pairs.append((free_g[r], free_r[c]))
+    return sorted(pairs)
+
+
+def _ref_accumulate(gt: TrajectorySet, res: TrajectorySet, iou_thr: float):
+    """Shared per-frame sweep: TP/FP/FN counts, switches, and coverage maps."""
+    if not gt or not _ref_frames_of(gt):
+        raise MetricsError("ground truth is empty; metrics undefined")
+    frames = sorted(set(_ref_frames_of(gt)) | set(_ref_frames_of(res)))
+    fp = fn = idsw = tp = 0
+    gt_total = 0
+    last_match: dict[int, int] = {}
+    prev_pairs: dict[int, int] = {}
+    covered: dict[int, set[int]] = defaultdict(set)
+    pair_counts: dict[tuple[int, int], int] = defaultdict(int)
+    res_total = 0
+
+    for frame in frames:
+        g_ids, g_boxes = _ref_frame_boxes(gt, frame)
+        r_ids, r_boxes = _ref_frame_boxes(res, frame)
+        gt_total += len(g_ids)
+        res_total += len(r_ids)
+
+        carry = {}
+        for gi, gid in enumerate(g_ids):
+            want = prev_pairs.get(gid)
+            if want is not None and want in r_ids:
+                carry[gi] = r_ids.index(want)
+        pairs = _ref_match_frame(g_boxes, r_boxes, iou_thr, carry)
+
+        tp += len(pairs)
+        fn += len(g_ids) - len(pairs)
+        fp += len(r_ids) - len(pairs)
+        frame_pairs: dict[int, int] = {}
+        for gi, ri in pairs:
+            gid, rid = g_ids[gi], r_ids[ri]
+            frame_pairs[gid] = rid
+            if gid in last_match and last_match[gid] != rid:
+                idsw += 1
+            last_match[gid] = rid
+            covered[gid].add(frame)
+            pair_counts[(gid, rid)] += 1
+        prev_pairs = frame_pairs
+
+    return {
+        "fp": fp,
+        "fn": fn,
+        "idsw": idsw,
+        "tp": tp,
+        "gt_total": gt_total,
+        "res_total": res_total,
+        "covered": covered,
+        "pair_counts": pair_counts,
+    }
+
+
+def reference_clear_mot(gt: TrajectorySet, res: TrajectorySet, iou_thr: float = 0.5):
+    """(MOTA, FP, FN, IDSW, FM, MT, ML, gt_total) under CLEAR conventions.
+
+    Fragmentations count interruptions of a ground-truth trajectory's covered
+    stretches; mostly-tracked/lost use the 80% / 20% coverage cutoffs.
+    """
+    acc = _ref_accumulate(gt, res, iou_thr)
+    fm = 0
+    mt = ml = 0
+    for gid, per_frame in gt.items():
+        frames = sorted(per_frame)
+        cov = acc["covered"].get(gid, set())
+        runs = 0
+        in_run = False
+        for f in frames:
+            if f in cov and not in_run:
+                runs += 1
+                in_run = True
+            elif f not in cov:
+                in_run = False
+        if runs > 1:
+            fm += runs - 1
+        ratio = len(cov) / len(frames) if frames else 0.0
+        if ratio >= 0.8:
+            mt += 1
+        elif ratio <= 0.2:
+            ml += 1
+    mota = 1.0 - (acc["fn"] + acc["fp"] + acc["idsw"]) / acc["gt_total"]
+    return mota, acc["fp"], acc["fn"], acc["idsw"], fm, mt, ml, acc["gt_total"]
+
+
+def reference_idf1(gt: TrajectorySet, res: TrajectorySet, iou_thr: float = 0.5) -> float:
+    """Identity F1 from the optimal global id-to-id matching.
+
+    The match count between a ground-truth id and a result id is the number
+    of frames where their boxes clear the overlap threshold; the bipartite
+    matching maximizing total matched frames defines IDTP.
+    """
+    acc = _ref_accumulate(gt, res, iou_thr)
+    # Overlap counts per id pair, independent of the per-frame correspondence.
+    frames = sorted(set(_ref_frames_of(gt)) | set(_ref_frames_of(res)))
+    gt_ids = sorted(gt.keys())
+    res_ids = sorted(res.keys())
+    counts = np.zeros((len(gt_ids), len(res_ids)), dtype=np.int64)
+    g_index = {g: i for i, g in enumerate(gt_ids)}
+    r_index = {r: i for i, r in enumerate(res_ids)}
+    for frame in frames:
+        g_ids, g_boxes = _ref_frame_boxes(gt, frame)
+        r_ids, r_boxes = _ref_frame_boxes(res, frame)
+        if not g_ids or not r_ids:
+            continue
+        overlaps = iou_matrix(boxes_to_ltrb(g_boxes), boxes_to_ltrb(r_boxes))
+        hits = overlaps >= iou_thr
+        for a, gid in enumerate(g_ids):
+            for b, rid in enumerate(r_ids):
+                if hits[a, b]:
+                    counts[g_index[gid], r_index[rid]] += 1
+    idtp = 0
+    if counts.size:
+        rows, cols = linear_sum_assignment(-counts)
+        idtp = int(counts[rows, cols].sum())
+    idfp = acc["res_total"] - idtp
+    idfn = acc["gt_total"] - idtp
+    denom = 2 * idtp + idfp + idfn
+    return (2 * idtp / denom) if denom else 0.0
+
+
+def reference_hota(gt: TrajectorySet, res: TrajectorySet) -> HotaBreakdown:
+    """HOTA with its detection/association components, per threshold and averaged.
+
+    Per threshold, detections are matched frame by frame with an assignment
+    that prefers pairs whose identities co-occur often across the sequence;
+    each matched pair then scores the fraction of its ids' detections that
+    are matched to each other.
+    """
+    if not gt or not _ref_frames_of(gt):
+        raise MetricsError("ground truth is empty; metrics undefined")
+    frames = sorted(set(_ref_frames_of(gt)) | set(_ref_frames_of(res)))
+    per_frame = []
+    gt_count: dict[int, int] = defaultdict(int)
+    res_count: dict[int, int] = defaultdict(int)
+    for frame in frames:
+        g_ids, g_boxes = _ref_frame_boxes(gt, frame)
+        r_ids, r_boxes = _ref_frame_boxes(res, frame)
+        overlaps = iou_matrix(boxes_to_ltrb(g_boxes), boxes_to_ltrb(r_boxes))
+        per_frame.append((g_ids, r_ids, overlaps))
+        for gid in g_ids:
+            gt_count[gid] += 1
+        for rid in r_ids:
+            res_count[rid] += 1
+    n_gt = sum(gt_count.values())
+    n_res = sum(res_count.values())
+
+    hota_alpha: dict[float, float] = {}
+    det_alpha: dict[float, float] = {}
+    ass_alpha: dict[float, float] = {}
+    for alpha in HOTA_ALPHAS:
+        potential: dict[tuple[int, int], int] = defaultdict(int)
+        for g_ids, r_ids, overlaps in per_frame:
+            for a, gid in enumerate(g_ids):
+                for b, rid in enumerate(r_ids):
+                    if overlaps[a, b] >= alpha:
+                        potential[(gid, rid)] += 1
+        align: dict[tuple[int, int], float] = {}
+        for (gid, rid), cnt in potential.items():
+            align[(gid, rid)] = cnt / (gt_count[gid] + res_count[rid] - cnt)
+
+        matched: list[tuple[int, int]] = []
+        for g_ids, r_ids, overlaps in per_frame:
+            if not g_ids or not r_ids:
+                continue
+            score = np.zeros((len(g_ids), len(r_ids)))
+            eligible = np.zeros_like(score, dtype=bool)
+            for a, gid in enumerate(g_ids):
+                for b, rid in enumerate(r_ids):
+                    if overlaps[a, b] >= alpha:
+                        eligible[a, b] = True
+                        score[a, b] = align.get((gid, rid), 0.0) * (1.0 + overlaps[a, b])
+            if not eligible.any():
+                continue
+            cost = np.where(eligible, -score, 1.0)
+            rows, cols = linear_sum_assignment(cost)
+            for r, c in zip(rows, cols):
+                if eligible[r, c]:
+                    matched.append((g_ids[r], r_ids[c]))
+
+        tp = len(matched)
+        fn = n_gt - tp
+        fp = n_res - tp
+        denom = tp + fn + fp
+        if denom == 0:
+            hota_alpha[alpha] = det_alpha[alpha] = ass_alpha[alpha] = 0.0
+            continue
+        match_counts: dict[tuple[int, int], int] = defaultdict(int)
+        for pair in matched:
+            match_counts[pair] += 1
+        gt_matched: dict[int, int] = defaultdict(int)
+        res_matched: dict[int, int] = defaultdict(int)
+        for (gid, rid), cnt in match_counts.items():
+            gt_matched[gid] += cnt
+            res_matched[rid] += cnt
+        ass_sum = 0.0
+        for gid, rid in matched:
+            tpa = match_counts[(gid, rid)]
+            fna = gt_count[gid] - tpa
+            fpa = res_count[rid] - tpa
+            ass_sum += tpa / (tpa + fna + fpa)
+        hota_alpha[alpha] = math.sqrt(ass_sum / denom)
+        det_alpha[alpha] = tp / denom
+        ass_alpha[alpha] = (ass_sum / tp) if tp else 0.0
+
+    n = len(HOTA_ALPHAS)
+    return HotaBreakdown(
+        value=sum(hota_alpha.values()) / n,
+        det_a=sum(det_alpha.values()) / n,
+        ass_a=sum(ass_alpha.values()) / n,
+        per_alpha=hota_alpha,
+        det_per_alpha=det_alpha,
+        ass_per_alpha=ass_alpha,
+    )
+
+
+def reference_evaluate(gt: TrajectorySet, res: TrajectorySet, iou_thr: float = 0.5) -> MetricsReport:
+    mota, fp, fn, idsw, fm, mt, ml, gt_total = reference_clear_mot(gt, res, iou_thr)
+    idf1_value = reference_idf1(gt, res, iou_thr)
+    breakdown = reference_hota(gt, res)
+    return MetricsReport(
+        mota=mota,
+        idf1=idf1_value,
+        hota=breakdown.value,
+        det_a=breakdown.det_a,
+        ass_a=breakdown.ass_a,
+        fp=fp,
+        fn=fn,
+        idsw=idsw,
+        fm=fm,
+        mt=mt,
+        ml=ml,
+        gt_total=gt_total,
+        hota_per_alpha=breakdown.per_alpha,
+        det_a_per_alpha=breakdown.det_per_alpha,
+        ass_a_per_alpha=breakdown.ass_per_alpha,
+    )

@@ -1,6 +1,6 @@
 import pytest
 
-from meshsort import scenarios
+from meshsort import kalman, scenarios
 from meshsort.cli import main
 from meshsort.motfiles import parse_detections, parse_ground_truth
 from meshsort.synth import format_scene
@@ -153,3 +153,29 @@ class TestBench:
         with pytest.raises(SystemExit) as exc:
             main(["bench"])
         assert exc.value.code == 2
+
+
+class TestErrors:
+    def test_eval_rejects_threshold(self, tmp_path, scene_file, capsys):
+        gt, dets = _synth_files(tmp_path, scene_file)
+        res = tmp_path / "res.txt"
+        assert main(["track", "--dets", str(dets), "--out", str(res)]) == 0
+        capsys.readouterr()
+        rc = main(["eval", "--gt", str(gt), "--res", str(res), "--iou", "1.5"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "iou threshold" in err
+        assert "Traceback" not in err
+
+    def test_track_numerics_error_exits_one(self, tmp_path, scene_file, capsys, monkeypatch):
+        _, dets = _synth_files(tmp_path, scene_file)
+
+        def singular(*args, **kwargs):
+            raise kalman.NumericsError("singular innovation covariance")
+
+        monkeypatch.setattr(kalman, "update", singular)
+        capsys.readouterr()
+        rc = main(["track", "--dets", str(dets), "--out", str(tmp_path / "res.txt")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "singular" in err

@@ -211,3 +211,22 @@ class TestEvaluate:
         assert a.idf1 == pytest.approx(b.idf1)
         assert a.hota == pytest.approx(b.hota)
         assert (a.fp, a.fn, a.idsw, a.fm) == (b.fp, b.fn, b.idsw, b.fm)
+
+
+class TestThresholdValidation:
+    """Each entry point rejects an overlap threshold outside (0, 1) itself."""
+
+    BAD = (0.0, 1.0, 1.5, -0.2, float("nan"))
+
+    @pytest.mark.parametrize("thr", BAD)
+    @pytest.mark.parametrize("fn", (clear_mot, idf1, evaluate), ids=lambda f: f.__name__)
+    def test_rejected(self, fn, thr):
+        gt = {1: straight(1, 1, 4)}
+        res = {2: straight(2, 1, 4)}
+        with pytest.raises(MetricsError, match="iou threshold"):
+            fn(gt, res, thr)
+
+    @pytest.mark.parametrize("fn", (clear_mot, idf1, evaluate), ids=lambda f: f.__name__)
+    def test_rejected_with_empty_result(self, fn):
+        with pytest.raises(MetricsError, match="iou threshold"):
+            fn({1: straight(1, 1, 4)}, {}, 1.5)
