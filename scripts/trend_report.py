@@ -85,7 +85,7 @@ def mesh_size_sweep():
 
 
 def rollback_sweep():
-    from meshsort.kalman import KalmanState
+    from meshsort.geometry import BoundingBox
     from meshsort.tracks import state_box
 
     print("\n== velocity rollback (semi-occlusion suite)")
@@ -112,7 +112,7 @@ def rollback_sweep():
                     track = next((t for t in tracker.tracks if t.track_id == 1), None)
                     if track is not None:
                         mean = tracker.model.transition @ track.kf.mean
-                        pred = state_box(KalmanState(mean, track.kf.covariance))
+                        pred = BoundingBox(*state_box(mean[None])[0])
                         box_errs.append(1.0 - iou(pred, gt[1][fd.index]))
                 out = tracker.step(fd)
                 if fd.index in (reappear, reappear + 1, reappear + 2):

@@ -8,12 +8,12 @@ a large sentinel achieves under the Hungarian solver.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .geometry import BoundingBox, boxes_to_ltrb, expand_ltrb, iou_matrix
+from .geometry import expand_ltrb, iou_matrix
 
 _FORBIDDEN = 1e6
 
@@ -25,25 +25,39 @@ class AssignmentResult:
     unmatched_cols: list[int]
 
 
-def iou_cost(tracks: Sequence[BoundingBox], dets: Sequence[BoundingBox]) -> np.ndarray:
-    """(T, D) matrix of 1 - IoU costs."""
-    return 1.0 - iou_matrix(boxes_to_ltrb(tracks), boxes_to_ltrb(dets))
+def iou_cost(tracks: np.ndarray, dets: np.ndarray) -> np.ndarray:
+    """(T, D) matrix of 1 - IoU costs between (T, 4) and (D, 4) ltrb boxes."""
+    return 1.0 - iou_matrix(tracks, dets)
 
 
-def biou_cost(
-    tracks: Sequence[BoundingBox], dets: Sequence[BoundingBox], buffer_scale: float
-) -> np.ndarray:
+def biou_cost(tracks: np.ndarray, dets: np.ndarray, buffer_scale: float) -> np.ndarray:
     """(T, D) matrix of 1 - IoU costs after symmetric expansion of both sides."""
     if buffer_scale < 0.0:
         raise ValueError("buffer_scale must be non-negative")
-    a = expand_ltrb(boxes_to_ltrb(tracks), buffer_scale)
-    b = expand_ltrb(boxes_to_ltrb(dets), buffer_scale)
-    return 1.0 - iou_matrix(a, b)
+    return 1.0 - iou_matrix(expand_ltrb(tracks, buffer_scale), expand_ltrb(dets, buffer_scale))
 
 
 def _canonicalize_ties(cost: np.ndarray, gate: float, matches: list[tuple[int, int]]) -> None:
     # Among cost-preserving 2-swaps, give the lower row index the lower column
     # index, so equal-cost optima come out in a stable documented order.
+    n = len(matches)
+    if n < 2:
+        return
+    # One vectorised test for a swap that the first pass below would make;
+    # without one the pass changes nothing. pair[a, b] is cost[ra, cb].
+    rows, cols = np.array(matches).T
+    pair = cost[rows[:, None], cols]
+    own = pair.diagonal()
+    order = np.arange(n)
+    swappable = (
+        (order[:, None] < order)
+        & (cols < cols[:, None])
+        & (pair <= gate)
+        & (pair.T <= gate)
+        & (pair + pair.T == own[:, None] + own)
+    )
+    if not swappable.any():
+        return
     changed = True
     while changed:
         changed = False
@@ -100,9 +114,9 @@ class TwoStageResult:
 
 
 def two_stage_associate(
-    track_boxes: Sequence[BoundingBox],
-    lost_boxes: Sequence[BoundingBox],
-    det_boxes: Sequence[BoundingBox],
+    track_boxes: np.ndarray,
+    lost_boxes: np.ndarray,
+    det_boxes: np.ndarray,
     det_scores: Sequence[float],
     *,
     conf_high: float = 0.6,
@@ -110,60 +124,47 @@ def two_stage_associate(
     gate_first: float = 0.8,
     gate_second: float = 0.5,
     buffer_scale: float = 0.3,
-    refine_hook: Callable[["TwoStageResult"], "TwoStageResult"] | None = None,
 ) -> TwoStageResult:
     """Two-stage confidence cascade over one frame's detections.
 
-    Stage one matches high-confidence detections against the union of active
-    tracks and lost proposals by plain IoU. Stage two matches the still
-    unmatched *active* tracks (lost proposals only get the first stage)
-    against mid-confidence detections plus stage-one leftovers using buffered
-    IoU. Detections below ``conf_low`` are ignored entirely.
-
-    ``refine_hook`` is an optional appearance-based refinement slot; the
-    default keeps the result untouched.
+    Boxes are (N, 4) ltrb arrays. Stage one matches high-confidence
+    detections against the union of active tracks and lost proposals by
+    plain IoU. Stage two matches the still unmatched *active* tracks (lost
+    proposals only get the first stage) against mid-confidence detections
+    plus stage-one leftovers using buffered IoU. Detections below
+    ``conf_low`` are ignored entirely.
     """
     if not conf_low < conf_high:
         raise ValueError("conf_low must be below conf_high")
     n_tracks = len(track_boxes)
-    candidates = list(track_boxes) + list(lost_boxes)
+    candidates = np.concatenate([track_boxes, lost_boxes])
     scores = np.asarray(det_scores, dtype=np.float64)
 
-    high_idx = [k for k, s in enumerate(scores) if s >= conf_high]
-    mid_idx = [k for k, s in enumerate(scores) if conf_low <= s < conf_high]
+    eligible = scores >= conf_low
+    high_idx = (scores >= conf_high).nonzero()[0]
+    mid_idx = (eligible & (scores < conf_high)).nonzero()[0]
 
-    stage_one = assign(
-        iou_cost(candidates, [det_boxes[k] for k in high_idx]), gate_first
-    )
-    matches = [(r, high_idx[c]) for r, c in stage_one.matches]
-    leftovers_high = [high_idx[c] for c in stage_one.unmatched_cols]
+    stage_one = assign(iou_cost(candidates, det_boxes[high_idx]), gate_first)
+    matches = [(r, int(high_idx[c])) for r, c in stage_one.matches]
+    leftovers_high = high_idx[stage_one.unmatched_cols]
 
     second_tracks = [r for r in stage_one.unmatched_rows if r < n_tracks]
-    second_dets = sorted(mid_idx + leftovers_high)
+    second_dets = np.sort(np.concatenate([mid_idx, leftovers_high]))
     stage_two = assign(
-        biou_cost(
-            [candidates[r] for r in second_tracks],
-            [det_boxes[k] for k in second_dets],
-            buffer_scale,
-        ),
+        biou_cost(candidates[second_tracks], det_boxes[second_dets], buffer_scale),
         gate_second,
     )
-    matches_two = [(second_tracks[r], second_dets[c]) for r, c in stage_two.matches]
+    matches_two = [(second_tracks[r], int(second_dets[c])) for r, c in stage_two.matches]
 
     all_matches = sorted(matches + matches_two)
     matched_tracks = {r for r, _ in all_matches}
     matched_dets = {c for _, c in all_matches}
     unmatched_tracks = [r for r in range(len(candidates)) if r not in matched_tracks]
-    unmatched_dets = [
-        k for k, s in enumerate(scores) if s >= conf_low and k not in matched_dets
-    ]
-    result = TwoStageResult(
+    unmatched_dets = [k for k in eligible.nonzero()[0].tolist() if k not in matched_dets]
+    return TwoStageResult(
         matches=all_matches,
         unmatched_tracks=unmatched_tracks,
         unmatched_dets=unmatched_dets,
         stage_one_matches=matches,
         stage_two_matches=matches_two,
     )
-    if refine_hook is not None:
-        result = refine_hook(result)
-    return result

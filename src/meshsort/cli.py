@@ -19,7 +19,7 @@ from . import motfiles, synth
 from .config import TrackerConfig
 from .kalman import NumericsError
 from .metrics import MetricsError, evaluate
-from .pipeline import Tracker
+from .pipeline import DuplicateTrackIdError, Tracker
 
 
 def _load_tracker_config(path: str | None) -> TrackerConfig:
@@ -255,7 +255,7 @@ def main(argv=None) -> int:
         parser.error("bench needs --dets or --scene")
     try:
         return args.func(args)
-    except (OSError, ValueError, MetricsError, NumericsError) as exc:
+    except (OSError, ValueError, MetricsError, NumericsError, DuplicateTrackIdError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

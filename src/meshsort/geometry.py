@@ -93,25 +93,46 @@ def box_to_measurement(b: BoundingBox) -> np.ndarray:
 
     Aspect is width/height, area is width*height.
     """
-    return np.array(
-        [
-            b.left + b.width / 2.0,
-            b.top + b.height / 2.0,
-            b.width * b.height,
-            b.width / b.height,
-        ],
-        dtype=np.float64,
-    )
+    return ltwh_to_measurement(np.array(b.as_ltwh(), dtype=np.float64))
 
 
 def measurement_to_box(z: Sequence[float]) -> BoundingBox:
     """Inverse of :func:`box_to_measurement`; rejects non-positive area or aspect."""
-    xc, yc, area, aspect = float(z[0]), float(z[1]), float(z[2]), float(z[3])
-    if area <= 0.0 or aspect <= 0.0:
-        raise ValueError(f"measurement needs positive area and aspect, got {area}, {aspect}")
-    w = math.sqrt(area * aspect)
-    h = math.sqrt(area / aspect)
-    return BoundingBox(xc - w / 2.0, yc - h / 2.0, w, h)
+    z = np.asarray(z, dtype=np.float64)
+    if z[2] <= 0.0 or z[3] <= 0.0:
+        raise ValueError(f"measurement needs positive area and aspect, got {z[2]}, {z[3]}")
+    return BoundingBox(*measurement_to_ltwh(z).tolist())
+
+
+def ltwh_to_measurement(boxes: np.ndarray) -> np.ndarray:
+    """(..., 4) [left, top, width, height] rows to [center_x, center_y, area, aspect] rows."""
+    w, h = boxes[..., 2], boxes[..., 3]
+    out = np.empty_like(boxes)
+    out[..., 0] = boxes[..., 0] + w / 2.0
+    out[..., 1] = boxes[..., 1] + h / 2.0
+    out[..., 2] = w * h
+    out[..., 3] = w / h
+    return out
+
+
+def measurement_to_ltwh(z: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`ltwh_to_measurement`; area and aspect must be positive."""
+    area, aspect = z[..., 2], z[..., 3]
+    w = np.sqrt(area * aspect)
+    h = np.sqrt(area / aspect)
+    out = np.empty_like(z)
+    out[..., 0] = z[..., 0] - w / 2.0
+    out[..., 1] = z[..., 1] - h / 2.0
+    out[..., 2] = w
+    out[..., 3] = h
+    return out
+
+
+def ltwh_to_ltrb(boxes: np.ndarray) -> np.ndarray:
+    """(N, 4) [left, top, width, height] rows to [left, top, right, bottom] rows."""
+    out = boxes.copy()
+    out[:, 2:] += boxes[:, :2]
+    return out
 
 
 def boxes_to_ltrb(boxes: Sequence[BoundingBox]) -> np.ndarray:
@@ -129,7 +150,7 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     b = b[None, :, :]
     iw = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
     ih = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
-    inter = np.clip(iw, 0.0, None) * np.clip(ih, 0.0, None)
+    inter = np.maximum(iw, 0.0) * np.maximum(ih, 0.0)
     area_a = (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
     area_b = (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])
     return np.minimum(inter / (area_a + area_b - inter), 1.0)

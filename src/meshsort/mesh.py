@@ -99,12 +99,19 @@ class MeshGrid:
         self.counts = np.zeros((self.cols, self.rows), dtype=np.int64)
         self.state = np.zeros((self.cols, self.rows), dtype=bool)
 
+    def cells_of(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Column and row indices of points; out-of-frame points clamp to the border cells."""
+        w, h = self.frame_size
+        i = np.clip(np.floor(x * self.cols / w), 0, self.cols - 1)
+        j = np.clip(np.floor(y * self.rows / h), 0, self.rows - 1)
+        return i.astype(np.int64), j.astype(np.int64)
+
     def cell_of(self, p: Point2) -> CellId:
         """Cell index of a point; out-of-frame points clamp to the border cells."""
-        w, h = self.frame_size
-        i = int(np.floor(p.x * self.cols / w))
-        j = int(np.floor(p.y * self.rows / h))
-        return (min(max(i, 0), self.cols - 1), min(max(j, 0), self.rows - 1))
+        if not (np.isfinite(p.x) and np.isfinite(p.y)):
+            raise ValueError(f"cell lookup needs a finite point, got {p}")
+        i, j = self.cells_of(np.float64(p.x), np.float64(p.y))
+        return (int(i), int(j))
 
     def record_lost(self, p: Point2) -> CellId:
         cell = self.cell_of(p)

@@ -2,15 +2,20 @@
 
 One :class:`Tracker` instance owns one sequence and is strictly
 single-threaded; independent sequences run in parallel with one instance
-each. The per-frame flow is:
+each. The tracker keeps every live track as one row of a
+:class:`~meshsort.tracks.TrackTable` and makes one batched pass per stage.
+The per-frame flow is:
 
-1. advance every live track's filter one frame
-2. flag lost/maintained tracks whose spot is covered by a tracked box
+1. advance every live track's filter one frame (one batched predict)
+2. build the predicted boxes as one ltrb array and flag lost/maintained
+   tracks whose spot is covered by a tracked box
 3. run the two-stage confidence cascade (lost proposals join stage one)
-4. spawn tentative tracks from leftover confident detections
-5. apply matched/missed lifecycle updates, emitting grid loss/refind events
-6. refresh the frequent-loss cells (consumed by the *next* frame's lifecycle)
-7. emit the frame output
+4. update the matched rows (one batched update); refind events, row order
+5. spawn tentative tracks from leftover confident detections
+6. apply the missed-row lifecycle (one batched update for maintained rows,
+   one rollback for rows entering the lost pool); loss events, row order
+7. refresh the frequent-loss cells (consumed by the *next* frame's lifecycle)
+8. emit the frame output, the only place boxes become :class:`BoundingBox`
 """
 
 from __future__ import annotations
@@ -18,12 +23,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
+import numpy as np
+
 from . import kalman, tracks as _tracks
 from .association import two_stage_associate
 from .config import TrackerConfig
-from .geometry import BoundingBox
+from .geometry import BoundingBox, ltwh_to_ltrb
 from .mesh import LossThreshold, MeshGrid
-from .tracks import Track, TrackStatus
+from .tracks import LOST, LOST_MAINTAINED, REMOVED, TENTATIVE, TRACKED, TrackTable, TrackView
 
 
 class SequencingError(ValueError):
@@ -71,27 +78,34 @@ class TrackerStats:
     removed: int = 0
 
 
+class DuplicateTrackIdError(RuntimeError):
+    """Raised when one frame's output would carry the same track id twice."""
+
+
 class Tracker:
     """Streaming tracker: feed :class:`FrameDetections`, get :class:`FrameOutput`.
 
-    ``refine_hook`` is an optional appearance-based refinement applied to each
-    frame's association result; there is no feature source here, so the
-    default leaves results untouched.
+    Track state lives in :attr:`table`, one row per live track; :attr:`tracks`
+    hands out read-only per-track views of it.
     """
 
-    def __init__(self, cfg: TrackerConfig, refine_hook=None):
+    def __init__(self, cfg: TrackerConfig):
         cfg.validate()
         self.cfg = cfg
-        self.refine_hook = refine_hook
         self.model = kalman.MotionModel(cfg.pos_std_weight, cfg.vel_std_weight)
         self.grid = MeshGrid(
             cfg.mesh_cols, cfg.mesh_rows, (cfg.frame_width, cfg.frame_height)
         )
         self.threshold = LossThreshold(cfg.mesh_threshold_slope)
-        self.tracks: list[Track] = []
+        self.table = TrackTable.empty(cfg.vel_buffer_len)
         self._next_id = 1
         self._last_frame = 0
         self._stats = TrackerStats()
+
+    @property
+    def tracks(self) -> list[TrackView]:
+        """Read-only views of the live tracks, in creation order."""
+        return [self.table.view(row) for row in range(len(self.table))]
 
     @property
     def frequent_cells(self):
@@ -100,9 +114,9 @@ class Tracker:
     def stats(self) -> TrackerStats:
         """Snapshot of run counters; pending lost work of live tracks included."""
         out = TrackerStats(**vars(self._stats))
-        for t in self.tracks:
-            if t.status in (TrackStatus.LOST, TrackStatus.LOST_MAINTAINED):
-                out.doomed_predicts += t.predicts_since_match
+        status = self.table.status
+        lost = (status == LOST) | (status == LOST_MAINTAINED)
+        out.doomed_predicts += int(self.table.predicts_since_match[lost].sum())
         return out
 
     def step(self, fd: FrameDetections) -> FrameOutput:
@@ -112,98 +126,92 @@ class Tracker:
             )
         self._last_frame = fd.index
         cfg = self.cfg
+        table = self.table
 
-        live = [t for t in self.tracks if t.status is not TrackStatus.REMOVED]
-        for t in live:
-            t.kf = kalman.predict(t.kf, self.model)
-            t.predicts_since_match += 1
-            self._stats.predicts += 1
+        live = len(table)
+        if live:
+            table.set_state(slice(None), kalman.predict(table.state(slice(None)), self.model))
+            table.predicts_since_match += 1
+            self._stats.predicts += live
+        predicted = ltwh_to_ltrb(_tracks.state_box(table.mean))
 
-        occluded = _tracks.infer_occlusion(live, cfg.occlusion_iou)
+        status = table.status
+        occluded = _tracks.infer_occlusion(predicted, status, cfg.occlusion_iou)
+        full_rows = (
+            (status == TRACKED)
+            | (status == TENTATIVE)
+            | ((status == LOST_MAINTAINED) & ~occluded)
+        ).nonzero()[0]
+        lost_rows = ((status == LOST) & ~occluded).nonzero()[0]
+        candidates = np.concatenate([full_rows, lost_rows])
 
-        full_pool = [
-            t
-            for t in live
-            if t.status in (TrackStatus.TRACKED, TrackStatus.TENTATIVE)
-            or (t.status is TrackStatus.LOST_MAINTAINED and t.track_id not in occluded)
-        ]
-        lost_pool = [
-            t
-            for t in live
-            if t.status is TrackStatus.LOST and t.track_id not in occluded
-        ]
-        candidates = full_pool + lost_pool
-
-        det_boxes = [d.box for d in fd.detections]
+        det_boxes = np.array([d.box.as_ltwh() for d in fd.detections], dtype=np.float64)
+        det_boxes = det_boxes.reshape(-1, 4)
         det_scores = [d.score for d in fd.detections]
         result = two_stage_associate(
-            [t.predicted_box() for t in full_pool],
-            [t.predicted_box() for t in lost_pool],
-            det_boxes,
+            predicted[full_rows],
+            predicted[lost_rows],
+            ltwh_to_ltrb(det_boxes),
             det_scores,
             conf_high=cfg.conf_high,
             conf_low=cfg.conf_low,
             gate_first=cfg.gate_first,
             gate_second=cfg.gate_second,
             buffer_scale=cfg.buffer_scale,
-            refine_hook=self.refine_hook,
         )
 
-        grid = self.grid if cfg.enable_mesh else None
-        matched_ids = set()
-        for cand_idx, det_idx in result.matches:
-            track = candidates[cand_idx]
-            _tracks.on_matched(
-                track, det_boxes[det_idx], det_scores[det_idx], cfg, self.model, grid
-            )
-            matched_ids.add(track.track_id)
+        pairs = np.array(result.matches, dtype=np.int64).reshape(-1, 2)
+        matched, matched_dets = candidates[pairs[:, 0]], pairs[:, 1]
+        scores = np.asarray(det_scores, dtype=np.float64)
+        if len(matched):
+            grid = self.grid if cfg.enable_mesh else None
+            _tracks.on_matched(table, matched, det_boxes[matched_dets],
+                               scores[matched_dets], cfg, self.model, grid)
 
-        matched_dets = {d for _, d in result.matches}
-        for det_idx, det in enumerate(fd.detections):
-            if (
-                det_idx not in matched_dets
-                and det.score >= cfg.init_conf
-                and det.score >= cfg.conf_low
-            ):
-                self.tracks.append(
-                    _tracks.new_track(self._next_id, det.box, det.score, cfg, self.model)
-                )
-                self._next_id += 1
-                self._stats.spawned += 1
+        spawn = np.ones(len(scores), dtype=bool)
+        spawn[matched_dets] = False
+        spawn &= (scores >= cfg.init_conf) & (scores >= cfg.conf_low)
+        n_new = int(spawn.sum())
+        if n_new:
+            ids = np.arange(self._next_id, self._next_id + n_new)
+            _tracks.new_track(table, ids, det_boxes[spawn], scores[spawn], cfg, self.model)
+            self._next_id += n_new
+            self._stats.spawned += n_new
 
-        frequent = self.grid.frequent
-        for t in live:
-            if t.track_id in matched_ids:
-                continue
-            # The mesh cell lookup inside on_missed still works when the mesh
-            # feature is off; only event recording and the frequent set react
-            # to the toggle.
-            _tracks.on_missed(t, cfg, self.model, self.grid, frequent)
-            if t.status is TrackStatus.REMOVED:
-                self._stats.removed += 1
-                self._stats.doomed_predicts += t.predicts_since_match
+        missed = np.ones(live, dtype=bool)
+        missed[matched] = False
+        missed = missed.nonzero()[0]
+        if len(missed):
+            _tracks.on_missed(table, missed, cfg, self.model, self.grid, self.grid.state)
+            removed = missed[table.status[missed] == REMOVED]
+            if len(removed):
+                self._stats.removed += len(removed)
+                self._stats.doomed_predicts += int(table.predicts_since_match[removed].sum())
+                table.keep(table.status != REMOVED)
 
         if cfg.enable_mesh and fd.index % cfg.mesh_refresh_interval == 0:
             self.grid.identify(self.threshold, fd.index)
 
-        self.tracks = [t for t in self.tracks if t.status is not TrackStatus.REMOVED]
         self._stats.frames += 1
+        return FrameOutput(index=fd.index, records=self._records())
 
-        records = [
-            OutputRecord(t.track_id, t.last_box, t.confidence)
-            for t in self.tracks
-            if t.status is TrackStatus.TRACKED
-        ]
-        if cfg.emit_virtual:
-            records.extend(
-                OutputRecord(t.track_id, t.last_box, t.confidence)
-                for t in self.tracks
-                if t.status is TrackStatus.LOST_MAINTAINED
+    def _records(self) -> tuple[OutputRecord, ...]:
+        table = self.table
+        shown = table.status == TRACKED
+        if self.cfg.emit_virtual:
+            shown |= table.status == LOST_MAINTAINED
+        rows = shown.nonzero()[0]
+        rows = rows[np.argsort(table.ids[rows], kind="stable")]
+        ids = table.ids[rows]
+        repeated = ids[1:][ids[1:] == ids[:-1]]
+        if repeated.size:
+            raise DuplicateTrackIdError(f"track id {repeated[0]} appears twice in one frame output")
+        return tuple(
+            OutputRecord(track_id, BoundingBox(*box), score)
+            for track_id, box, score in zip(
+                ids.tolist(), table.last_box[rows].tolist(), table.confidence[rows].tolist()
             )
-        records.sort(key=lambda r: r.track_id)
-        ids = [r.track_id for r in records]
-        assert len(ids) == len(set(ids)), "duplicate track id in frame output"
-        return FrameOutput(index=fd.index, records=tuple(records))
+        )
 
 
 def run(cfg: TrackerConfig, frames: Iterable[FrameDetections]) -> list[FrameOutput]:

@@ -6,197 +6,317 @@ kept "maintained" for a few frames (when the loss looks like an unexpected
 occlusion, i.e. outside the frequent-loss cells) or parked as Lost. Lost
 tracks age out after ``max_age`` frames, reduced by ``location_age_reduction``
 when the loss happened inside a frequent-loss cell.
+
+Every live track is one row of a :class:`TrackTable`, in creation order. The
+functions here act on a set of rows at once, with one batched filter call
+each, so a frame costs a fixed number of array operations however many
+tracks it holds. Boxes are ``(N, 4)`` arrays; :class:`BoundingBox` appears
+only in the per-track views handed out to callers.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from dataclasses import dataclass, fields
+from typing import NamedTuple, Optional
+
+import numpy as np
 
 from . import kalman
 from .config import LM_OUTSIDE_FREQUENT, TrackerConfig
-from .geometry import BoundingBox, bottom_middle, box_to_measurement, iou, measurement_to_box
+from .geometry import BoundingBox, Point2, iou_matrix, ltwh_to_measurement, measurement_to_ltwh
+from .geometry import iou  # noqa: F401  -- perfbench's tracer wraps tracks.iou by name
 from .mesh import CellId, MeshGrid
 
 _MIN_BOX_SIZE = 1e-3
+_NO_CELL = -1
 
 
-class TrackStatus(enum.Enum):
-    TENTATIVE = "tentative"
-    TRACKED = "tracked"
-    LOST_MAINTAINED = "lost_maintained"
-    LOST = "lost"
-    REMOVED = "removed"
+class TrackStatus(enum.IntEnum):
+    TENTATIVE = 0
+    TRACKED = 1
+    LOST_MAINTAINED = 2
+    LOST = 3
+    REMOVED = 4
 
 
-def state_box(state: kalman.KalmanState) -> BoundingBox:
-    """Box view of a filter state; degenerate area/aspect is clamped to a sliver."""
-    z = state.projected()
-    z[2] = max(z[2], _MIN_BOX_SIZE)
-    z[3] = max(z[3], _MIN_BOX_SIZE)
-    return measurement_to_box(z)
+# The status codes as plain ints for the per-frame array tests: each member
+# lookup on an Enum class is a Python-level call.
+TENTATIVE, TRACKED, LOST_MAINTAINED, LOST, REMOVED = (int(s) for s in TrackStatus)
+
+
+def state_box(mean: np.ndarray) -> np.ndarray:
+    """(N, 4) [left, top, width, height] boxes of filter means (N, 8).
+
+    Degenerate area/aspect is clamped to a sliver. Raises
+    :class:`kalman.NumericsError` when a box is not finite.
+    """
+    z = mean[:, : kalman.MEAS_DIM].copy()
+    np.maximum(z[:, 2:], _MIN_BOX_SIZE, out=z[:, 2:])
+    boxes = measurement_to_ltwh(z)
+    if not np.isfinite(boxes).all():
+        raise kalman.NumericsError("non-finite box from the filter state")
+    return boxes
+
+
+def _bottom_middle(boxes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x and y of the bottom-center points of [left, top, width, height] rows."""
+    return boxes[:, 0] + boxes[:, 2] / 2.0, boxes[:, 1] + boxes[:, 3]
+
+
+def _points(x: np.ndarray, y: np.ndarray) -> list[Point2]:
+    return [Point2(a, b) for a, b in zip(x.tolist(), y.tolist())]
+
+
+class TrackView(NamedTuple):
+    """Read-only copy of one track's row."""
+
+    track_id: int
+    status: TrackStatus
+    kf: kalman.KalmanState
+    hits: int
+    lm_count: int
+    lost_count: int
+    lost_cell: Optional[CellId]
+    last_box: BoundingBox
+    confidence: float
+    predicts_since_match: int
 
 
 @dataclass
-class Track:
-    track_id: int
-    kf: kalman.KalmanState
-    vel: kalman.VelocityBuffer
-    status: TrackStatus = TrackStatus.TENTATIVE
-    hits: int = 1
-    lm_count: int = 0
-    lost_count: int = 0
-    lost_cell: Optional[CellId] = None
-    last_box: Optional[BoundingBox] = None
-    confidence: float = 0.0
-    predicts_since_match: int = 0
+class TrackTable:
+    """Per-track state as arrays, one row per live track in creation order.
 
-    def predicted_box(self) -> BoundingBox:
-        return state_box(self.kf)
+    ``lost_cell`` holds -1 in both columns while a track has no loss cell.
+    ``vel_ring``/``vel_count`` are the velocity rings (see
+    :class:`kalman.VelocityBuffer`). ``last_box`` is the box the track
+    reports, as [left, top, width, height].
+    """
+
+    ids: np.ndarray
+    status: np.ndarray
+    hits: np.ndarray
+    lm_count: np.ndarray
+    lost_count: np.ndarray
+    predicts_since_match: np.ndarray
+    lost_cell: np.ndarray
+    mean: np.ndarray
+    cov: np.ndarray
+    vel_ring: np.ndarray
+    vel_count: np.ndarray
+    last_box: np.ndarray
+    confidence: np.ndarray
+
+    @classmethod
+    def empty(cls, vel_len: int) -> "TrackTable":
+        return cls.blank(0, vel_len)
+
+    @classmethod
+    def blank(cls, n: int, vel_len: int) -> "TrackTable":
+        """``n`` zeroed rows with no loss cell."""
+        ints = (n,), np.int64
+        return cls(
+            ids=np.zeros(*ints),
+            status=np.zeros(n, dtype=np.int8),
+            hits=np.zeros(*ints),
+            lm_count=np.zeros(*ints),
+            lost_count=np.zeros(*ints),
+            predicts_since_match=np.zeros(*ints),
+            lost_cell=np.full((n, 2), _NO_CELL, dtype=np.int64),
+            mean=np.zeros((n, kalman.STATE_DIM)),
+            cov=np.zeros((n, kalman.STATE_DIM, kalman.STATE_DIM)),
+            vel_ring=np.zeros((n, vel_len, kalman.MEAS_DIM)),
+            vel_count=np.zeros(*ints),
+            last_box=np.zeros((n, 4)),
+            confidence=np.zeros(n),
+        )
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def extend(self, other: "TrackTable") -> None:
+        for f in fields(self):
+            setattr(self, f.name, np.concatenate([getattr(self, f.name), getattr(other, f.name)]))
+
+    def keep(self, mask: np.ndarray) -> None:
+        for f in fields(self):
+            setattr(self, f.name, getattr(self, f.name)[mask])
+
+    def state(self, rows) -> kalman.KalmanState:
+        return kalman.KalmanState(mean=self.mean[rows], covariance=self.cov[rows])
+
+    def set_state(self, rows, state: kalman.KalmanState) -> None:
+        self.mean[rows] = state.mean
+        self.cov[rows] = state.covariance
+
+    @property
+    def velocities(self) -> kalman.VelocityBuffer:
+        """Every row's velocity ring, writing into this table."""
+        return kalman.VelocityBuffer(ring=self.vel_ring, count=self.vel_count)
+
+    def view(self, row: int) -> TrackView:
+        cell = self.lost_cell[row]
+        return TrackView(
+            track_id=int(self.ids[row]),
+            status=TrackStatus(int(self.status[row])),
+            kf=kalman.KalmanState(self.mean[row].copy(), self.cov[row].copy()),
+            hits=int(self.hits[row]),
+            lm_count=int(self.lm_count[row]),
+            lost_count=int(self.lost_count[row]),
+            lost_cell=None if cell[0] == _NO_CELL else (int(cell[0]), int(cell[1])),
+            last_box=BoundingBox(*self.last_box[row].tolist()),
+            confidence=float(self.confidence[row]),
+            predicts_since_match=int(self.predicts_since_match[row]),
+        )
 
 
-def new_track(track_id: int, box: BoundingBox, conf: float, cfg: TrackerConfig,
-              model: kalman.MotionModel) -> Track:
-    state = kalman.initiate(box_to_measurement(box), model)
-    status = TrackStatus.TRACKED if cfg.min_hits <= 1 else TrackStatus.TENTATIVE
-    return Track(
-        track_id=track_id,
-        kf=state,
-        vel=kalman.VelocityBuffer(capacity=cfg.vel_buffer_len),
-        status=status,
-        last_box=box,
-        confidence=conf,
-    )
+def new_track(table: TrackTable, ids, boxes: np.ndarray, confs, cfg: TrackerConfig,
+              model: kalman.MotionModel) -> None:
+    """Append one track per detection box ([left, top, width, height] rows)."""
+    new = TrackTable.blank(len(boxes), cfg.vel_buffer_len)
+    new.ids[:] = ids
+    new.status[:] = TRACKED if cfg.min_hits <= 1 else TENTATIVE
+    new.hits[:] = 1
+    new.set_state(slice(None), kalman.initiate(ltwh_to_measurement(boxes), model))
+    new.last_box[:] = boxes
+    new.confidence[:] = confs
+    table.extend(new)
 
 
 def on_matched(
-    track: Track,
-    det_box: BoundingBox,
-    det_conf: float,
+    table: TrackTable,
+    rows: np.ndarray,
+    det_boxes: np.ndarray,
+    det_confs: np.ndarray,
     cfg: TrackerConfig,
     model: kalman.MotionModel,
     grid: MeshGrid | None,
 ) -> None:
-    """Fold a real detection into the track and restore it to the tracked pool."""
-    assert track.status is not TrackStatus.REMOVED
-    was_lost = track.status is TrackStatus.LOST
-    track.kf = kalman.update(track.kf, box_to_measurement(det_box), model)
-    track.vel.record(track.kf)
-    if was_lost and grid is not None and cfg.enable_mesh:
+    """Fold one real detection into each live row and restore the rows to the tracked pool.
+
+    ``grid`` receives one refind event per row that was lost, in row order;
+    None records none.
+    """
+    status = table.status[rows]
+    post = kalman.update(table.state(rows), ltwh_to_measurement(det_boxes), model)
+    table.set_state(rows, post)
+    table.velocities.record(post, rows)
+    if grid is not None and cfg.enable_mesh:
         # Refinds decrement at the refound location; a track lost in one cell
         # and refound in another leaves both counts shifted, which is allowed.
-        grid.record_refound(bottom_middle(det_box))
-    if track.status is TrackStatus.TENTATIVE:
-        track.hits += 1
-        if track.hits >= cfg.min_hits:
-            track.status = TrackStatus.TRACKED
-    else:
-        track.status = TrackStatus.TRACKED
-    track.lost_count = 0
-    track.lm_count = 0
-    track.lost_cell = None
-    track.predicts_since_match = 0
-    track.confidence = det_conf
-    track.last_box = state_box(track.kf)
+        for point in _points(*_bottom_middle(det_boxes[status == LOST])):
+            grid.record_refound(point)
+    tentative = status == TENTATIVE
+    hits = table.hits[rows] + tentative
+    table.hits[rows] = hits
+    table.status[rows] = np.where(tentative & (hits < cfg.min_hits), TENTATIVE, TRACKED)
+    table.lost_count[rows] = 0
+    table.lm_count[rows] = 0
+    table.lost_cell[rows] = _NO_CELL
+    table.predicts_since_match[rows] = 0
+    table.confidence[rows] = det_confs
+    table.last_box[rows] = state_box(post.mean)
 
 
-def lost_maintain_step(track: Track, cfg: TrackerConfig, model: kalman.MotionModel) -> None:
-    """Feed the track its own projected prediction as a weak pseudo-observation.
+def lost_maintain_step(table: TrackTable, rows: np.ndarray, cfg: TrackerConfig,
+                       model: kalman.MotionModel) -> None:
+    """Feed each maintained row its own projected prediction as a weak pseudo-observation.
 
     The zero innovation keeps the mean on its constant-velocity course while
     the inflated-noise update keeps the covariance from ballooning, so the
     virtual proposal stays matchable.
     """
-    assert track.status is TrackStatus.LOST_MAINTAINED
-    track.kf = kalman.update(track.kf, track.kf.projected(), model,
-                             noise_scale=cfg.lm_noise_scale)
-    track.last_box = state_box(track.kf)
+    prior = table.state(rows)
+    post = kalman.update(prior, prior.projected(), model, noise_scale=cfg.lm_noise_scale)
+    table.set_state(rows, post)
+    table.last_box[rows] = state_box(post.mean)
 
 
-def _lm_eligible(cell_in_frequent: bool, cfg: TrackerConfig) -> bool:
+def _lm_eligible(cell_in_frequent: np.ndarray, cfg: TrackerConfig) -> np.ndarray:
     if cfg.lm_region_rule == LM_OUTSIDE_FREQUENT:
-        return not cell_in_frequent
+        return ~cell_in_frequent
     return cell_in_frequent
 
 
-def _age_reduced(cell_in_frequent: bool, cfg: TrackerConfig) -> bool:
+def _age_reduced(cell_in_frequent: np.ndarray, cfg: TrackerConfig) -> np.ndarray:
     if cfg.lm_region_rule == LM_OUTSIDE_FREQUENT:
         return cell_in_frequent
-    return not cell_in_frequent
+    return ~cell_in_frequent
 
 
 def on_missed(
-    track: Track,
+    table: TrackTable,
+    rows: np.ndarray,
     cfg: TrackerConfig,
     model: kalman.MotionModel,
-    grid: MeshGrid | None,
-    frequent: frozenset[CellId],
+    grid: MeshGrid,
+    frequent: np.ndarray,
 ) -> None:
-    """Advance the lifecycle of a track that got no detection this frame."""
-    assert track.status is not TrackStatus.REMOVED
-    if track.status is TrackStatus.TENTATIVE:
-        track.status = TrackStatus.REMOVED
-        return
+    """Advance the lifecycle of live rows that got no detection this frame.
 
-    cell = None
-    if grid is not None:
-        cell = grid.cell_of(bottom_middle(track.predicted_box()))
-    in_frequent = cell is not None and cell in frequent
+    ``frequent`` is the (cols, rows) boolean mask of frequent-loss cells.
+    The cell lookups work whether or not the mesh feature is on; loss events
+    reach ``grid`` only when it is, one per row entering the lost pool, in
+    row order.
+    """
+    status = table.status[rows]
+    tentative = status == TENTATIVE
+    table.status[rows[tentative]] = REMOVED
+    rows, status = rows[~tentative], status[~tentative]
 
-    maintain_ok = (
-        cfg.enable_lost_maintain
-        and track.status is not TrackStatus.LOST
-        and track.lm_count < cfg.lost_maintain_frames
-        and _lm_eligible(in_frequent, cfg)
-    )
-    if maintain_ok:
-        track.status = TrackStatus.LOST_MAINTAINED
-        track.lm_count += 1
-        lost_maintain_step(track, cfg, model)
-        return
+    maintain = np.zeros(len(rows), dtype=bool)
+    if cfg.enable_lost_maintain:
+        cell = grid.cells_of(*_bottom_middle(state_box(table.mean[rows])))
+        maintain = (
+            (status != LOST)
+            & (table.lm_count[rows] < cfg.lost_maintain_frames)
+            & _lm_eligible(frequent[cell], cfg)
+        )
+    kept = rows[maintain]
+    if len(kept):
+        table.status[kept] = LOST_MAINTAINED
+        table.lm_count[kept] += 1
+        lost_maintain_step(table, kept, cfg, model)
 
-    if track.status is not TrackStatus.LOST:
-        # First frame in the lost pool: remember where it happened, roll the
-        # velocity back past any pre-occlusion detector noise, and count the
-        # loss in its cell.
-        point = bottom_middle(track.last_box)
-        if grid is not None:
-            track.lost_cell = grid.cell_of(point)
-            if cfg.enable_mesh:
+    # First frame in the lost pool: remember where it happened, roll the
+    # velocity back past any pre-occlusion detector noise, and count the loss
+    # in its cell.
+    lost = rows[~maintain]
+    entering = lost[status[~maintain] != LOST]
+    if len(entering):
+        x, y = _bottom_middle(table.last_box[entering])
+        table.lost_cell[entering] = np.stack(grid.cells_of(x, y), axis=1)
+        if cfg.enable_mesh:
+            for point in _points(x, y):
                 grid.record_lost(point)
         if cfg.enable_velocity_rollback:
-            track.kf, _ = kalman.rollback_velocity(
-                track.kf, track.vel, cfg.vel_rollback, cfg.freeze_size_velocity
+            rolled, _ = kalman.rollback_velocity(
+                table.state(entering), table.velocities[entering],
+                cfg.vel_rollback, cfg.freeze_size_velocity,
             )
-        track.status = TrackStatus.LOST
-    track.lost_count += 1
+            table.mean[entering] = rolled.mean
+        table.status[entering] = LOST
 
-    effective_age = cfg.max_age
-    if (
-        cfg.enable_location_ages
-        and track.lost_cell is not None
-        and _age_reduced(track.lost_cell in frequent, cfg)
-    ):
-        effective_age = cfg.max_age - cfg.location_age_reduction
-    if track.lost_count >= effective_age:
-        track.status = TrackStatus.REMOVED
+    lost_count = table.lost_count[lost] + 1
+    table.lost_count[lost] = lost_count
+    effective_age = np.full(len(lost), cfg.max_age)
+    if cfg.enable_location_ages:
+        i, j = table.lost_cell[lost].T
+        reduced = (i != _NO_CELL) & _age_reduced(frequent[i, j], cfg)
+        effective_age[reduced] -= cfg.location_age_reduction
+    table.status[lost[lost_count >= effective_age]] = REMOVED
 
 
-def infer_occlusion(tracks: Iterable[Track], occlusion_iou: float) -> set[int]:
-    """Ids of lost/maintained tracks whose prediction overlaps a tracked box.
+def infer_occlusion(boxes: np.ndarray, status: np.ndarray, occlusion_iou: float) -> np.ndarray:
+    """Mask of lost/maintained rows whose predicted box overlaps a tracked one.
 
-    Those tracks are withheld from matching for the frame: their spot is
+    ``boxes`` are the rows' predicted [left, top, right, bottom] boxes. The
+    flagged rows are withheld from matching for the frame: their spot is
     plausibly covered by the overlapping object, so any detection there
     belongs to it, not to them. Overlap between two lost tracks is ignored.
     """
-    tracks = list(tracks)
-    tracked_boxes = [t.predicted_box() for t in tracks if t.status is TrackStatus.TRACKED]
-    occluded: set[int] = set()
-    for t in tracks:
-        if t.status not in (TrackStatus.LOST, TrackStatus.LOST_MAINTAINED):
-            continue
-        box = t.predicted_box()
-        if any(iou(box, tb) >= occlusion_iou for tb in tracked_boxes):
-            occluded.add(t.track_id)
+    occluded = (status == LOST) | (status == LOST_MAINTAINED)
+    if occluded.any():
+        overlap = iou_matrix(boxes[occluded], boxes[status == TRACKED])
+        occluded[occluded] = (overlap >= occlusion_iou).any(axis=1)
     return occluded

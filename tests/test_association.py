@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from meshsort.association import assign, biou_cost, iou_cost, two_stage_associate
-from meshsort.geometry import BoundingBox
+from meshsort.geometry import BoundingBox, boxes_to_ltrb
 
 from oracles import brute_force_assignment
 
@@ -11,27 +11,32 @@ def box(l, t, w, h):
     return BoundingBox(l, t, w, h)
 
 
+def ltrb(boxes):
+    return boxes_to_ltrb(boxes)
+
+
 class TestCostMatrices:
     def test_identical_pair_costs_zero(self):
-        c = iou_cost([box(0, 0, 10, 10)], [box(0, 0, 10, 10)])
+        c = iou_cost(ltrb([box(0, 0, 10, 10)]), ltrb([box(0, 0, 10, 10)]))
         assert c[0, 0] == pytest.approx(0.0)
 
     def test_disjoint_pair_costs_one(self):
-        c = iou_cost([box(0, 0, 10, 10)], [box(100, 100, 10, 10)])
+        c = iou_cost(ltrb([box(0, 0, 10, 10)]), ltrb([box(100, 100, 10, 10)]))
         assert c[0, 0] == pytest.approx(1.0)
 
     def test_third_overlap(self):
-        c = iou_cost([box(0, 0, 10, 10)], [box(5, 0, 10, 10)])
+        c = iou_cost(ltrb([box(0, 0, 10, 10)]), ltrb([box(5, 0, 10, 10)]))
         assert c[0, 0] == pytest.approx(2 / 3)
 
     def test_biou_zero_scale_equals_iou(self):
         tracks = [box(0, 0, 10, 10), box(50, 50, 20, 10)]
         dets = [box(5, 0, 10, 10), box(100, 100, 5, 5)]
-        np.testing.assert_allclose(biou_cost(tracks, dets, 0.0), iou_cost(tracks, dets))
+        np.testing.assert_allclose(biou_cost(ltrb(tracks), ltrb(dets), 0.0),
+                                   iou_cost(ltrb(tracks), ltrb(dets)))
 
     def test_biou_bridges_gap(self):
-        c_plain = iou_cost([box(0, 0, 10, 10)], [box(12, 0, 10, 10)])
-        c_buf = biou_cost([box(0, 0, 10, 10)], [box(12, 0, 10, 10)], 0.3)
+        c_plain = iou_cost(ltrb([box(0, 0, 10, 10)]), ltrb([box(12, 0, 10, 10)]))
+        c_buf = biou_cost(ltrb([box(0, 0, 10, 10)]), ltrb([box(12, 0, 10, 10)]), 0.3)
         assert c_plain[0, 0] == 1.0
         assert c_buf[0, 0] == pytest.approx(1 - 1 / 7)
 
@@ -99,7 +104,7 @@ class TestAssign:
 class TestTwoStage:
     def test_high_conf_matches_stage_one(self):
         res = two_stage_associate(
-            [box(0, 0, 10, 10)], [], [box(1, 0, 10, 10)], [0.9]
+            ltrb([box(0, 0, 10, 10)]), ltrb([]), ltrb([box(1, 0, 10, 10)]), [0.9]
         )
         assert res.matches == [(0, 0)]
         assert res.stage_one_matches == [(0, 0)]
@@ -107,7 +112,7 @@ class TestTwoStage:
 
     def test_mid_conf_matches_stage_two_only(self):
         res = two_stage_associate(
-            [box(0, 0, 10, 10)], [], [box(1, 0, 10, 10)], [0.4]
+            ltrb([box(0, 0, 10, 10)]), ltrb([]), ltrb([box(1, 0, 10, 10)]), [0.4]
         )
         assert res.matches == [(0, 0)]
         assert res.stage_one_matches == []
@@ -115,7 +120,7 @@ class TestTwoStage:
 
     def test_below_low_conf_ignored(self):
         res = two_stage_associate(
-            [box(0, 0, 10, 10)], [], [box(1, 0, 10, 10)], [0.05]
+            ltrb([box(0, 0, 10, 10)]), ltrb([]), ltrb([box(1, 0, 10, 10)]), [0.05]
         )
         assert res.matches == []
         assert res.unmatched_dets == []
@@ -125,14 +130,14 @@ class TestTwoStage:
         # The lost proposal overlaps the mid-confidence detection, but only
         # stage one is open to it.
         res = two_stage_associate(
-            [], [box(0, 0, 10, 10)], [box(1, 0, 10, 10)], [0.4]
+            ltrb([]), ltrb([box(0, 0, 10, 10)]), ltrb([box(1, 0, 10, 10)]), [0.4]
         )
         assert res.matches == []
         assert res.unmatched_tracks == [0]
 
     def test_lost_pool_matches_high_conf(self):
         res = two_stage_associate(
-            [], [box(0, 0, 10, 10)], [box(1, 0, 10, 10)], [0.9]
+            ltrb([]), ltrb([box(0, 0, 10, 10)]), ltrb([box(1, 0, 10, 10)]), [0.9]
         )
         assert res.matches == [(0, 0)]
 
@@ -141,7 +146,7 @@ class TestTwoStage:
         # claimed by the other (stage-one-unmatched) track via buffered IoU.
         tracks = [box(0, 0, 10, 10), box(13, 0, 10, 10)]
         dets = [box(0, 0, 10, 10), box(12, 0, 10, 10)]
-        res = two_stage_associate(tracks, [], dets, [0.9, 0.9])
+        res = two_stage_associate(ltrb(tracks), ltrb([]), ltrb(dets), [0.9, 0.9])
         assert (0, 0) in res.matches
         assert (1, 1) in res.matches
 
@@ -161,7 +166,7 @@ class TestTwoStage:
                 for _ in range(rng.integers(0, 6))
             ]
             scores = [float(rng.uniform(0, 1)) for _ in dets]
-            res = two_stage_associate(tracks, lost, dets, scores)
+            res = two_stage_associate(ltrb(tracks), ltrb(lost), ltrb(dets), scores)
             rows = [r for r, _ in res.matches]
             cols = [c for _, c in res.matches]
             assert len(rows) == len(set(rows))
@@ -170,4 +175,4 @@ class TestTwoStage:
 
     def test_rejects_bad_thresholds(self):
         with pytest.raises(ValueError):
-            two_stage_associate([], [], [], [], conf_high=0.1, conf_low=0.5)
+            two_stage_associate(ltrb([]), ltrb([]), ltrb([]), [], conf_high=0.1, conf_low=0.5)

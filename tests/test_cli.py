@@ -1,6 +1,6 @@
 import pytest
 
-from meshsort import kalman, scenarios
+from meshsort import kalman, pipeline, scenarios
 from meshsort.cli import main
 from meshsort.motfiles import parse_detections, parse_ground_truth
 from meshsort.synth import format_scene
@@ -179,3 +179,17 @@ class TestErrors:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "singular" in err
+
+    def test_track_duplicate_id_exits_one(self, tmp_path, scene_file, capsys, monkeypatch):
+        _, dets = _synth_files(tmp_path, scene_file)
+
+        def duplicate(self, fd):
+            raise pipeline.DuplicateTrackIdError("track id 3 appears twice in one frame output")
+
+        monkeypatch.setattr(pipeline.Tracker, "step", duplicate)
+        capsys.readouterr()
+        rc = main(["track", "--dets", str(dets), "--out", str(tmp_path / "res.txt")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "appears twice" in err
+        assert "Traceback" not in err

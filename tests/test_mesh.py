@@ -27,6 +27,20 @@ class TestCellOf:
         assert g.cell_of(Point2(-50, 2000)) == (0, 3)
         assert g.cell_of(Point2(99999, -1)) == (3, 0)
 
+    def test_non_finite_point_rejected(self):
+        g = grid44()
+        for p in (Point2(float("nan"), 10), Point2(10, float("inf"))):
+            with pytest.raises(ValueError):
+                g.cell_of(p)
+
+    def test_vector_lookup(self):
+        xs = np.array([-50.0, 0.0, 479.9, 480.0, 960.0, 1920.0, 99999.0])
+        ys = np.array([2000.0, 0.0, 269.9, 270.0, 540.0, 1080.0, -1.0])
+        i, j = grid44().cells_of(xs, ys)
+        assert list(zip(i.tolist(), j.tolist())) == [
+            (0, 3), (0, 0), (0, 0), (1, 1), (2, 2), (3, 3), (3, 0)
+        ]
+
 
 class TestRecording:
     def test_single_lost(self):

@@ -6,6 +6,7 @@ from meshsort.config import TrackerConfig
 from meshsort.geometry import BoundingBox, bottom_middle, iou
 from meshsort.mesh import MeshGrid
 from meshsort.pipeline import (
+    DuplicateTrackIdError,
     SequencingError,
     Tracker,
     make_frame,
@@ -65,6 +66,13 @@ class TestStepBasics:
             )
             ids = [r.track_id for r in out.records]
             assert len(ids) == len(set(ids))
+
+    def test_duplicate_id_in_state_raises(self):
+        tracker = Tracker(cfg(min_hits=1))
+        tracker.step(make_frame(1, [(box(100), 0.9), (box(500), 0.9)]))
+        tracker.table.ids[1] = tracker.table.ids[0]
+        with pytest.raises(DuplicateTrackIdError, match="track id 1"):
+            tracker.step(make_frame(2, [(box(104), 0.9), (box(504), 0.9)]))
 
     def test_min_hits_delays_emission(self):
         tracker = Tracker(cfg(min_hits=3))

@@ -4,15 +4,21 @@ from hypothesis import given, settings, strategies as st
 
 from meshsort import kalman as K
 from meshsort.config import TrackerConfig
-from meshsort.geometry import BoundingBox, bottom_middle
+from meshsort.geometry import BoundingBox, bottom_middle, ltwh_to_ltrb
 from meshsort.mesh import MeshGrid
 from meshsort.tracks import (
     TrackStatus,
+    TrackTable,
     infer_occlusion,
     new_track,
     on_matched,
     on_missed,
+    state_box,
 )
+
+# Each test drives a one-row table through the array API; ROW selects it and
+# t.view(0) reads it back as a per-track view.
+ROW = np.array([0])
 
 
 def cfg(**kw):
@@ -31,31 +37,64 @@ def box(l=100, t=100, w=20, h=40):
     return BoundingBox(l, t, w, h)
 
 
+def ltwh(*boxes):
+    return np.array([b.as_ltwh() for b in boxes], dtype=np.float64)
+
+
+def spawn(tid, b, c, model):
+    t = TrackTable.empty(c.vel_buffer_len)
+    new_track(t, [tid], ltwh(b), [0.9], c, model)
+    return t
+
+
 def make_tracked(c, b=None, model=None):
     model = model or K.MotionModel()
-    t = new_track(1, b or box(), 0.9, c, model)
-    t.status = TrackStatus.TRACKED
-    t.hits = c.min_hits
+    t = spawn(1, b or box(), c, model)
+    t.status[0] = TrackStatus.TRACKED
+    t.hits[0] = c.min_hits
     return t, model
+
+
+def match(t, b, conf, c, model, g):
+    on_matched(t, ROW, ltwh(b), np.array([conf]), c, model, g)
+
+
+def miss(t, c, model, g, frequent):
+    mask = np.zeros((g.cols, g.rows), dtype=bool)
+    for cell in frequent:
+        mask[cell] = True
+    on_missed(t, ROW, c, model, g, mask)
+
+
+def predict(t, model):
+    t.set_state(ROW, K.predict(t.state(ROW), model))
+
+
+def set_velocity(t, v):
+    t.mean[0, 4:] = v
+
+
+def predicted_box(t):
+    return BoundingBox(*state_box(t.mean)[0])
 
 
 class TestOnMatched:
     def test_tracked_stays_tracked(self):
         c = cfg()
         t, model = make_tracked(c)
-        on_matched(t, box(102), 0.8, c, model, grid())
-        assert t.status is TrackStatus.TRACKED
-        assert t.lost_count == 0
-        assert t.confidence == 0.8
+        match(t, box(102), 0.8, c, model, grid())
+        assert t.view(0).status is TrackStatus.TRACKED
+        assert t.view(0).lost_count == 0
+        assert t.view(0).confidence == 0.8
 
     def test_lost_match_emits_one_refound(self):
         c = cfg()
         t, model = make_tracked(c)
         g = grid()
-        t.status = TrackStatus.LOST
-        t.lost_count = 4
-        on_matched(t, box(102), 0.8, c, model, g)
-        assert t.status is TrackStatus.TRACKED
+        t.status[0] = TrackStatus.LOST
+        t.lost_count[0] = 4
+        match(t, box(102), 0.8, c, model, g)
+        assert t.view(0).status is TrackStatus.TRACKED
         assert [kind for kind, _ in g.events] == ["refound"]
         cell = g.cell_of(bottom_middle(box(102)))
         assert g.counts[cell] == -1
@@ -65,131 +104,125 @@ class TestOnMatched:
         # must not decrement anything.
         c = cfg()
         t, model = make_tracked(c)
-        t.status = TrackStatus.LOST_MAINTAINED
-        t.lm_count = 2
+        t.status[0] = TrackStatus.LOST_MAINTAINED
+        t.lm_count[0] = 2
         g = grid()
-        on_matched(t, box(102), 0.8, c, model, g)
-        assert t.status is TrackStatus.TRACKED
+        match(t, box(102), 0.8, c, model, g)
+        assert t.view(0).status is TrackStatus.TRACKED
         assert g.events == []
-        assert t.lm_count == 0
+        assert t.view(0).lm_count == 0
 
     def test_tentative_confirms_at_min_hits(self):
         c = cfg(min_hits=3)
         model = K.MotionModel()
-        t = new_track(1, box(), 0.9, c, model)
-        assert t.status is TrackStatus.TENTATIVE and t.hits == 1
-        on_matched(t, box(101), 0.9, c, model, grid())
-        assert t.status is TrackStatus.TENTATIVE and t.hits == 2
-        on_matched(t, box(102), 0.9, c, model, grid())
-        assert t.status is TrackStatus.TRACKED
+        t = spawn(1, box(), c, model)
+        assert t.view(0).status is TrackStatus.TENTATIVE and t.view(0).hits == 1
+        match(t, box(101), 0.9, c, model, grid())
+        assert t.view(0).status is TrackStatus.TENTATIVE and t.view(0).hits == 2
+        match(t, box(102), 0.9, c, model, grid())
+        assert t.view(0).status is TrackStatus.TRACKED
 
     def test_min_hits_one_confirms_at_birth(self):
         c = cfg(min_hits=1)
-        t = new_track(1, box(), 0.9, c, K.MotionModel())
-        assert t.status is TrackStatus.TRACKED
+        t = spawn(1, box(), c, K.MotionModel())
+        assert t.view(0).status is TrackStatus.TRACKED
 
     def test_velocity_recorded_on_real_update(self):
         c = cfg()
         t, model = make_tracked(c)
-        assert len(t.vel) == 0
-        on_matched(t, box(104), 0.9, c, model, grid())
-        assert len(t.vel) == 1
+        assert len(t.velocities[ROW]) == 0
+        match(t, box(104), 0.9, c, model, grid())
+        assert len(t.velocities[ROW]) == 1
 
 
 class TestOnMissed:
     def test_first_miss_outside_frequent_maintains(self):
         c = cfg(lost_maintain_frames=3)
         t, model = make_tracked(c)
-        on_missed(t, c, model, grid(), frozenset())
-        assert t.status is TrackStatus.LOST_MAINTAINED
-        assert t.lm_count == 1
+        miss(t, c, model, grid(), frozenset())
+        assert t.view(0).status is TrackStatus.LOST_MAINTAINED
+        assert t.view(0).lm_count == 1
 
     def test_miss_inside_frequent_goes_lost_with_event(self):
         c = cfg(lost_maintain_frames=3)
         t, model = make_tracked(c)
         g = grid()
-        frequent = frozenset({g.cell_of(bottom_middle(t.last_box))})
-        on_missed(t, c, model, g, frequent)
-        assert t.status is TrackStatus.LOST
+        frequent = frozenset({g.cell_of(bottom_middle(t.view(0).last_box))})
+        miss(t, c, model, g, frequent)
+        assert t.view(0).status is TrackStatus.LOST
         assert [kind for kind, _ in g.events] == ["lost"]
-        assert t.lost_cell in frequent
+        assert t.view(0).lost_cell in frequent
 
     def test_budget_exhaustion_transitions_to_lost(self):
         c = cfg(lost_maintain_frames=2)
         t, model = make_tracked(c)
         g = grid()
-        on_missed(t, c, model, g, frozenset())
-        on_missed(t, c, model, g, frozenset())
-        assert t.status is TrackStatus.LOST_MAINTAINED
-        on_missed(t, c, model, g, frozenset())
-        assert t.status is TrackStatus.LOST
+        miss(t, c, model, g, frozenset())
+        miss(t, c, model, g, frozenset())
+        assert t.view(0).status is TrackStatus.LOST_MAINTAINED
+        miss(t, c, model, g, frozenset())
+        assert t.view(0).status is TrackStatus.LOST
         assert [kind for kind, _ in g.events] == ["lost"]
 
     def test_frequent_cell_removal_after_reduced_age(self):
         c = cfg(lost_maintain_frames=3, max_age=30, location_age_reduction=8)
         t, model = make_tracked(c)
         g = grid()
-        frequent = frozenset({g.cell_of(bottom_middle(t.last_box))})
+        frequent = frozenset({g.cell_of(bottom_middle(t.view(0).last_box))})
         for k in range(22):
-            assert t.status is not TrackStatus.REMOVED
-            on_missed(t, c, model, g, frequent)
-        assert t.status is TrackStatus.REMOVED
-        assert t.lost_count == 22
+            assert t.view(0).status is not TrackStatus.REMOVED
+            miss(t, c, model, g, frequent)
+        assert t.view(0).status is TrackStatus.REMOVED
+        assert t.view(0).lost_count == 22
 
     def test_normal_cell_removal_after_max_age(self):
         c = cfg(lost_maintain_frames=0, enable_lost_maintain=False, max_age=30)
         t, model = make_tracked(c)
         g = grid()
         for k in range(29):
-            on_missed(t, c, model, g, frozenset())
-            assert t.status is TrackStatus.LOST
-        on_missed(t, c, model, g, frozenset())
-        assert t.status is TrackStatus.REMOVED
+            miss(t, c, model, g, frozenset())
+            assert t.view(0).status is TrackStatus.LOST
+        miss(t, c, model, g, frozenset())
+        assert t.view(0).status is TrackStatus.REMOVED
 
     def test_zero_budget_skips_maintain(self):
         c = cfg(lost_maintain_frames=0)
         t, model = make_tracked(c)
-        on_missed(t, c, model, grid(), frozenset())
-        assert t.status is TrackStatus.LOST
+        miss(t, c, model, grid(), frozenset())
+        assert t.view(0).status is TrackStatus.LOST
 
     def test_tentative_missed_once_removed(self):
         c = cfg(min_hits=3)
-        t = new_track(1, box(), 0.9, c, K.MotionModel())
-        on_missed(t, c, K.MotionModel(), grid(), frozenset())
-        assert t.status is TrackStatus.REMOVED
+        t = spawn(1, box(), c, K.MotionModel())
+        miss(t, c, K.MotionModel(), grid(), frozenset())
+        assert t.view(0).status is TrackStatus.REMOVED
 
     def test_rollback_fires_on_lost_transition(self):
         c = cfg(lost_maintain_frames=0, enable_lost_maintain=False)
         t, model = make_tracked(c)
         # Seed the buffer with a distinctive old velocity, then change it.
-        t.kf = K.KalmanState(
-            mean=np.r_[t.kf.mean[:4], [7.0, 0, 0, 0]], covariance=t.kf.covariance
-        )
-        t.vel.record(t.kf)
-        t.kf = K.KalmanState(
-            mean=np.r_[t.kf.mean[:4], [99.0, 0, 0, 0]], covariance=t.kf.covariance
-        )
-        on_missed(t, c, model, grid(), frozenset())
-        assert t.kf.mean[4] == 7.0
+        set_velocity(t, [7.0, 0, 0, 0])
+        t.velocities.record(t.state(ROW), ROW)
+        set_velocity(t, [99.0, 0, 0, 0])
+        miss(t, c, model, grid(), frozenset())
+        assert t.view(0).kf.mean[4] == 7.0
 
     def test_rollback_respects_toggle(self):
         c = cfg(lost_maintain_frames=0, enable_lost_maintain=False,
                 enable_velocity_rollback=False)
         t, model = make_tracked(c)
-        t.vel.record(t.kf)
-        t.kf = K.KalmanState(
-            mean=np.r_[t.kf.mean[:4], [99.0, 0, 0, 0]], covariance=t.kf.covariance
-        )
-        on_missed(t, c, model, grid(), frozenset())
-        assert t.kf.mean[4] == 99.0
+        t.velocities.record(t.state(ROW), ROW)
+        set_velocity(t, [99.0, 0, 0, 0])
+        miss(t, c, model, grid(), frozenset())
+        assert t.view(0).kf.mean[4] == 99.0
 
     def test_inverted_region_rule(self):
         c = cfg(lm_region_rule="inside_frequent")
         t, model = make_tracked(c)
         g = grid()
-        frequent = frozenset({g.cell_of(bottom_middle(t.last_box))})
-        on_missed(t, c, model, g, frequent)
-        assert t.status is TrackStatus.LOST_MAINTAINED
+        frequent = frozenset({g.cell_of(bottom_middle(t.view(0).last_box))})
+        miss(t, c, model, g, frequent)
+        assert t.view(0).status is TrackStatus.LOST_MAINTAINED
 
 
 class TestLostMaintainStep:
@@ -197,73 +230,77 @@ class TestLostMaintainStep:
         c = cfg()
         model = K.MotionModel()
         t, _ = make_tracked(c, model=model)
-        t.kf = K.KalmanState(
-            mean=np.r_[t.kf.mean[:4], [4.0, 2.0, 0, 0]], covariance=t.kf.covariance
-        )
-        reference = t.kf
+        set_velocity(t, [4.0, 2.0, 0, 0])
+        reference = t.view(0).kf
         for _ in range(3):
             reference = K.predict(reference, model)
-            t.kf = K.predict(t.kf, model)
-            on_missed(t, c, model, grid(), frozenset())
-            assert t.status is TrackStatus.LOST_MAINTAINED
-            np.testing.assert_allclose(t.kf.mean, reference.mean, atol=1e-6)
+            predict(t, model)
+            miss(t, c, model, grid(), frozenset())
+            assert t.view(0).status is TrackStatus.LOST_MAINTAINED
+            np.testing.assert_allclose(t.view(0).kf.mean, reference.mean, atol=1e-6)
 
     def test_lm_count_increments_once_per_miss(self):
         c = cfg()
         t, model = make_tracked(c)
         for k in range(1, 4):
-            on_missed(t, c, model, grid(), frozenset())
-            assert t.lm_count == k
+            miss(t, c, model, grid(), frozenset())
+            assert t.view(0).lm_count == k
 
     def test_covariance_stays_psd(self):
         c = cfg()
         t, model = make_tracked(c)
         for _ in range(3):
-            t.kf = K.predict(t.kf, model)
-            on_missed(t, c, model, grid(), frozenset())
-            cov = t.kf.covariance
+            predict(t, model)
+            miss(t, c, model, grid(), frozenset())
+            cov = t.view(0).kf.covariance
             assert np.max(np.abs(cov - cov.T)) <= 1e-9
             assert np.min(np.linalg.eigvalsh(cov)) >= -1e-9
 
     def test_virtual_box_set_for_matching(self):
         c = cfg()
         t, model = make_tracked(c)
-        t.kf = K.KalmanState(
-            mean=np.r_[t.kf.mean[:4], [10.0, 0, 0, 0]], covariance=t.kf.covariance
-        )
-        before = t.last_box
-        t.kf = K.predict(t.kf, model)
-        on_missed(t, c, model, grid(), frozenset())
-        assert t.last_box.left == pytest.approx(before.left + 10.0, abs=1e-6)
+        set_velocity(t, [10.0, 0, 0, 0])
+        before = t.view(0).last_box
+        predict(t, model)
+        miss(t, c, model, grid(), frozenset())
+        assert t.view(0).last_box.left == pytest.approx(before.left + 10.0, abs=1e-6)
 
 
 def _mk(status, b, tid):
+    return status, b, tid
+
+
+def occluded(rows, occlusion_iou):
+    """Ids that infer_occlusion flags in one table of (status, box, id) rows."""
     c = cfg()
-    t = new_track(tid, b, 0.9, c, K.MotionModel())
-    t.status = status
-    return t
+    t = TrackTable.empty(c.vel_buffer_len)
+    new_track(t, [tid for _, _, tid in rows], ltwh(*[b for _, b, _ in rows]),
+              [0.9] * len(rows), c, K.MotionModel())
+    t.status[:] = [status for status, _, _ in rows]
+    flagged = infer_occlusion(ltwh_to_ltrb(state_box(t.mean)), t.status, occlusion_iou)
+    return set(t.ids[flagged].tolist())
 
 
 class TestInferOcclusion:
     def test_fully_overlapped_lost_track_flagged(self):
         lost = _mk(TrackStatus.LOST, box(100, 100), 1)
         tracked = _mk(TrackStatus.TRACKED, box(100, 100), 2)
-        assert infer_occlusion([lost, tracked], 0.3) == {1}
+        assert occluded([lost, tracked], 0.3) == {1}
 
     def test_isolated_lost_track_not_flagged(self):
         lost = _mk(TrackStatus.LOST, box(100, 100), 1)
         tracked = _mk(TrackStatus.TRACKED, box(800, 400), 2)
-        assert infer_occlusion([lost, tracked], 0.3) == set()
+        assert occluded([lost, tracked], 0.3) == set()
 
     def test_lost_lost_overlap_does_not_count(self):
         a = _mk(TrackStatus.LOST, box(100, 100), 1)
         b = _mk(TrackStatus.LOST, box(100, 100), 2)
-        assert infer_occlusion([a, b], 0.3) == set()
+        assert occluded([a, b], 0.3) == set()
 
     def test_maintained_tracks_also_flagged(self):
         lm = _mk(TrackStatus.LOST_MAINTAINED, box(100, 100), 1)
         tracked = _mk(TrackStatus.TRACKED, box(105, 100), 2)
-        assert infer_occlusion([lm, tracked], 0.3) == {1}
+        assert occluded([lm, tracked], 0.3) == {1}
 
 
 ALLOWED_EDGES = {
@@ -294,17 +331,17 @@ class TestTransitionGraph:
         c = cfg(lost_maintain_frames=l, enable_lost_maintain=l > 0,
                 min_hits=min_hits, max_age=10, location_age_reduction=4)
         model = K.MotionModel()
-        t = new_track(1, box(), 0.9, c, model)
+        t = spawn(1, box(), c, model)
         g = grid()
-        cells = frozenset({g.cell_of(bottom_middle(t.last_box))}) if frequent else frozenset()
-        prev = t.status
+        cells = frozenset({g.cell_of(bottom_middle(t.view(0).last_box))}) if frequent else frozenset()
+        prev = t.view(0).status
         for matched in outcomes:
-            if t.status is TrackStatus.REMOVED:
+            if t.view(0).status is TrackStatus.REMOVED:
                 break
-            t.kf = K.predict(t.kf, model)
+            predict(t, model)
             if matched:
-                on_matched(t, t.predicted_box(), 0.9, c, model, g)
+                match(t, predicted_box(t), 0.9, c, model, g)
             else:
-                on_missed(t, c, model, g, cells)
-            assert (prev, t.status) in ALLOWED_EDGES, (prev, t.status)
-            prev = t.status
+                miss(t, c, model, g, cells)
+            assert (prev, t.view(0).status) in ALLOWED_EDGES, (prev, t.view(0).status)
+            prev = t.view(0).status
