@@ -12,6 +12,7 @@ with two decimals so byte-identical reruns diff cleanly.
 from __future__ import annotations
 
 import dataclasses
+import math
 from collections import defaultdict
 from pathlib import Path
 from typing import Iterable
@@ -38,9 +39,12 @@ def _split_numeric(path, lineno: int, line: str, n_fields: int) -> list[float]:
     values = []
     for part in parts:
         try:
-            values.append(float(part))
+            value = float(part)
         except ValueError:
             raise ParseError(path, lineno, f"non-numeric field {part!r}") from None
+        if not math.isfinite(value):
+            raise ParseError(path, lineno, f"non-finite field {part!r}")
+        values.append(value)
     return values
 
 

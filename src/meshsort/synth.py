@@ -6,6 +6,12 @@ multiplicative area/aspect noise and reduced confidence, fully covered or
 randomly missed agents emit nothing. All randomness comes from a hand-rolled
 xoshiro256** generator with Box-Muller normals so byte-identical output for a
 given (config, seed) holds across platforms.
+
+:func:`generate` computes every agent's boxes once, as (frames, agents)
+arrays, and builds ground truth from them. Cover is found from those arrays:
+one strict-overlap test per block of frames lists, for each live agent, the
+later live agents whose box overlaps it, and only those plus the occluders go
+to :func:`covered_fraction`.
 """
 
 from __future__ import annotations
@@ -87,6 +93,8 @@ class AgentSpec:
     def validate(self) -> None:
         if self.spawn < 1 or self.despawn < self.spawn:
             raise ValueError(f"bad spawn/despawn pair ({self.spawn}, {self.despawn})")
+        if not (math.isfinite(self.width) and math.isfinite(self.height)):
+            raise ValueError(f"non-finite agent box size {self.width}x{self.height}")
         if self.width <= 0 or self.height <= 0:
             raise ValueError("agent box size must be positive")
         if not self.waypoints:
@@ -96,6 +104,9 @@ class AgentSpec:
             raise ValueError("waypoint times must be strictly increasing")
         if times[0] < self.spawn or times[-1] > self.despawn:
             raise ValueError("waypoint times must lie within [spawn, despawn]")
+        for t, x, y in self.waypoints:
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise ValueError(f"non-finite waypoint {x},{y}@{t}")
 
     def center_at(self, frame: int) -> tuple[float, float]:
         pts = self.waypoints
@@ -120,6 +131,11 @@ class AgentSpec:
         return speed
 
 
+# Real-valued SceneConfig fields; NaN would slip through every range check.
+_REAL_FIELDS = ("frame_width", "frame_height", "sigma_area", "sigma_ratio",
+                "min_visibility", "miss_prob", "conf_base", "conf_penalty")
+
+
 @dataclass
 class SceneConfig:
     frame_width: float = 960.0
@@ -136,6 +152,9 @@ class SceneConfig:
     occluders: list[BoundingBox] = field(default_factory=list)
 
     def validate(self) -> None:
+        for name in _REAL_FIELDS:
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"non-finite {name} {getattr(self, name)}")
         if self.frames < 1 or self.frame_width <= 0 or self.frame_height <= 0:
             raise ValueError("scene needs positive frame count and size")
         if self.sigma_area < 0 or self.sigma_ratio < 0:
@@ -212,17 +231,90 @@ def semi_occlusion_noise(
     return out
 
 
-def visibility_of(cfg: SceneConfig, agent_idx: int, frame: int) -> float:
-    """Visible fraction of one agent's box; later-listed agents sit in front."""
-    agent = cfg.agents[agent_idx]
-    box = agent.box_at(frame)
-    covers = list(cfg.occluders)
-    for j, other in enumerate(cfg.agents):
-        if j <= agent_idx:
-            continue
-        if other.spawn <= frame <= other.despawn:
-            covers.append(other.box_at(frame))
-    return 1.0 - covered_fraction(box, covers, (cfg.frame_width, cfg.frame_height))
+def _centres(agent: AgentSpec, frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:meth:`AgentSpec.center_at` over many frames, with the same float operations.
+
+    Frames on a waypoint time take the first segment that holds them, as
+    ``center_at``'s loop does.
+    """
+    t = np.array([p[0] for p in agent.waypoints], dtype=np.float64)
+    xs = np.array([p[1] for p in agent.waypoints], dtype=np.float64)
+    ys = np.array([p[2] for p in agent.waypoints], dtype=np.float64)
+    if len(t) == 1:
+        return np.full(len(frames), xs[0]), np.full(len(frames), ys[0])
+    k = np.minimum(np.searchsorted(t[1:], frames, side="left"), len(t) - 2)
+    w = (frames - t[k]) / (t[k + 1] - t[k])
+    cx = xs[k] + w * (xs[k + 1] - xs[k])
+    cy = ys[k] + w * (ys[k + 1] - ys[k])
+    before, after = frames <= t[0], frames >= t[-1]
+    cx = np.where(before, xs[0], np.where(after, xs[-1], cx))
+    cy = np.where(before, ys[0], np.where(after, ys[-1], cy))
+    return cx, cy
+
+
+def _agent_ltrb(cfg: SceneConfig) -> np.ndarray:
+    """(4, frames, agents) left/top/right/bottom of every agent's box.
+
+    Values equal the fields of :meth:`AgentSpec.box_at`. Frames outside an
+    agent's lifespan hold NaN, which fails every comparison, so such an agent
+    neither covers nor is covered there; validated scenes hold no other NaN.
+    """
+    ltrb = np.full((4, cfg.frames, len(cfg.agents)), np.nan)
+    for idx, agent in enumerate(cfg.agents):
+        cx, cy = _centres(agent, np.arange(agent.spawn, agent.despawn + 1))
+        rows = slice(agent.spawn - 1, agent.despawn)
+        ltrb[0, rows, idx] = cx - agent.width / 2
+        ltrb[1, rows, idx] = cy - agent.height / 2
+        ltrb[2, rows, idx] = ltrb[0, rows, idx] + agent.width
+        ltrb[3, rows, idx] = ltrb[1, rows, idx] + agent.height
+    return ltrb
+
+
+# Cells of the (frames, agents, agents) overlap array held at once. Scenes are
+# cut into blocks of frames, or of agents within one frame, to stay under it,
+# so the array does not grow with the scene's length.
+_OVERLAP_CELLS = 1 << 20
+
+
+def _overlap_blocks(frames: int, agents: int):
+    """Yield ``(f0, f1, [(a0, a1), ...])``: frame ranges, each cut into agent ranges.
+
+    A block compares agents ``a0:a1`` with all agents of frames ``f0:f1``, so
+    it holds ``(f1 - f0) * (a1 - a0) * agents`` cells; that stays within
+    ``_OVERLAP_CELLS`` unless one agent alone exceeds it.
+    """
+    per_frame = max(agents * agents, 1)
+    step_f = max(1, _OVERLAP_CELLS // per_frame)
+    step_a = max(1, agents if per_frame <= _OVERLAP_CELLS else _OVERLAP_CELLS // agents)
+    for f0 in range(0, frames, step_f):
+        chunks = [(a0, min(a0 + step_a, agents)) for a0 in range(0, agents, step_a)]
+        yield f0, min(f0 + step_f, frames), chunks
+
+
+def _later_overlaps(ltrb: np.ndarray):
+    """Per frame, ``{agent: [later live agents whose box strictly overlaps it]}``.
+
+    Later-listed agents sit in front. An agent whose raw box does not overlap
+    has no area inside the in-frame part of the box either, so
+    :func:`covered_fraction` would drop it; coordinate compression does not
+    depend on cover order, so passing only these leaves its result unchanged.
+    """
+    left, top, right, bottom = ltrb
+    frames, agents = left.shape
+    order = np.arange(agents)
+    for f0, f1, chunks in _overlap_blocks(frames, agents):
+        block: list[dict[int, list[int]]] = [{} for _ in range(f0, f1)]
+        for a0, a1 in chunks:
+            own = np.s_[f0:f1, a0:a1, None]
+            other = np.s_[f0:f1, None, :]
+            hit = right[other] > left[own]
+            hit &= left[other] < right[own]
+            hit &= bottom[other] > top[own]
+            hit &= top[other] < bottom[own]
+            hit &= order > order[a0:a1, None]
+            for f, a, j in zip(*(ix.tolist() for ix in np.nonzero(hit))):
+                block[f].setdefault(a0 + a, []).append(j)
+        yield from block
 
 
 def generate(cfg: SceneConfig):
@@ -235,25 +327,33 @@ def generate(cfg: SceneConfig):
     """
     cfg.validate()
     rng = Xoshiro256StarStar(cfg.seed)
+    ltrb = _agent_ltrb(cfg)
     gt: dict[int, dict[int, BoundingBox]] = {}
     for idx, agent in enumerate(cfg.agents):
-        tid = idx + 1
-        gt[tid] = {
-            frame: agent.box_at(frame)
-            for frame in range(agent.spawn, agent.despawn + 1)
+        rows = slice(agent.spawn - 1, agent.despawn)
+        gt[idx + 1] = {
+            frame: BoundingBox(left, top, agent.width, agent.height)
+            for frame, left, top in zip(
+                range(agent.spawn, agent.despawn + 1),
+                ltrb[0, rows, idx].tolist(),
+                ltrb[1, rows, idx].tolist(),
+            )
         }
+    occluders = list(cfg.occluders)
+    frame_size = (cfg.frame_width, cfg.frame_height)
     det_frames: list[FrameDetections] = []
-    for frame in range(1, cfg.frames + 1):
+    for frame, overlaps in zip(range(1, cfg.frames + 1), _later_overlaps(ltrb)):
         dets: list[Detection] = []
         for idx, agent in enumerate(cfg.agents):
             if not agent.spawn <= frame <= agent.despawn:
                 continue
-            vis = visibility_of(cfg, idx, frame)
+            box = gt[idx + 1][frame]
+            covers = occluders + [gt[j + 1][frame] for j in overlaps.get(idx, ())]
+            vis = 1.0 - covered_fraction(box, covers, frame_size)
             if vis < cfg.min_visibility or vis <= 0.0:
                 continue
             if cfg.miss_prob > 0.0 and rng.uniform() < cfg.miss_prob:
                 continue
-            box = agent.box_at(frame)
             if vis < 1.0:
                 z = np.array(
                     [
@@ -285,18 +385,7 @@ def parse_scene(text: str) -> SceneConfig:
     ``left,top,width,height`` rectangles.
     """
     cfg = SceneConfig()
-    scalars = {
-        "frame_width": float,
-        "frame_height": float,
-        "frames": int,
-        "seed": int,
-        "sigma_area": float,
-        "sigma_ratio": float,
-        "min_visibility": float,
-        "miss_prob": float,
-        "conf_base": float,
-        "conf_penalty": float,
-    }
+    scalars = {"frames": int, "seed": int, **{name: float for name in _REAL_FIELDS}}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -306,12 +395,17 @@ def parse_scene(text: str) -> SceneConfig:
         key, value = (part.strip() for part in line.split("=", 1))
         try:
             if key == "agent":
-                cfg.agents.append(_parse_agent(value))
+                agent = _parse_agent(value)
+                agent.validate()
+                cfg.agents.append(agent)
             elif key == "occluder":
                 left, top, w, h = (float(v) for v in value.split(","))
                 cfg.occluders.append(BoundingBox(left, top, w, h))
             elif key in scalars:
-                setattr(cfg, key, scalars[key](value))
+                number = scalars[key](value)
+                if not math.isfinite(number):
+                    raise ValueError(f"non-finite {key} {number}")
+                setattr(cfg, key, number)
             else:
                 raise ValueError(f"unknown scene key {key!r}")
         except ValueError as exc:

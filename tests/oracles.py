@@ -1,10 +1,14 @@
 """Independent brute-force reference implementations used to freeze expected values.
 
 Everything here favors obviousness over speed and shares no code path with
-the library functions it checks, except the reference evaluator at the end:
-it is the per-frame, pair-loop evaluator the library's one-sweep evaluator
-replaced, kept as it was, and it shares ``iou_matrix`` with the library so
-that the two can be required to agree exactly.
+the library functions it checks, except the two references at the end. The
+reference evaluator is the per-frame, pair-loop evaluator the library's
+one-sweep evaluator replaced, kept as it was; it shares ``iou_matrix`` with
+the library so that the two can be required to agree exactly. The reference
+scene generator is the per-agent generator the array-backed one replaced,
+kept as it was: it rebuilds every nearer agent's box for every agent and
+frame, and shares the PRNG, ``covered_fraction`` and the noise model with the
+library.
 """
 
 from __future__ import annotations
@@ -23,6 +27,13 @@ from meshsort.metrics import (
     MetricsError,
     MetricsReport,
     TrajectorySet,
+)
+from meshsort.pipeline import Detection, FrameDetections
+from meshsort.synth import (
+    SceneConfig,
+    Xoshiro256StarStar,
+    covered_fraction,
+    semi_occlusion_noise,
 )
 
 
@@ -491,3 +502,64 @@ def reference_evaluate(gt: TrajectorySet, res: TrajectorySet, iou_thr: float = 0
         det_a_per_alpha=breakdown.det_per_alpha,
         ass_a_per_alpha=breakdown.ass_per_alpha,
     )
+
+
+def visibility_of(cfg: SceneConfig, agent_idx: int, frame: int) -> float:
+    """Visible fraction of one agent's box; later-listed agents sit in front."""
+    agent = cfg.agents[agent_idx]
+    box = agent.box_at(frame)
+    covers = list(cfg.occluders)
+    for j, other in enumerate(cfg.agents):
+        if j <= agent_idx:
+            continue
+        if other.spawn <= frame <= other.despawn:
+            covers.append(other.box_at(frame))
+    return 1.0 - covered_fraction(box, covers, (cfg.frame_width, cfg.frame_height))
+
+
+def reference_generate(cfg: SceneConfig):
+    """The scene generator as it was before cover came from per-frame box arrays.
+
+    Ground truth carries the exact interpolated boxes for every agent's
+    lifespan. Detections exist only for sufficiently visible agents, carry
+    visibility-scaled noise on the size slots, exact centers, and a
+    visibility-dependent confidence.
+    """
+    cfg.validate()
+    rng = Xoshiro256StarStar(cfg.seed)
+    gt: dict[int, dict[int, BoundingBox]] = {}
+    for idx, agent in enumerate(cfg.agents):
+        tid = idx + 1
+        gt[tid] = {
+            frame: agent.box_at(frame)
+            for frame in range(agent.spawn, agent.despawn + 1)
+        }
+    det_frames: list[FrameDetections] = []
+    for frame in range(1, cfg.frames + 1):
+        dets: list[Detection] = []
+        for idx, agent in enumerate(cfg.agents):
+            if not agent.spawn <= frame <= agent.despawn:
+                continue
+            vis = visibility_of(cfg, idx, frame)
+            if vis < cfg.min_visibility or vis <= 0.0:
+                continue
+            if cfg.miss_prob > 0.0 and rng.uniform() < cfg.miss_prob:
+                continue
+            box = agent.box_at(frame)
+            if vis < 1.0:
+                z = np.array(
+                    [
+                        box.left + box.width / 2,
+                        box.top + box.height / 2,
+                        box.area,
+                        box.width / box.height,
+                    ]
+                )
+                z = semi_occlusion_noise(z, vis, cfg.sigma_area, cfg.sigma_ratio, rng)
+                w = math.sqrt(z[2] * z[3])
+                h = math.sqrt(z[2] / z[3])
+                box = BoundingBox(z[0] - w / 2, z[1] - h / 2, w, h)
+            conf = min(max(cfg.conf_base - cfg.conf_penalty * (1.0 - vis), 0.05), 1.0)
+            dets.append(Detection(box, conf))
+        det_frames.append(FrameDetections(index=frame, detections=tuple(dets)))
+    return gt, det_frames

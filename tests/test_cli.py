@@ -193,3 +193,67 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "appears twice" in err
         assert "Traceback" not in err
+
+
+_DET_LINE = "1,-1,10.00,20.00,30.00,60.00,0.90,-1,-1,-1\n"
+_GT_LINE = "1,1,10.00,20.00,30.00,60.00,1,1,1.00\n"
+
+
+def _assert_line_error(capsys, path, lineno):
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"{path}:{lineno}:" in err
+    assert "non-finite" in err
+    assert "Traceback" not in err
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("bad", [
+        "1,-1,nan,20.00,30.00,60.00,0.90,-1,-1,-1",
+        "1,-1,10.00,20.00,inf,60.00,0.90,-1,-1,-1",
+        "nan,-1,10.00,20.00,30.00,60.00,0.90,-1,-1,-1",
+        "1,-1,10.00,20.00,30.00,60.00,-inf,-1,-1,-1",
+    ])
+    def test_track_dets(self, tmp_path, capsys, bad):
+        dets = tmp_path / "dets.txt"
+        dets.write_text(_DET_LINE + bad + "\n")
+        rc = main(["track", "--dets", str(dets), "--out", str(tmp_path / "res.txt")])
+        assert rc == 1
+        _assert_line_error(capsys, dets, 2)
+
+    @pytest.mark.parametrize("bad", ["1,1,10.00,nan,30.00,60.00,1,1,1.00", "inf,1,10.00,20.00,30.00,60.00,1,1,1.00"])
+    def test_eval_gt(self, tmp_path, capsys, bad):
+        gt = tmp_path / "gt.txt"
+        res = tmp_path / "res.txt"
+        gt.write_text(_GT_LINE + bad + "\n")
+        res.write_text("1,1,10.00,20.00,30.00,60.00,1.00,-1,-1,-1\n")
+        assert main(["eval", "--gt", str(gt), "--res", str(res)]) == 1
+        _assert_line_error(capsys, gt, 2)
+
+    @pytest.mark.parametrize("bad", ["2,1,10.00,20.00,NaN,60.00,1.00,-1,-1,-1", "2,inf,10.00,20.00,30.00,60.00,1.00,-1,-1,-1"])
+    def test_eval_res(self, tmp_path, capsys, bad):
+        gt = tmp_path / "gt.txt"
+        res = tmp_path / "res.txt"
+        gt.write_text(_GT_LINE)
+        res.write_text("1,1,10.00,20.00,30.00,60.00,1.00,-1,-1,-1\n" + bad + "\n")
+        assert main(["eval", "--gt", str(gt), "--res", str(res)]) == 1
+        _assert_line_error(capsys, res, 2)
+
+    @pytest.mark.parametrize("lineno,line", [
+        (3, "agent = spawn:1 despawn:9 size:nanx40 path:100,300@1 200,300@9"),
+        (3, "agent = spawn:1 despawn:9 size:20x40 path:100,300@1 nan,300@9"),
+        (3, "agent = spawn:1 despawn:9 size:20xinf path:100,300@1"),
+        (3, "occluder = 10,inf,40,40"),
+        (3, "frame_width = nan"),
+        (3, "sigma_area = inf"),
+    ])
+    def test_synth_scene(self, tmp_path, capsys, lineno, line):
+        scene = tmp_path / "scene.txt"
+        scene.write_text("frames = 10\n# a comment\n" + line + "\n")
+        rc = main(["synth", "--scene", str(scene), "--out-gt", str(tmp_path / "gt.txt"),
+                   "--out-dets", str(tmp_path / "dets.txt")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"scene line {lineno}:" in err
+        assert "non-finite" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "gt.txt").exists()

@@ -60,6 +60,22 @@ class TestAgentSpec:
         with pytest.raises(ValueError):
             AgentSpec(5, 10, 5, 5, ((1, 0.0, 0.0), (10, 1.0, 1.0))).validate()
 
+    @pytest.mark.parametrize("agent", [
+        AgentSpec(1, 10, math.nan, 5, ((1, 0.0, 0.0),)),
+        AgentSpec(1, 10, 5, math.inf, ((1, 0.0, 0.0),)),
+        AgentSpec(1, 10, 5, 5, ((1, 0.0, 0.0), (4, math.nan, 1.0))),
+        AgentSpec(1, 10, 5, 5, ((1, 0.0, -math.inf),)),
+    ])
+    def test_non_finite_agent_rejected(self, agent):
+        with pytest.raises(ValueError, match="non-finite"):
+            agent.validate()
+
+    @pytest.mark.parametrize("name", ["frame_width", "frame_height", "sigma_area", "sigma_ratio",
+                                      "min_visibility", "miss_prob", "conf_base", "conf_penalty"])
+    def test_non_finite_scene_field_rejected(self, name):
+        with pytest.raises(ValueError, match=f"non-finite {name}"):
+            SceneConfig(**{name: math.nan}).validate()
+
     def test_agent_cannot_outlive_scene(self):
         scene = SceneConfig(
             frames=10,
