@@ -9,8 +9,8 @@ LM_INSIDE_FREQUENT = "inside_frequent"
 
 
 @dataclass
-class LifecycleConfig:
-    """Track lifecycle knobs.
+class TrackerConfig:
+    """Full per-run configuration: lifecycle, mesh, association, and filter knobs.
 
     ``lost_maintain_frames`` is how long an unexpectedly lost track keeps
     feeding itself virtual proposals before it is parked as lost;
@@ -24,21 +24,6 @@ class LifecycleConfig:
     min_hits: int = 3
     occlusion_iou: float = 0.3
     lm_region_rule: str = LM_OUTSIDE_FREQUENT
-
-    def validate(self) -> None:
-        if self.lost_maintain_frames < 0:
-            raise ValueError("lost_maintain_frames must be >= 0")
-        if not 0 <= self.location_age_reduction < self.max_age:
-            raise ValueError("location_age_reduction must lie in [0, max_age)")
-        if self.min_hits < 1:
-            raise ValueError("min_hits must be >= 1")
-        if self.lm_region_rule not in (LM_OUTSIDE_FREQUENT, LM_INSIDE_FREQUENT):
-            raise ValueError(f"unknown lm_region_rule {self.lm_region_rule!r}")
-
-
-@dataclass
-class TrackerConfig(LifecycleConfig):
-    """Full per-run configuration: lifecycle, mesh, association, and filter knobs."""
 
     frame_width: float = 1920.0
     frame_height: float = 1080.0
@@ -70,7 +55,14 @@ class TrackerConfig(LifecycleConfig):
     emit_virtual: bool = False
 
     def validate(self) -> None:
-        super().validate()
+        if self.lost_maintain_frames < 0:
+            raise ValueError("lost_maintain_frames must be >= 0")
+        if not 0 <= self.location_age_reduction < self.max_age:
+            raise ValueError("location_age_reduction must lie in [0, max_age)")
+        if self.min_hits < 1:
+            raise ValueError("min_hits must be >= 1")
+        if self.lm_region_rule not in (LM_OUTSIDE_FREQUENT, LM_INSIDE_FREQUENT):
+            raise ValueError(f"unknown lm_region_rule {self.lm_region_rule!r}")
         if self.frame_width <= 0 or self.frame_height <= 0:
             raise ValueError("frame size must be positive")
         if self.mesh_cols < 1 or self.mesh_rows < 1:

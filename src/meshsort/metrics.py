@@ -7,7 +7,10 @@ overlap (persistence bias), which is what makes switch and fragmentation
 counts meaningful.
 
 All three metrics read one sweep of the sequence: each frame's overlaps are
-computed once and kept sparse, as the nonzero (gt, result) entries.
+computed once and kept sparse, as the nonzero (gt, result) entries. The sweep
+is built from flat arrays: every box of a trajectory set is read once, and one
+sort by (frame, id) lays the boxes out frame by frame. HOTA runs an assignment
+only over the boxes that eligible pairs share, one block per frame.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .geometry import BoundingBox, boxes_to_ltrb, iou_matrix
+from .geometry import BoundingBox, boxes_to_ltrb, iou_matrix, ltwh_to_ltrb
 
 TrajectorySet = dict[int, dict[int, BoundingBox]]
 
@@ -90,16 +93,25 @@ def _check_threshold(iou_thr: float) -> None:
         raise MetricsError("iou threshold must lie in (0, 1)")
 
 
-def _by_frame(trajs: TrajectorySet) -> tuple[list[int], dict[int, tuple[list[int], list[BoundingBox]]]]:
-    """Sorted ids, and per frame the ranks (positions in the sorted ids) and boxes present."""
+def _flat_boxes(trajs: TrajectorySet) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarray]:
+    """Sorted ids, and every box's frame, rank (position in the sorted ids) and ltrb row.
+
+    Boxes come out ordered by frame, then rank.
+    """
     ids = sorted(trajs)
-    index: dict[int, tuple[list[int], list[BoundingBox]]] = {}
+    frames: list[int] = []
+    ranks: list[int] = []
+    ltwh: list[float] = []
     for rank, tid in enumerate(ids):
-        for frame, box in trajs[tid].items():
-            ranks, boxes = index.setdefault(frame, ([], []))
-            ranks.append(rank)
-            boxes.append(box)
-    return ids, index
+        per = trajs[tid]
+        frames += per
+        ranks += [rank] * len(per)
+        for box in per.values():
+            ltwh += box.as_ltwh()
+    order = np.lexsort((ranks, frames))
+    boxes = np.array(ltwh, dtype=np.float64).reshape(-1, 4)[order]
+    # ltwh_to_ltrb adds left to width and top to height, as BoundingBox.right/.bottom do.
+    return ids, np.array(frames, dtype=np.int64)[order], np.array(ranks, dtype=np.intp)[order], ltwh_to_ltrb(boxes)
 
 
 class _Sweep(NamedTuple):
@@ -135,34 +147,28 @@ class _Sweep(NamedTuple):
 
 
 def _sweep(gt: TrajectorySet, res: TrajectorySet) -> _Sweep:
-    gt_ids, g_index = _by_frame(gt)
-    if not g_index:
+    gt_ids, g_frame, g_rank, g_ltrb = _flat_boxes(gt)
+    if not len(g_frame):
         raise MetricsError("ground truth is empty; metrics undefined")
-    res_ids, r_index = _by_frame(res)
-    frames = sorted(g_index.keys() | r_index.keys())
-    absent = ([], [])
-    g_rank, r_rank, goff, roff, eoff = [], [], [0], [0], [0]
+    res_ids, r_frame, r_rank, r_ltrb = _flat_boxes(res)
+    frames = np.union1d(g_frame, r_frame)
+    goff = np.concatenate(([0], np.searchsorted(g_frame, frames, side="right")))
+    roff = np.concatenate(([0], np.searchsorted(r_frame, frames, side="right")))
+    counts = np.zeros(len(frames), dtype=np.intp)
     g_box, r_box, val = [], [], []
-    for frame in frames:
-        g_ranks, g_boxes = g_index.pop(frame, absent)
-        r_ranks, r_boxes = r_index.pop(frame, absent)
-        n = 0
-        if g_boxes and r_boxes:
-            dense = iou_matrix(boxes_to_ltrb(g_boxes), boxes_to_ltrb(r_boxes))
-            rows, cols = np.nonzero(dense)
-            g_box.append(rows + goff[-1])
-            r_box.append(cols + roff[-1])
-            val.append(dense[rows, cols])
-            n = len(rows)
-        g_rank += g_ranks
-        r_rank += r_ranks
-        goff.append(len(g_rank))
-        roff.append(len(r_rank))
-        eoff.append(eoff[-1] + n)
-    g_rank, r_rank, goff, roff, eoff = (np.array(x, dtype=np.intp) for x in (g_rank, r_rank, goff, roff, eoff))
+    go, ro = goff.tolist(), roff.tolist()
+    for f in np.flatnonzero((np.diff(goff) > 0) & (np.diff(roff) > 0)).tolist():
+        g0, r0 = go[f], ro[f]
+        dense = iou_matrix(g_ltrb[g0 : go[f + 1]], r_ltrb[r0 : ro[f + 1]])
+        rows, cols = np.nonzero(dense)
+        g_box.append(rows + g0)
+        r_box.append(cols + r0)
+        val.append(dense[rows, cols])
+        counts[f] = len(rows)
+    eoff = np.concatenate(([0], np.cumsum(counts)))
     g_box, r_box = (np.concatenate(x) if x else np.zeros(0, dtype=np.intp) for x in (g_box, r_box))
     val = np.concatenate(val) if val else np.zeros(0)
-    return _Sweep(frames, gt_ids, res_ids, g_rank, r_rank, goff, roff, eoff, g_box, r_box, val)
+    return _Sweep(frames.tolist(), gt_ids, res_ids, g_rank, r_rank, goff, roff, eoff, g_box, r_box, val)
 
 
 def match_frame(
@@ -305,6 +311,15 @@ def hota(gt: TrajectorySet, res: TrajectorySet, *, sweep: _Sweep | None = None) 
     assignment. TrackEval computes the alignment score once from the soft
     (unthresholded) similarity and thresholds one assignment per frame. The
     oracle-defined behaviour (``enumerate_hota_alpha`` in the tests) is kept.
+
+    Tie rule: each frame's matching is scipy's optimum on the frame's shared
+    block, not on the whole frame matrix. An eligible pair is shared when its
+    gt box or its result box is in another eligible pair. The block's rows are
+    the gt boxes of the shared pairs and its columns their result boxes, both
+    in ascending id order; eligible cells cost ``-align * (1 + IoU)`` and the
+    others 1. Unshared eligible pairs are matched as they stand. Without exact
+    ties this is the same optimum as a solve of the whole frame; on a tie,
+    scipy may pick a different one of the optima.
     """
     sw = _sweep(gt, res) if sweep is None else sweep
     n_gt, n_res = len(sw.g_rank), len(sw.r_rank)
@@ -325,24 +340,37 @@ def hota(gt: TrajectorySet, res: TrajectorySet, *, sweep: _Sweep | None = None) 
         align = potential / (total - potential)
         # Eligible pairs that share no box form the frame's matching as they
         # stand: each costs less than zero and every other cell costs 1, so
-        # any optimal assignment contains them all. Only frames where eligible
-        # pairs share a box need the assignment.
+        # any optimal assignment contains them all. Only the boxes that
+        # eligible pairs share need the assignment.
         g_e, r_e = sw.g_box[e], sw.r_box[e]
-        shared = np.zeros(len(eligible), dtype=bool)
-        shared[e] = (np.bincount(g_e, minlength=n_gt)[g_e] > 1) | (np.bincount(r_e, minlength=n_res)[r_e] > 1)
-        shared_before = np.concatenate(([0], np.cumsum(shared)))[sw.eoff]
+        shared = e[(np.bincount(g_e, minlength=n_gt)[g_e] > 1) | (np.bincount(r_e, minlength=n_res)[r_e] > 1)]
         matched = eligible.copy()
-        for f in np.flatnonzero(np.diff(shared_before)).tolist():
-            lo, g0, r0 = sw.eoff[f], sw.goff[f], sw.roff[f]
-            idx = lo + np.flatnonzero(eligible[lo : sw.eoff[f + 1]])
-            rows, cols = sw.g_box[idx] - g0, sw.r_box[idx] - r0
-            cost = np.ones((sw.goff[f + 1] - g0, sw.roff[f + 1] - r0))
-            cost[rows, cols] = -(align[idx] * (1.0 + sw.val[idx]))
-            entry = np.full(cost.shape, -1, dtype=np.intp)
-            entry[rows, cols] = idx
-            hit = entry[linear_sum_assignment(cost)]
-            matched[idx] = False
-            matched[hit[hit >= 0]] = True
+        matched[shared] = False
+        if len(shared):
+            # Shared boxes numbered among themselves; box numbers rise frame by
+            # frame, so frame f's shared boxes are one run of each numbering,
+            # and its block's rows and columns are those runs in ascending order.
+            g_num, g_blk = np.unique(sw.g_box[shared], return_inverse=True)
+            r_num, r_blk = np.unique(sw.r_box[shared], return_inverse=True)
+            s_off = np.searchsorted(shared, sw.eoff)
+            g_off = np.searchsorted(g_num, sw.goff)
+            r_off = np.searchsorted(r_num, sw.roff)
+            n_entries = np.diff(s_off)
+            blocks = np.flatnonzero(n_entries)
+            rows = g_blk - np.repeat(g_off[blocks], n_entries[blocks])
+            cols = r_blk - np.repeat(r_off[blocks], n_entries[blocks])
+            s_cost = -(align[shared] * (1.0 + sw.val[shared]))
+            picked_rows, picked_cols = [], []
+            for f, lo, hi in zip(blocks.tolist(), s_off[blocks].tolist(), s_off[blocks + 1].tolist()):
+                cost = np.ones((g_off[f + 1] - g_off[f], r_off[f + 1] - r_off[f]))
+                cost[rows[lo:hi], cols[lo:hi]] = s_cost[lo:hi]
+                block_rows, block_cols = linear_sum_assignment(cost)
+                picked_rows.append(block_rows + g_off[f])
+                picked_cols.append(block_cols + r_off[f])
+            # A shared entry is matched when its block's assignment picked its cell.
+            col_of = np.full(len(g_num), -1, dtype=np.intp)
+            col_of[np.concatenate(picked_rows)] = np.concatenate(picked_cols)
+            matched[shared] = col_of[g_blk] == r_blk
         m = np.flatnonzero(matched)  # frame by frame, rows ascending
 
         tp = len(m)

@@ -163,8 +163,12 @@ class SceneConfig:
             raise ValueError("miss_prob must lie in [0, 1]")
         for agent in self.agents:
             agent.validate()
-            if agent.despawn > self.frames:
-                raise ValueError("agent outlives the scene")
+            self._check_fits(agent)
+
+    def _check_fits(self, agent: AgentSpec) -> None:
+        """Reject an agent that lives past the scene's last frame."""
+        if agent.despawn > self.frames:
+            raise ValueError(f"agent outlives the scene (despawn {agent.despawn} > frames {self.frames})")
 
 
 def covered_fraction(box: BoundingBox, covers: list[BoundingBox],
@@ -386,6 +390,7 @@ def parse_scene(text: str) -> SceneConfig:
     """
     cfg = SceneConfig()
     scalars = {"frames": int, "seed": int, **{name: float for name in _REAL_FIELDS}}
+    agent_lines: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -398,6 +403,7 @@ def parse_scene(text: str) -> SceneConfig:
                 agent = _parse_agent(value)
                 agent.validate()
                 cfg.agents.append(agent)
+                agent_lines.append(lineno)
             elif key == "occluder":
                 left, top, w, h = (float(v) for v in value.split(","))
                 cfg.occluders.append(BoundingBox(left, top, w, h))
@@ -408,6 +414,12 @@ def parse_scene(text: str) -> SceneConfig:
                 setattr(cfg, key, number)
             else:
                 raise ValueError(f"unknown scene key {key!r}")
+        except ValueError as exc:
+            raise ValueError(f"scene line {lineno}: {exc}") from exc
+    # Whether an agent fits depends on ``frames``, which may come on any line.
+    for lineno, agent in zip(agent_lines, cfg.agents):
+        try:
+            cfg._check_fits(agent)
         except ValueError as exc:
             raise ValueError(f"scene line {lineno}: {exc}") from exc
     cfg.validate()

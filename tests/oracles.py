@@ -3,8 +3,10 @@
 Everything here favors obviousness over speed and shares no code path with
 the library functions it checks, except the two references at the end. The
 reference evaluator is the per-frame, pair-loop evaluator the library's
-one-sweep evaluator replaced, kept as it was; it shares ``iou_matrix`` with
-the library so that the two can be required to agree exactly. The reference
+one-sweep evaluator replaced; it shares ``iou_matrix`` with the library so
+that the two can be required to agree exactly. Its HOTA assigns each frame's
+shared block, as the library does; ``reference_hota_full`` keeps the earlier
+whole-frame assignment, which differs from it only on exact ties. The reference
 scene generator is the per-agent generator the array-backed one replaced,
 kept as it was: it rebuilds every nearer agent's box for every agent and
 frame, and shares the PRNG, ``covered_fraction`` and the noise model with the
@@ -386,14 +388,55 @@ def reference_idf1(gt: TrajectorySet, res: TrajectorySet, iou_thr: float = 0.5) 
     return (2 * idtp / denom) if denom else 0.0
 
 
+def _full_frame_pairs(eligible: np.ndarray, cost: np.ndarray) -> list[tuple[int, int]]:
+    """The eligible cells of one assignment over the whole frame matrix."""
+    rows, cols = linear_sum_assignment(cost)
+    return [(r, c) for r, c in zip(rows, cols) if eligible[r, c]]
+
+
+def _shared_block_pairs(eligible: np.ndarray, cost: np.ndarray) -> list[tuple[int, int]]:
+    """The eligible cells of one assignment over the frame's shared block, in row order.
+
+    An eligible cell that shares its row or column with another eligible cell
+    is shared. The block is every row and column holding a shared cell, in
+    ascending order; the other eligible cells are matched as they stand.
+    """
+    per_row = eligible.sum(axis=1)[:, None]
+    per_col = eligible.sum(axis=0)[None, :]
+    shared = eligible & ((per_row > 1) | (per_col > 1))
+    pairs = [(int(r), int(c)) for r, c in np.argwhere(eligible & ~shared)]
+    rows = np.flatnonzero(shared.any(axis=1))
+    cols = np.flatnonzero(shared.any(axis=0))
+    if len(rows):
+        block_rows, block_cols = linear_sum_assignment(cost[np.ix_(rows, cols)])
+        for r, c in zip(rows[block_rows], cols[block_cols]):
+            if eligible[r, c]:
+                pairs.append((int(r), int(c)))
+    return sorted(pairs)
+
+
 def reference_hota(gt: TrajectorySet, res: TrajectorySet) -> HotaBreakdown:
     """HOTA with its detection/association components, per threshold and averaged.
 
     Per threshold, detections are matched frame by frame with an assignment
     that prefers pairs whose identities co-occur often across the sequence;
     each matched pair then scores the fraction of its ids' detections that
-    are matched to each other.
+    are matched to each other. Each frame's assignment covers only its shared
+    block (:func:`_shared_block_pairs`), which fixes the outcome of exact ties.
     """
+    return _reference_hota(gt, res, _shared_block_pairs)
+
+
+def reference_hota_full(gt: TrajectorySet, res: TrajectorySet) -> HotaBreakdown:
+    """:func:`reference_hota` with one assignment over each whole frame matrix.
+
+    The two agree whenever the optimum is unique; they may differ only on
+    exact ties, where scipy's pick depends on the matrix it is given.
+    """
+    return _reference_hota(gt, res, _full_frame_pairs)
+
+
+def _reference_hota(gt: TrajectorySet, res: TrajectorySet, frame_pairs) -> HotaBreakdown:
     if not gt or not _ref_frames_of(gt):
         raise MetricsError("ground truth is empty; metrics undefined")
     frames = sorted(set(_ref_frames_of(gt)) | set(_ref_frames_of(res)))
@@ -418,32 +461,22 @@ def reference_hota(gt: TrajectorySet, res: TrajectorySet) -> HotaBreakdown:
     for alpha in HOTA_ALPHAS:
         potential: dict[tuple[int, int], int] = defaultdict(int)
         for g_ids, r_ids, overlaps in per_frame:
-            for a, gid in enumerate(g_ids):
-                for b, rid in enumerate(r_ids):
-                    if overlaps[a, b] >= alpha:
-                        potential[(gid, rid)] += 1
+            for a, b in np.argwhere(overlaps >= alpha):
+                potential[(g_ids[a], r_ids[b])] += 1
         align: dict[tuple[int, int], float] = {}
         for (gid, rid), cnt in potential.items():
             align[(gid, rid)] = cnt / (gt_count[gid] + res_count[rid] - cnt)
 
         matched: list[tuple[int, int]] = []
         for g_ids, r_ids, overlaps in per_frame:
-            if not g_ids or not r_ids:
-                continue
-            score = np.zeros((len(g_ids), len(r_ids)))
-            eligible = np.zeros_like(score, dtype=bool)
-            for a, gid in enumerate(g_ids):
-                for b, rid in enumerate(r_ids):
-                    if overlaps[a, b] >= alpha:
-                        eligible[a, b] = True
-                        score[a, b] = align.get((gid, rid), 0.0) * (1.0 + overlaps[a, b])
+            eligible = overlaps >= alpha
             if not eligible.any():
                 continue
-            cost = np.where(eligible, -score, 1.0)
-            rows, cols = linear_sum_assignment(cost)
-            for r, c in zip(rows, cols):
-                if eligible[r, c]:
-                    matched.append((g_ids[r], r_ids[c]))
+            score = np.zeros(eligible.shape)
+            for a, b in np.argwhere(eligible):
+                score[a, b] = align[(g_ids[a], r_ids[b])] * (1.0 + overlaps[a, b])
+            for r, c in frame_pairs(eligible, np.where(eligible, -score, 1.0)):
+                matched.append((g_ids[r], r_ids[c]))
 
         tp = len(matched)
         fn = n_gt - tp

@@ -195,6 +195,22 @@ class TestErrors:
         assert "Traceback" not in err
 
 
+    def test_synth_agent_outliving_scene_names_its_line(self, tmp_path, capsys):
+        scene = tmp_path / "scene.txt"
+        scene.write_text(
+            "agent = spawn:1 despawn:9 size:20x40 path:100,300@1\n"
+            "agent = spawn:1 despawn:20 size:20x40 path:100,300@1 200,300@20\n"
+            "frames = 10\n"
+        )
+        rc = main(["synth", "--scene", str(scene), "--out-gt", str(tmp_path / "gt.txt"),
+                   "--out-dets", str(tmp_path / "dets.txt")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: scene line 2: agent outlives the scene (despawn 20 > frames 10)")
+        assert "Traceback" not in err
+        assert not (tmp_path / "gt.txt").exists()
+
+
 _DET_LINE = "1,-1,10.00,20.00,30.00,60.00,0.90,-1,-1,-1\n"
 _GT_LINE = "1,1,10.00,20.00,30.00,60.00,1,1,1.00\n"
 

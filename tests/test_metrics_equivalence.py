@@ -5,6 +5,7 @@ dicts included), not approximate: the sweep must reproduce the reference's
 floating-point results bit for bit.
 """
 
+import math
 import random
 
 import pytest
@@ -17,7 +18,7 @@ from meshsort.metrics import evaluate
 from meshsort.motfiles import outputs_to_trajectories
 from meshsort.pipeline import run
 
-from oracles import reference_evaluate
+from oracles import reference_evaluate, reference_hota, reference_hota_full
 
 FAMILIES = (
     scenarios.transient_occlusion_scene,
@@ -84,6 +85,69 @@ _B = BoundingBox(4.0, 0.0, 10.0, 10.0)
 )
 def test_random_sets_match_reference(gt, res, iou_thr):
     assert evaluate(gt, res, iou_thr) == reference_evaluate(gt, res, iou_thr)
+
+
+
+# The evaluator solves each frame's HOTA assignment over the frame's shared
+# block only, and so does ``reference_hota``; ``reference_hota_full`` solves the
+# whole frame matrix. The optimum is the same; only exact ties may fall apart.
+
+
+@st.composite
+def _continuous_sets(draw):
+    """A (gt, res) pair with ids and frames from hypothesis and boxes drawn from a
+    continuous distribution, so that no two overlaps or matchings tie exactly."""
+    layout = st.dictionaries(st.integers(1, 40), st.sets(st.integers(0, 9), max_size=6), max_size=5)
+    gt_frames = draw(layout.filter(lambda trajs: any(trajs.values())))
+    res_frames = draw(layout)
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+
+    def boxes(frames_of):
+        return {
+            tid: {f: BoundingBox(rng.uniform(0, 30), rng.uniform(0, 10), rng.uniform(8, 20), rng.uniform(8, 20))
+                  for f in frames}
+            for tid, frames in frames_of.items()
+        }
+
+    return boxes(gt_frames), boxes(res_frames)
+
+
+@settings(max_examples=150, deadline=None)
+@given(pair=_continuous_sets())
+def test_block_oracle_matches_full_frame_oracle_without_ties(pair):
+    gt, res = pair
+    assert reference_hota(gt, res) == reference_hota_full(gt, res)
+
+
+@pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("seed", (1, 2, 3))
+def test_block_oracle_matches_full_frame_oracle_on_families(family, seed):
+    scene = family(seed)
+    for arm, cfg in _configs(scene).items():
+        gt, res = _tracked(scene, cfg)
+        assert reference_hota(gt, res) == reference_hota_full(gt, res), arm
+
+
+def test_block_oracle_matches_full_frame_oracle_on_throughput_scene():
+    scene = scenarios.throughput_scene(seed=9, n_agents=30, frames=1000)
+    gt, res = _tracked(scene, _configs(scene)["full"])
+    assert reference_hota(gt, res) == reference_hota_full(gt, res)
+
+
+def test_exact_tie_goes_to_the_lower_result_id():
+    # Frame 0: gt 1 sits under results 1 and 2 with identical boxes and equal
+    # alignment (1/2 each), a tie; gt 0 overlaps nothing. The shared block is
+    # 1 x 2 and the tie goes to its first column, result 1. Matching result 2
+    # instead would give sqrt(1 / 6) at every threshold.
+    far = BoundingBox(100.0, 100.0, 10.0, 10.0)
+    away = BoundingBox(300.0, 300.0, 10.0, 10.0)
+    gt = {0: {0: far}, 1: {0: _A, 1: _A}}
+    res = {1: {0: _A}, 2: {0: _A, 1: _A, 2: away, 3: away}}
+    want = math.sqrt((1 / 2 + 1 / 5) / 6)  # (1, 1) once, (1, 2) once; 3 + 5 - 2 boxes
+    report = evaluate(gt, res)
+    assert report == reference_evaluate(gt, res)
+    assert list(report.hota_per_alpha.values()) == [pytest.approx(want)] * len(report.hota_per_alpha)
+    assert reference_hota(gt, res).value == pytest.approx(want)
 
 
 def _shuffled(trajs, rng):
