@@ -1,7 +1,7 @@
 """Location-aware multi-object tracking: tracker, metrics, and scene tools."""
 
 from .config import TrackerConfig
-from .geometry import BoundingBox, Point2, bottom_middle, box_to_measurement, buffered_iou, iou, measurement_to_box
+from .geometry import BoundingBox, Point2, bottom_middle, iou
 from .mesh import LossThreshold, MeshGrid, MeshSnapshot
 from .metrics import MetricsReport, evaluate
 from .pipeline import Detection, FrameDetections, FrameOutput, SequencingError, Tracker, run
@@ -24,12 +24,9 @@ __all__ = [
     "Tracker",
     "TrackerConfig",
     "bottom_middle",
-    "box_to_measurement",
-    "buffered_iou",
     "evaluate",
     "generate",
     "iou",
-    "measurement_to_box",
     "parse_scene",
     "run",
     "__version__",

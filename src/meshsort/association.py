@@ -107,8 +107,6 @@ class TwoStageResult:
     """Matches index into the concatenation of full-pool then lost-pool tracks."""
 
     matches: list[tuple[int, int]]
-    unmatched_tracks: list[int]
-    unmatched_dets: list[int]
     stage_one_matches: list[tuple[int, int]] = field(default_factory=list)
     stage_two_matches: list[tuple[int, int]] = field(default_factory=list)
 
@@ -140,9 +138,8 @@ def two_stage_associate(
     candidates = np.concatenate([track_boxes, lost_boxes])
     scores = np.asarray(det_scores, dtype=np.float64)
 
-    eligible = scores >= conf_low
     high_idx = (scores >= conf_high).nonzero()[0]
-    mid_idx = (eligible & (scores < conf_high)).nonzero()[0]
+    mid_idx = ((scores >= conf_low) & (scores < conf_high)).nonzero()[0]
 
     stage_one = assign(iou_cost(candidates, det_boxes[high_idx]), gate_first)
     matches = [(r, int(high_idx[c])) for r, c in stage_one.matches]
@@ -156,15 +153,8 @@ def two_stage_associate(
     )
     matches_two = [(second_tracks[r], int(second_dets[c])) for r, c in stage_two.matches]
 
-    all_matches = sorted(matches + matches_two)
-    matched_tracks = {r for r, _ in all_matches}
-    matched_dets = {c for _, c in all_matches}
-    unmatched_tracks = [r for r in range(len(candidates)) if r not in matched_tracks]
-    unmatched_dets = [k for k in eligible.nonzero()[0].tolist() if k not in matched_dets]
     return TwoStageResult(
-        matches=all_matches,
-        unmatched_tracks=unmatched_tracks,
-        unmatched_dets=unmatched_dets,
+        matches=sorted(matches + matches_two),
         stage_one_matches=matches,
         stage_two_matches=matches_two,
     )

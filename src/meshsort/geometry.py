@@ -46,17 +46,6 @@ class BoundingBox:
     def area(self) -> float:
         return self.width * self.height
 
-    def expanded(self, scale: float) -> "BoundingBox":
-        """Grow symmetrically about the center by ``scale`` times each dimension per side."""
-        if scale < 0.0:
-            raise ValueError("expansion scale must be non-negative")
-        return BoundingBox(
-            self.left - scale * self.width,
-            self.top - scale * self.height,
-            self.width * (1.0 + 2.0 * scale),
-            self.height * (1.0 + 2.0 * scale),
-        )
-
     def as_ltwh(self) -> tuple[float, float, float, float]:
         return (self.left, self.top, self.width, self.height)
 
@@ -72,36 +61,9 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
     return min(inter / (a.area + b.area - inter), 1.0)
 
 
-def buffered_iou(a: BoundingBox, b: BoundingBox, buffer_scale: float) -> float:
-    """IoU after both boxes are symmetrically expanded by ``buffer_scale`` per side.
-
-    A zero scale reduces to plain :func:`iou`; larger scales tolerate motion gaps
-    between a stale prediction and a detection.
-    """
-    if buffer_scale == 0.0:
-        return iou(a, b)
-    return iou(a.expanded(buffer_scale), b.expanded(buffer_scale))
-
-
 def bottom_middle(b: BoundingBox) -> Point2:
     """Bottom-center point of a box, the anchor used for grid cell lookups."""
     return Point2(b.left + b.width / 2.0, b.top + b.height)
-
-
-def box_to_measurement(b: BoundingBox) -> np.ndarray:
-    """Convert a box to the filter measurement [center_x, center_y, area, aspect].
-
-    Aspect is width/height, area is width*height.
-    """
-    return ltwh_to_measurement(np.array(b.as_ltwh(), dtype=np.float64))
-
-
-def measurement_to_box(z: Sequence[float]) -> BoundingBox:
-    """Inverse of :func:`box_to_measurement`; rejects non-positive area or aspect."""
-    z = np.asarray(z, dtype=np.float64)
-    if z[2] <= 0.0 or z[3] <= 0.0:
-        raise ValueError(f"measurement needs positive area and aspect, got {z[2]}, {z[3]}")
-    return BoundingBox(*measurement_to_ltwh(z).tolist())
 
 
 def ltwh_to_measurement(boxes: np.ndarray) -> np.ndarray:
@@ -157,7 +119,7 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def expand_ltrb(boxes: np.ndarray, scale: float) -> np.ndarray:
-    """Symmetric per-side expansion of an (N, 4) ltrb array, mirroring ``BoundingBox.expanded``."""
+    """Grow each (N, 4) ltrb box about its center by ``scale`` times its width/height per side."""
     if boxes.shape[0] == 0 or scale == 0.0:
         return boxes
     w = boxes[:, 2] - boxes[:, 0]

@@ -32,67 +32,89 @@ class ParseError(ValueError):
         self.lineno = lineno
 
 
-def _split_numeric(path, lineno: int, line: str, n_fields: int) -> list[float]:
-    parts = line.split(",")
-    if len(parts) != n_fields:
-        raise ParseError(path, lineno, f"expected {n_fields} fields, got {len(parts)}")
-    values = []
-    for part in parts:
-        try:
-            value = float(part)
-        except ValueError:
-            raise ParseError(path, lineno, f"non-numeric field {part!r}") from None
-        if not math.isfinite(value):
-            raise ParseError(path, lineno, f"non-finite field {part!r}")
-        values.append(value)
-    return values
+# The detection reader yields every frame up to the last one in the file, so
+# a frame index far past any video would allocate one empty frame per index.
+_MAX_FRAME = 1_000_000
 
 
-def parse_detections(path) -> list[FrameDetections]:
-    """Read a detection file into per-frame groups, ascending by frame index.
+def _rows(path, n_fields: int, whole: dict[int, str]):
+    """Yield ``(lineno, fields)`` for each non-blank line of a MOT file.
 
-    The id column is ignored; confidences must lie in [0, 1].
+    Every field must be a finite number, the fields named in ``whole`` whole
+    numbers, and the frame index (field 0) lie in [1, ``_MAX_FRAME``].
     """
-    by_frame: dict[int, list[Detection]] = defaultdict(list)
     with open(path, "r", encoding="ascii") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:
                 continue
-            vals = _split_numeric(path, lineno, line, 10)
-            frame = int(vals[0])
-            if frame != vals[0] or frame < 1:
-                raise ParseError(path, lineno, f"bad frame index {vals[0]}")
-            if vals[4] <= 0 or vals[5] <= 0:
-                raise ParseError(path, lineno, "non-positive box size")
-            if not 0.0 <= vals[6] <= 1.0:
-                raise ParseError(path, lineno, f"confidence {vals[6]} outside [0, 1]")
-            box = BoundingBox(vals[2], vals[3], vals[4], vals[5])
-            by_frame[frame].append(Detection(box, vals[6]))
+            parts = line.split(",")
+            if len(parts) != n_fields:
+                raise ParseError(path, lineno, f"expected {n_fields} fields, got {len(parts)}")
+            try:
+                values = list(map(float, parts))
+            except ValueError:
+                raise _field_error(path, lineno, parts) from None
+            if not all(map(math.isfinite, values)):
+                raise _field_error(path, lineno, parts)
+            for k, name in whole.items():
+                if not values[k].is_integer():
+                    raise ParseError(path, lineno, f"bad {name} {parts[k]}")
+            if not 1 <= values[0] <= _MAX_FRAME:
+                raise ParseError(path, lineno, f"bad frame index {parts[0]}")
+            yield lineno, values
+
+
+def _field_error(path, lineno: int, parts: list[str]) -> ParseError:
+    """The error naming the first of a line's fields that is not a finite number."""
+    for part in parts:
+        try:
+            value = float(part)
+        except ValueError:
+            return ParseError(path, lineno, f"non-numeric field {part!r}")
+        if not math.isfinite(value):
+            return ParseError(path, lineno, f"non-finite field {part!r}")
+
+
+def _box(path, lineno: int, v: list[float]) -> BoundingBox:
+    if v[4] <= 0 or v[5] <= 0:
+        raise ParseError(path, lineno, "non-positive box size")
+    return BoundingBox(v[2], v[3], v[4], v[5])
+
+
+def _trajectories(path, rows) -> TrajectorySet:
+    trajs: TrajectorySet = defaultdict(dict)
+    for lineno, v in rows:
+        box = _box(path, lineno, v)
+        frame, tid = int(v[0]), int(v[1])
+        if frame in trajs[tid]:
+            raise ParseError(path, lineno, f"duplicate frame {frame} for id {tid}")
+        trajs[tid][frame] = box
+    return dict(trajs)
+
+
+def parse_detections(path) -> list[FrameDetections]:
+    """Read a detection file into one group per frame, from frame 1 to the last in the file.
+
+    Frames without detection lines get an empty group, so the tracker ages
+    its tracks over them. The id column is ignored; confidences must lie in
+    [0, 1].
+    """
+    by_frame: dict[int, list[Detection]] = defaultdict(list)
+    for lineno, v in _rows(path, 10, {0: "frame index"}):
+        box = _box(path, lineno, v)
+        if not 0.0 <= v[6] <= 1.0:
+            raise ParseError(path, lineno, f"confidence {v[6]} outside [0, 1]")
+        by_frame[int(v[0])].append(Detection(box, v[6]))
     return [
-        FrameDetections(index=frame, detections=tuple(by_frame[frame]))
-        for frame in sorted(by_frame)
+        FrameDetections(index=frame, detections=tuple(by_frame.get(frame, ())))
+        for frame in range(1, max(by_frame, default=0) + 1)
     ]
 
 
 def parse_results(path) -> TrajectorySet:
     """Read a result file (same 10-field grammar, real ids) as trajectories."""
-    trajs: TrajectorySet = defaultdict(dict)
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            vals = _split_numeric(path, lineno, line, 10)
-            frame, tid = int(vals[0]), int(vals[1])
-            if frame < 1:
-                raise ParseError(path, lineno, f"bad frame index {vals[0]}")
-            if vals[4] <= 0 or vals[5] <= 0:
-                raise ParseError(path, lineno, "non-positive box size")
-            if frame in trajs[tid]:
-                raise ParseError(path, lineno, f"duplicate frame {frame} for id {tid}")
-            trajs[tid][frame] = BoundingBox(vals[2], vals[3], vals[4], vals[5])
-    return dict(trajs)
+    return _trajectories(path, _rows(path, 10, {0: "frame index", 1: "id"}))
 
 
 def parse_ground_truth(path) -> TrajectorySet:
@@ -100,64 +122,47 @@ def parse_ground_truth(path) -> TrajectorySet:
 
     The visibility column is validated but not used for filtering.
     """
-    trajs: TrajectorySet = defaultdict(dict)
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            vals = _split_numeric(path, lineno, line, 9)
-            frame, tid = int(vals[0]), int(vals[1])
-            if frame < 1:
-                raise ParseError(path, lineno, f"bad frame index {vals[0]}")
-            if not 0.0 <= vals[8] <= 1.0:
-                raise ParseError(path, lineno, f"visibility {vals[8]} outside [0, 1]")
-            if int(vals[6]) != 1 or int(vals[7]) != 1:
-                continue
-            if vals[4] <= 0 or vals[5] <= 0:
-                raise ParseError(path, lineno, "non-positive box size")
-            if frame in trajs[tid]:
-                raise ParseError(path, lineno, f"duplicate frame {frame} for id {tid}")
-            trajs[tid][frame] = BoundingBox(vals[2], vals[3], vals[4], vals[5])
-    return dict(trajs)
+    def active():
+        for lineno, v in _rows(path, 9, {0: "frame index", 1: "id", 6: "flag", 7: "class"}):
+            if not 0.0 <= v[8] <= 1.0:
+                raise ParseError(path, lineno, f"visibility {v[8]} outside [0, 1]")
+            if v[6] == 1 and v[7] == 1:
+                yield lineno, v
+
+    return _trajectories(path, active())
+
+
+def _write(path, rows) -> None:
+    """One line per ``(frame, id, box, tail)`` row, box reals at two decimals."""
+    Path(path).write_text("".join([
+        f"{frame},{tid},{b.left:.2f},{b.top:.2f},{b.width:.2f},{b.height:.2f},{tail}\n"
+        for frame, tid, b, tail in rows
+    ]), encoding="ascii")
 
 
 def write_results(path, outputs: Iterable[FrameOutput]) -> None:
     """One line per (frame, id), frames then ids ascending, reals at 2 decimals."""
-    lines = []
-    for fo in sorted(outputs, key=lambda fo: fo.index):
-        for rec in sorted(fo.records, key=lambda r: r.track_id):
-            b = rec.box
-            lines.append(
-                f"{fo.index},{rec.track_id},{b.left:.2f},{b.top:.2f},"
-                f"{b.width:.2f},{b.height:.2f},{rec.score:.2f},-1,-1,-1"
-            )
-    Path(path).write_text("".join(line + "\n" for line in lines), encoding="ascii")
+    _write(path, [
+        (fo.index, rec.track_id, rec.box, f"{rec.score:.2f},-1,-1,-1")
+        for fo in sorted(outputs, key=lambda fo: fo.index)
+        for rec in sorted(fo.records, key=lambda r: r.track_id)
+    ])
 
 
 def write_detections(path, frames: Iterable[FrameDetections]) -> None:
-    lines = []
-    for fd in sorted(frames, key=lambda fd: fd.index):
-        for det in fd.detections:
-            b = det.box
-            lines.append(
-                f"{fd.index},-1,{b.left:.2f},{b.top:.2f},"
-                f"{b.width:.2f},{b.height:.2f},{det.score:.2f},-1,-1,-1"
-            )
-    Path(path).write_text("".join(line + "\n" for line in lines), encoding="ascii")
+    """One line per detection, frames ascending; a frame without detections writes nothing."""
+    _write(path, [
+        (fd.index, -1, det.box, f"{det.score:.2f},-1,-1,-1")
+        for fd in sorted(frames, key=lambda fd: fd.index)
+        for det in fd.detections
+    ])
 
 
 def write_ground_truth(path, trajs: TrajectorySet) -> None:
-    lines = []
-    entries = []
-    for tid, per_frame in trajs.items():
-        for frame, box in per_frame.items():
-            entries.append((frame, tid, box))
-    for frame, tid, b in sorted(entries):
-        lines.append(
-            f"{frame},{tid},{b.left:.2f},{b.top:.2f},{b.width:.2f},{b.height:.2f},1,1,1.00"
-        )
-    Path(path).write_text("".join(line + "\n" for line in lines), encoding="ascii")
+    """One active class-1 line per (frame, id), ascending, visibility 1."""
+    _write(path, sorted(
+        (frame, tid, box, "1,1,1.00") for tid, per_frame in trajs.items() for frame, box in per_frame.items()
+    ))
 
 
 class ConfigError(ValueError):

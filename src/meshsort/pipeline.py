@@ -133,7 +133,8 @@ class Tracker:
             table.set_state(slice(None), kalman.predict(table.state(slice(None)), self.model))
             table.predicts_since_match += 1
             self._stats.predicts += live
-        predicted = ltwh_to_ltrb(_tracks.state_box(table.mean))
+        predicted_ltwh = _tracks.state_box(table.mean)
+        predicted = ltwh_to_ltrb(predicted_ltwh)
 
         status = table.status
         occluded = _tracks.infer_occlusion(predicted, status, cfg.occlusion_iou)
@@ -182,7 +183,8 @@ class Tracker:
         missed[matched] = False
         missed = missed.nonzero()[0]
         if len(missed):
-            _tracks.on_missed(table, missed, cfg, self.model, self.grid, self.grid.state)
+            _tracks.on_missed(table, missed, predicted_ltwh[missed], cfg, self.model, self.grid,
+                              self.grid.state)
             removed = missed[table.status[missed] == REMOVED]
             if len(removed):
                 self._stats.removed += len(removed)

@@ -247,6 +247,7 @@ def _age_reduced(cell_in_frequent: np.ndarray, cfg: TrackerConfig) -> np.ndarray
 def on_missed(
     table: TrackTable,
     rows: np.ndarray,
+    boxes: np.ndarray,
     cfg: TrackerConfig,
     model: kalman.MotionModel,
     grid: MeshGrid,
@@ -254,19 +255,20 @@ def on_missed(
 ) -> None:
     """Advance the lifecycle of live rows that got no detection this frame.
 
-    ``frequent`` is the (cols, rows) boolean mask of frequent-loss cells.
-    The cell lookups work whether or not the mesh feature is on; loss events
-    reach ``grid`` only when it is, one per row entering the lost pool, in
-    row order.
+    ``boxes`` are the rows' predicted [left, top, width, height] boxes (the
+    :func:`state_box` of their means). ``frequent`` is the (cols, rows)
+    boolean mask of frequent-loss cells. The cell lookups work whether or
+    not the mesh feature is on; loss events reach ``grid`` only when it is,
+    one per row entering the lost pool, in row order.
     """
     status = table.status[rows]
     tentative = status == TENTATIVE
     table.status[rows[tentative]] = REMOVED
-    rows, status = rows[~tentative], status[~tentative]
+    rows, status, boxes = rows[~tentative], status[~tentative], boxes[~tentative]
 
     maintain = np.zeros(len(rows), dtype=bool)
     if cfg.enable_lost_maintain:
-        cell = grid.cells_of(*_bottom_middle(state_box(table.mean[rows])))
+        cell = grid.cells_of(*_bottom_middle(boxes))
         maintain = (
             (status != LOST)
             & (table.lm_count[rows] < cfg.lost_maintain_frames)

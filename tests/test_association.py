@@ -123,8 +123,11 @@ class TestTwoStage:
             ltrb([box(0, 0, 10, 10)]), ltrb([]), ltrb([box(1, 0, 10, 10)]), [0.05]
         )
         assert res.matches == []
-        assert res.unmatched_dets == []
-        assert res.unmatched_tracks == [0]
+        # The same detection at conf_low matches: only its confidence kept it out.
+        res = two_stage_associate(
+            ltrb([box(0, 0, 10, 10)]), ltrb([]), ltrb([box(1, 0, 10, 10)]), [0.1]
+        )
+        assert res.matches == [(0, 0)]
 
     def test_lost_pool_excluded_from_stage_two(self):
         # The lost proposal overlaps the mid-confidence detection, but only
@@ -133,7 +136,7 @@ class TestTwoStage:
             ltrb([]), ltrb([box(0, 0, 10, 10)]), ltrb([box(1, 0, 10, 10)]), [0.4]
         )
         assert res.matches == []
-        assert res.unmatched_tracks == [0]
+        assert res.stage_one_matches == [] and res.stage_two_matches == []
 
     def test_lost_pool_matches_high_conf(self):
         res = two_stage_associate(
@@ -171,7 +174,9 @@ class TestTwoStage:
             cols = [c for _, c in res.matches]
             assert len(rows) == len(set(rows))
             assert len(cols) == len(set(cols))
-            assert set(res.unmatched_tracks).isdisjoint(rows)
+            assert all(0 <= r < len(tracks) + len(lost) for r in rows)
+            assert all(scores[c] >= 0.1 for c in cols)
+            assert all(r < len(tracks) for r, _ in res.stage_two_matches)
 
     def test_rejects_bad_thresholds(self):
         with pytest.raises(ValueError):

@@ -2,15 +2,16 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from meshsort.association import biou_cost
 from meshsort.geometry import (
     BoundingBox,
     bottom_middle,
-    box_to_measurement,
     boxes_to_ltrb,
-    buffered_iou,
+    expand_ltrb,
     iou,
     iou_matrix,
-    measurement_to_box,
+    ltwh_to_measurement,
+    measurement_to_ltwh,
 )
 
 
@@ -65,10 +66,17 @@ class TestIou:
         assert iou(a, shifted) < 1.0
 
 
+def buffered_iou(a, b, scale):
+    """Buffered IoU of two boxes through the tracker's array path."""
+    return 1.0 - biou_cost(boxes_to_ltrb([a]), boxes_to_ltrb([b]), scale)[0, 0]
+
+
 class TestBufferedIou:
     def test_zero_scale_is_plain_iou(self):
         a, b = box(0, 0, 10, 10), box(5, 0, 10, 10)
-        assert buffered_iou(a, b, 0.0) == iou(a, b)
+        ltrb = boxes_to_ltrb([a, b])
+        assert expand_ltrb(ltrb, 0.0) is ltrb
+        assert biou_cost(ltrb[:1], ltrb[1:], 0.0)[0, 0] == 1.0 - iou(a, b)
 
     def test_identical_stays_one(self):
         assert buffered_iou(box(0, 0, 10, 10), box(0, 0, 10, 10), 0.5) == 1.0
@@ -78,6 +86,7 @@ class TestBufferedIou:
         assert iou(a, b) == 0.0
         # both expand to width 16: spans [-3,13] and [9,25] -> 64 / 448
         assert buffered_iou(a, b, 0.3) == pytest.approx(1 / 7, abs=1e-12)
+        np.testing.assert_allclose(expand_ltrb(boxes_to_ltrb([a]), 0.3), [[-3, -3, 13, 13]])
 
     @given(a=finite_boxes, b=finite_boxes, s=st.floats(0, 2), ds=st.floats(0, 1))
     def test_monotone_in_scale(self, a, b, s, ds):
@@ -97,22 +106,20 @@ class TestBottomMiddle:
         assert bottom_middle(b) == expected
 
 
+def measurement(b):
+    return ltwh_to_measurement(np.array(b.as_ltwh(), dtype=np.float64))
+
+
 class TestMeasurementConversion:
     def test_square(self):
-        np.testing.assert_allclose(box_to_measurement(box(0, 0, 10, 10)), [5, 5, 100, 1])
+        np.testing.assert_allclose(measurement(box(0, 0, 10, 10)), [5, 5, 100, 1])
 
     def test_wide(self):
-        np.testing.assert_allclose(box_to_measurement(box(0, 0, 20, 10)), [10, 5, 200, 2])
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            measurement_to_box([0, 0, -1, 1])
-        with pytest.raises(ValueError):
-            measurement_to_box([0, 0, 10, 0])
+        np.testing.assert_allclose(measurement(box(0, 0, 20, 10)), [10, 5, 200, 2])
 
     @given(b=finite_boxes)
     def test_round_trip(self, b):
-        back = measurement_to_box(box_to_measurement(b))
+        back = BoundingBox(*measurement_to_ltwh(measurement(b)).tolist())
         scale = max(abs(b.left), abs(b.top), b.width, b.height, 1.0)
         assert abs(back.left - b.left) <= 1e-9 * scale
         assert abs(back.top - b.top) <= 1e-9 * scale

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from meshsort import scenarios, synth
 from meshsort.config import TrackerConfig
 from meshsort.geometry import BoundingBox
 from meshsort.motfiles import (
@@ -10,10 +11,12 @@ from meshsort.motfiles import (
     parse_config_text,
     parse_detections,
     parse_ground_truth,
+    parse_results,
+    write_detections,
     write_ground_truth,
     write_results,
 )
-from meshsort.pipeline import FrameOutput, OutputRecord
+from meshsort.pipeline import Detection, FrameDetections, FrameOutput, OutputRecord, run
 
 
 class TestParseDetections:
@@ -41,8 +44,8 @@ class TestParseDetections:
             "1,-1,50,60,30,40,0.7,-1,-1,-1\n"
         )
         frames = parse_detections(p)
-        assert [fd.index for fd in frames] == [1, 3]
-        assert len(frames[0].detections) == 2
+        assert [fd.index for fd in frames] == [1, 2, 3]
+        assert [len(fd.detections) for fd in frames] == [2, 0, 1]
 
     @pytest.mark.parametrize(
         "line,fragment",
@@ -51,6 +54,8 @@ class TestParseDetections:
             ("1,-1,10,20,30,40,0.9,-1,-1,-1,-1", "expected 10 fields"),
             ("x,-1,10,20,30,40,0.9,-1,-1,-1", "non-numeric"),
             ("0,-1,10,20,30,40,0.9,-1,-1,-1", "bad frame"),
+            ("1.5,-1,10,20,30,40,0.9,-1,-1,-1", "bad frame"),
+            ("1000001,-1,10,20,30,40,0.9,-1,-1,-1", "bad frame"),
             ("1,-1,10,20,0,40,0.9,-1,-1,-1", "non-positive box"),
             ("1,-1,10,20,30,40,1.5,-1,-1,-1", "confidence"),
         ],
@@ -86,7 +91,115 @@ class TestParseDetections:
         assert err.value.lineno == lineno + 1
 
 
+class TestFrameGaps:
+    def test_gaps_give_the_ids_of_explicit_empty_frames(self, tmp_path):
+        # One still object, seen on frames 1-5 and again from frame 41. Aged
+        # over the 35 empty frames its track outlives max_age, so the object
+        # comes back under a new id.
+        det = Detection(BoundingBox(100, 100, 20, 40), 0.9)
+        seen = set(range(1, 6)) | {41, 42}
+        explicit = [FrameDetections(f, (det,) if f in seen else ()) for f in range(1, 43)]
+        p = tmp_path / "det.txt"
+        write_detections(p, explicit)
+        parsed = parse_detections(p)
+        assert parsed == explicit
+
+        def ids(frames):
+            return [[r.track_id for r in fo.records] for fo in run(TrackerConfig(min_hits=1), frames)]
+
+        assert ids(parsed) == ids(explicit)
+        assert ids(parsed)[-1] == [2]
+        # Stepping only the frames with detections would have kept id 1.
+        assert ids([fd for fd in explicit if fd.detections])[-1] == [1]
+
+
+def _two_decimals(frames):
+    """The detections as a detection file holds them: every real at two decimals."""
+    def r(x):
+        return float(f"{x:.2f}")
+
+    return [
+        FrameDetections(fd.index, tuple(
+            Detection(BoundingBox(*map(r, d.box.as_ltwh())), r(d.score)) for d in fd.detections
+        ))
+        for fd in frames
+    ]
+
+
+# The scene families and seeds the acceptance criteria c06-c10 run, and three
+# crossing scenes.
+FILE_PATH_CASES = (
+    [(scenarios.transient_occlusion_scene, s) for s in range(1, 21)]
+    + [(scenarios.exit_scene, s) for s in range(1, 13)]
+    + [(scenarios.rollback_scene, s) for s in range(1, 51)]
+    + [(scenarios.crossing_scene, s) for s in (1, 2, 3)]
+)
+
+
+@pytest.mark.parametrize(
+    "family,seed", FILE_PATH_CASES, ids=lambda v: v.__name__.removesuffix("_scene") if callable(v) else str(v)
+)
+def test_file_path_matches_in_memory_run(family, seed, tmp_path):
+    # synth -> write -> parse -> track gives the bytes of an in-memory run on
+    # the same two-decimal detections: empty frames are aged, not skipped.
+    scene = family(seed)
+    _, frames = synth.generate(scene)
+    cfg = TrackerConfig(frame_width=scene.frame_width, frame_height=scene.frame_height, emit_virtual=True)
+    write_detections(tmp_path / "dets.txt", frames)
+    write_results(tmp_path / "file.txt", run(cfg, parse_detections(tmp_path / "dets.txt")))
+    write_results(tmp_path / "memory.txt", run(cfg, _two_decimals(frames)))
+    assert (tmp_path / "file.txt").read_bytes() == (tmp_path / "memory.txt").read_bytes()
+
+
+class TestParseResults:
+    @pytest.mark.parametrize(
+        "line,fragment",
+        [
+            ("1,1,10,20,30,40,0.9,-1,-1", "expected 10 fields"),
+            ("0,1,10,20,30,40,0.9,-1,-1,-1", "bad frame"),
+            ("1.5,2,10,20,30,40,0.9,-1,-1,-1", "bad frame"),
+            ("2,2.7,10,20,30,40,0.9,-1,-1,-1", "bad id"),
+            ("2,1,10,20,30,0,0.9,-1,-1,-1", "non-positive box"),
+            ("1,1,11,20,30,40,0.9,-1,-1,-1", "duplicate frame"),
+        ],
+    )
+    def test_malformed_lines_rejected_with_lineno(self, tmp_path, line, fragment):
+        p = tmp_path / "res.txt"
+        p.write_text("1,1,10,20,30,40,0.9,-1,-1,-1\n" + line + "\n")
+        with pytest.raises(ParseError) as err:
+            parse_results(p)
+        assert str(err.value).startswith(f"{p}:2: ")
+        assert fragment in str(err.value)
+        assert err.value.lineno == 2
+
+
 class TestParseGroundTruth:
+    @pytest.mark.parametrize(
+        "line,fragment",
+        [
+            ("1,2,10,20,30,40,1,1", "expected 9 fields"),
+            ("1.5,2,10,20,30,40,1,1,1.0", "bad frame"),
+            ("1,2.7,10,20,30,40,1,1,1.0", "bad id"),
+            ("1,2,10,20,30,40,1.4,1,1.0", "bad flag"),
+            ("1,2,10,20,30,40,1,0.5,1.0", "bad class"),
+            ("1,2,10,20,30,40,1,1,1.5", "visibility"),
+            ("1,2,10,20,-30,40,1,1,1.0", "non-positive box"),
+        ],
+    )
+    def test_malformed_lines_rejected_with_lineno(self, tmp_path, line, fragment):
+        p = tmp_path / "gt.txt"
+        p.write_text("1,1,10,20,30,40,1,1,1.0\n" + line + "\n")
+        with pytest.raises(ParseError) as err:
+            parse_ground_truth(p)
+        assert str(err.value).startswith(f"{p}:2: ")
+        assert fragment in str(err.value)
+        assert err.value.lineno == 2
+
+    def test_inactive_rows_skip_the_size_check(self, tmp_path):
+        p = tmp_path / "gt.txt"
+        p.write_text("1,1,10,20,30,40,1,1,1.0\n1,2,10,20,0,0,0,1,1.0\n1,3,10,20,0,0,1,2,1.0\n")
+        assert set(parse_ground_truth(p)) == {1}
+
     def test_class_and_flag_filtering(self, tmp_path):
         p = tmp_path / "gt.txt"
         p.write_text(

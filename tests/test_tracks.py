@@ -63,7 +63,7 @@ def miss(t, c, model, g, frequent):
     mask = np.zeros((g.cols, g.rows), dtype=bool)
     for cell in frequent:
         mask[cell] = True
-    on_missed(t, ROW, c, model, g, mask)
+    on_missed(t, ROW, state_box(t.mean), c, model, g, mask)
 
 
 def predict(t, model):
