@@ -41,7 +41,9 @@ def _canonicalize_ties(cost: np.ndarray, gate: float, matches: list[tuple[int, i
     # Among cost-preserving 2-swaps, give the lower row index the lower column
     # index, so equal-cost optima come out in a stable documented order.
     n = len(matches)
-    if n < 2:
+    # A swap moves two matches onto two other entries within the gate; with
+    # no such entries beyond the matches themselves there is none to make.
+    if n < 2 or np.count_nonzero(cost <= gate) == n:
         return
     # One vectorised test for a swap that the first pass below would make;
     # without one the pass changes nothing. pair[a, b] is cost[ra, cb].
@@ -90,15 +92,21 @@ def assign(cost: np.ndarray, gate: float) -> AssignmentResult:
         raise ValueError("cost matrix must be finite")
     masked = np.where(cost > gate, _FORBIDDEN, cost)
     rr, cc = linear_sum_assignment(masked)
-    matches = [(int(r), int(c)) for r, c in zip(rr, cc) if cost[r, c] <= gate]
+    kept = cost[rr, cc] <= gate
+    rr, cc = rr[kept], cc[kept]
+    # Tie canonicalization swaps columns between matched rows, so the matched
+    # row and column sets are final here.
+    free_rows = np.ones(rows, dtype=bool)
+    free_rows[rr] = False
+    free_cols = np.ones(cols, dtype=bool)
+    free_cols[cc] = False
+    matches = list(zip(rr.tolist(), cc.tolist()))
     _canonicalize_ties(cost, gate, matches)
     matches.sort()
-    matched_r = {r for r, _ in matches}
-    matched_c = {c for _, c in matches}
     return AssignmentResult(
         matches=matches,
-        unmatched_rows=[r for r in range(rows) if r not in matched_r],
-        unmatched_cols=[c for c in range(cols) if c not in matched_c],
+        unmatched_rows=free_rows.nonzero()[0].tolist(),
+        unmatched_cols=free_cols.nonzero()[0].tolist(),
     )
 
 
@@ -147,11 +155,13 @@ def two_stage_associate(
 
     second_tracks = [r for r in stage_one.unmatched_rows if r < n_tracks]
     second_dets = np.sort(np.concatenate([mid_idx, leftovers_high]))
-    stage_two = assign(
-        biou_cost(candidates[second_tracks], det_boxes[second_dets], buffer_scale),
-        gate_second,
-    )
-    matches_two = [(second_tracks[r], int(second_dets[c])) for r, c in stage_two.matches]
+    matches_two = []
+    if second_tracks and len(second_dets):
+        stage_two = assign(
+            biou_cost(candidates[second_tracks], det_boxes[second_dets], buffer_scale),
+            gate_second,
+        )
+        matches_two = [(second_tracks[r], int(second_dets[c])) for r, c in stage_two.matches]
 
     return TwoStageResult(
         matches=sorted(matches + matches_two),

@@ -14,7 +14,10 @@ class Point2(NamedTuple):
     y: float
 
 
-@dataclass(frozen=True)
+_INF = math.inf
+
+
+@dataclass(frozen=True, slots=True)
 class BoundingBox:
     """Rectangle in continuous pixel coordinates, stored as top-left corner plus size.
 
@@ -28,10 +31,10 @@ class BoundingBox:
     height: float
 
     def __post_init__(self):
-        for v in (self.left, self.top, self.width, self.height):
-            if not math.isfinite(v):
+        if not (-_INF < self.left < _INF and -_INF < self.top < _INF
+                and 0.0 < self.width < _INF and 0.0 < self.height < _INF):
+            if not all(map(math.isfinite, (self.left, self.top, self.width, self.height))):
                 raise ValueError(f"non-finite box field in {self!r}")
-        if self.width <= 0.0 or self.height <= 0.0:
             raise ValueError(f"box requires positive width and height, got {self!r}")
 
     @property
@@ -108,14 +111,13 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pairwise IoU of two (N, 4) / (M, 4) arrays in [left, top, right, bottom] form."""
     if a.shape[0] == 0 or b.shape[0] == 0:
         return np.zeros((a.shape[0], b.shape[0]), dtype=np.float64)
-    a = a[:, None, :]
-    b = b[None, :, :]
-    iw = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
-    ih = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
+    al, at, ar, ab = a.T
+    bl, bt, br, bb = b.T
+    iw = np.minimum.outer(ar, br) - np.maximum.outer(al, bl)
+    ih = np.minimum.outer(ab, bb) - np.maximum.outer(at, bt)
     inter = np.maximum(iw, 0.0) * np.maximum(ih, 0.0)
-    area_a = (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
-    area_b = (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])
-    return np.minimum(inter / (area_a + area_b - inter), 1.0)
+    union = np.add.outer((ar - al) * (ab - at), (br - bl) * (bb - bt)) - inter
+    return np.minimum(inter / union, 1.0)
 
 
 def expand_ltrb(boxes: np.ndarray, scale: float) -> np.ndarray:

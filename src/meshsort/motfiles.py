@@ -35,13 +35,18 @@ class ParseError(ValueError):
 # The detection reader yields every frame up to the last one in the file, so
 # a frame index far past any video would allocate one empty frame per index.
 _MAX_FRAME = 1_000_000
+# Box fields beyond this many pixels are far past any frame; the filter's
+# area variances grow as height**4, so such boxes would overflow it.
+_MAX_COORD = 1e7
 
 
 def _rows(path, n_fields: int, whole: dict[int, str]):
     """Yield ``(lineno, fields)`` for each non-blank line of a MOT file.
 
     Every field must be a finite number, the fields named in ``whole`` whole
-    numbers, and the frame index (field 0) lie in [1, ``_MAX_FRAME``].
+    numbers, the frame index (field 0) lie in [1, ``_MAX_FRAME``], and no box
+    field (2-5: left, top, width, height) exceed ``_MAX_COORD`` in magnitude
+    (a negative size is left to the size checks).
     """
     with open(path, "r", encoding="ascii") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -62,6 +67,10 @@ def _rows(path, n_fields: int, whole: dict[int, str]):
                     raise ParseError(path, lineno, f"bad {name} {parts[k]}")
             if not 1 <= values[0] <= _MAX_FRAME:
                 raise ParseError(path, lineno, f"bad frame index {parts[0]}")
+            if (abs(values[2]) > _MAX_COORD or abs(values[3]) > _MAX_COORD
+                    or values[4] > _MAX_COORD or values[5] > _MAX_COORD):
+                field = next(p for p, v in zip(parts[2:6], values[2:6]) if abs(v) > _MAX_COORD)
+                raise ParseError(path, lineno, f"box field {field} beyond {_MAX_COORD:g} px")
             yield lineno, values
 
 

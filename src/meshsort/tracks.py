@@ -88,6 +88,7 @@ class TrackTable:
     """Per-track state as arrays, one row per live track in creation order.
 
     ``lost_cell`` holds -1 in both columns while a track has no loss cell.
+    ``cov`` holds the covariance blocks (see :class:`kalman.KalmanState`).
     ``vel_ring``/``vel_count`` are the velocity rings (see
     :class:`kalman.VelocityBuffer`). ``last_box`` is the box the track
     reports, as [left, top, width, height].
@@ -124,7 +125,7 @@ class TrackTable:
             predicts_since_match=np.zeros(*ints),
             lost_cell=np.full((n, 2), _NO_CELL, dtype=np.int64),
             mean=np.zeros((n, kalman.STATE_DIM)),
-            cov=np.zeros((n, kalman.STATE_DIM, kalman.STATE_DIM)),
+            cov=np.zeros((n, 3, kalman.MEAS_DIM)),
             vel_ring=np.zeros((n, vel_len, kalman.MEAS_DIM)),
             vel_count=np.zeros(*ints),
             last_box=np.zeros((n, 4)),
@@ -143,11 +144,11 @@ class TrackTable:
             setattr(self, f.name, getattr(self, f.name)[mask])
 
     def state(self, rows) -> kalman.KalmanState:
-        return kalman.KalmanState(mean=self.mean[rows], covariance=self.cov[rows])
+        return kalman.KalmanState(mean=self.mean[rows], blocks=self.cov[rows])
 
     def set_state(self, rows, state: kalman.KalmanState) -> None:
         self.mean[rows] = state.mean
-        self.cov[rows] = state.covariance
+        self.cov[rows] = state.blocks
 
     @property
     def velocities(self) -> kalman.VelocityBuffer:

@@ -10,7 +10,9 @@ whole-frame assignment, which differs from it only on exact ties. The reference
 scene generator is the per-agent generator the array-backed one replaced,
 kept as it was: it rebuilds every nearer agent's box for every agent and
 frame, and shares the PRNG, ``covered_fraction`` and the noise model with the
-library.
+library. The reference Kalman filter is the general dense 8×8 filter the
+per-slot block filter replaced; it shares the motion model's noise variances
+and the height clamp with the library.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from meshsort.geometry import BoundingBox, boxes_to_ltrb, iou_matrix
+from meshsort.kalman import _measurement_height
 from meshsort.metrics import (
     HOTA_ALPHAS,
     HotaBreakdown,
@@ -596,3 +599,43 @@ def reference_generate(cfg: SceneConfig):
             dets.append(Detection(box, conf))
         det_frames.append(FrameDetections(index=frame, detections=tuple(dets)))
     return gt, det_frames
+
+
+def _dense_diagonal(var: np.ndarray) -> np.ndarray:
+    """``(..., k, k)`` diagonal matrices with the given variances."""
+    k = var.shape[-1]
+    out = np.zeros(var.shape[:-1] + (k * k,))
+    out[..., :: k + 1] = var
+    return out.reshape(var.shape + (k,))
+
+
+def _dense_symmetrized(p: np.ndarray) -> np.ndarray:
+    return (p + np.swapaxes(p, -1, -2)) / 2.0
+
+
+def reference_kalman_predict(mean: np.ndarray, cov: np.ndarray, model):
+    """Dense ``F P Fᵀ + Q`` as two slice additions, symmetrized; returns (mean, cov)."""
+    height = _measurement_height(mean[..., :4])
+    out_mean = mean.copy()
+    out_mean[..., :4] += mean[..., 4:]
+    out = cov.copy()
+    out[..., :4, :] += cov[..., 4:, :]
+    out[..., :, :4] += out[..., :, 4:]
+    return out_mean, _dense_symmetrized(out + _dense_diagonal(model.process_noise(height)))
+
+
+def reference_kalman_gain(mean: np.ndarray, cov: np.ndarray, model, noise_scale: float = 1.0):
+    """Dense ``K = P Hᵀ S⁻¹`` with ``S⁻¹ = L⁻ᵀ L⁻¹`` from the Cholesky factor of ``S``."""
+    height = _measurement_height(mean[..., :4])
+    s = cov[..., :4, :4] + _dense_diagonal(model.measurement_noise(height)) * noise_scale
+    chol_inv = np.linalg.inv(np.linalg.cholesky(s))
+    return cov[..., :, :4] @ (np.swapaxes(chol_inv, -1, -2) @ chol_inv)
+
+
+def reference_kalman_update(mean: np.ndarray, cov: np.ndarray, z: np.ndarray, model,
+                            noise_scale: float = 1.0):
+    """Dense update ``m + K (z - H m)``, ``sym(P - K H P)``; returns (mean, cov)."""
+    gain = reference_kalman_gain(mean, cov, model, noise_scale)
+    innovation = z - mean[..., :4]
+    out_mean = mean + (gain @ innovation[..., None])[..., 0]
+    return out_mean, _dense_symmetrized(cov - gain @ cov[..., :4, :])

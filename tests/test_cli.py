@@ -1,3 +1,5 @@
+import warnings
+
 import pytest
 
 from meshsort import kalman, pipeline, scenarios
@@ -273,3 +275,26 @@ class TestNonFiniteInput:
         assert "non-finite" in err
         assert "Traceback" not in err
         assert not (tmp_path / "gt.txt").exists()
+
+
+class TestAbsurdMagnitudes:
+    @pytest.mark.parametrize("lines,lineno", [
+        (["1,-1,10,10,1e200,1e200,0.9,-1,-1,-1"], 1),
+        ([f"{f},-1,1e150,1e150,30,60,0.9,-1,-1,-1" for f in range(1, 5)], 1),
+        ([_DET_LINE.strip(), "2,-1,10.00,20.00,30.00,2e7,0.90,-1,-1,-1"], 2),
+    ])
+    def test_track_dets(self, tmp_path, capsys, lines, lineno):
+        # Boxes far past any frame overflowed the filter; the reader now stops them.
+        dets = tmp_path / "dets.txt"
+        dets.write_text("\n".join(lines) + "\n")
+        res = tmp_path / "res.txt"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["track", "--dets", str(dets), "--out", str(res)])
+        assert rc == 1
+        assert caught == []
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"{dets}:{lineno}:" in err
+        assert "beyond" in err
+        assert "Traceback" not in err
+        assert not res.exists()

@@ -34,10 +34,7 @@ class TestInitiate:
 
 class TestPredict:
     def test_constant_velocity_step(self, model):
-        s = K.KalmanState(
-            mean=np.array([0.0, 0, 100, 1, 2, 3, 0, 0]),
-            covariance=np.eye(8),
-        )
+        s = K.KalmanState.from_dense(np.array([0.0, 0, 100, 1, 2, 3, 0, 0]), np.eye(8))
         out = K.predict(s, model)
         np.testing.assert_allclose(out.mean[:4], [2, 3, 100, 1])
         np.testing.assert_allclose(out.mean[4:], [2, 3, 0, 0])
@@ -54,7 +51,7 @@ class TestPredict:
         mean = rng.normal(size=8) * [100, 100, 50, 0.1, 3, 3, 1, 0.01] + [
             300, 300, 900, 1, 0, 0, 0, 0,
         ]
-        s = K.KalmanState(mean=mean.copy(), covariance=np.eye(8))
+        s = K.KalmanState.from_dense(mean.copy(), np.eye(8))
         f_power = np.eye(8)
         for k in range(1, 9):
             s = K.predict(s, model)
@@ -101,10 +98,9 @@ class TestUpdate:
 
     def test_singular_innovation_raises(self):
         degenerate = K.MotionModel(pos_weight=0.0, vel_weight=0.0)
-        s = K.KalmanState(mean=np.array([5.0, 5, 100, 1, 0, 0, 0, 0]),
-                          covariance=np.zeros((8, 8)))
+        s = K.KalmanState.from_dense(np.array([5.0, 5, 100, 1, 0, 0, 0, 0]), np.zeros((8, 8)))
         # Aspect slots keep fixed noise, so zero them too via a tiny hack:
-        degenerate.measurement_noise = lambda h: np.zeros((4, 4))
+        degenerate.measurement_noise = lambda h: np.zeros(np.shape(h) + (4,))
         with pytest.raises(K.NumericsError):
             K.update(s, np.array([5.0, 5, 100, 1]), degenerate)
 
@@ -150,7 +146,7 @@ class TestNoiseMagnification:
 class TestVelocityBuffer:
     def make_state(self, vel):
         mean = np.array([0.0, 0, 100, 1, *vel])
-        return K.KalmanState(mean=mean, covariance=np.eye(8))
+        return K.KalmanState.from_dense(mean, np.eye(8))
 
     def test_record_and_capacity(self):
         buf = K.VelocityBuffer(capacity=3)
@@ -176,7 +172,7 @@ class TestVelocityBuffer:
         assert ok
         np.testing.assert_array_equal(out.mean[4:], [1, 1, 1, 1])
         np.testing.assert_array_equal(out.mean[:4], state.mean[:4])
-        assert out.covariance is state.covariance
+        assert out.blocks is state.blocks
 
     def test_rollback_mean_mode(self):
         buf = K.VelocityBuffer(capacity=5)

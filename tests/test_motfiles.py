@@ -31,6 +31,12 @@ class TestParseDetections:
         assert det.box == BoundingBox(10, 20, 30, 40)
         assert det.score == pytest.approx(0.9)
 
+    def test_box_fields_at_the_magnitude_limit_accepted(self, tmp_path):
+        p = tmp_path / "det.txt"
+        p.write_text("1,-1,-1e7,1e7,1e7,1e7,0.9,-1,-1,-1\n")
+        (fd,) = parse_detections(p)
+        assert fd.detections[0].box == BoundingBox(-1e7, 1e7, 1e7, 1e7)
+
     def test_empty_file(self, tmp_path):
         p = tmp_path / "det.txt"
         p.write_text("")
@@ -58,6 +64,9 @@ class TestParseDetections:
             ("1000001,-1,10,20,30,40,0.9,-1,-1,-1", "bad frame"),
             ("1,-1,10,20,0,40,0.9,-1,-1,-1", "non-positive box"),
             ("1,-1,10,20,30,40,1.5,-1,-1,-1", "confidence"),
+            ("1,-1,10,10,1e200,1e200,0.9,-1,-1,-1", "box field 1e200 beyond 1e+07 px"),
+            ("1,-1,-1e150,20,30,40,0.9,-1,-1,-1", "box field -1e150 beyond"),
+            ("1,-1,10,10000000.01,30,40,0.9,-1,-1,-1", "box field 10000000.01 beyond"),
         ],
     )
     def test_malformed_lines_rejected_with_lineno(self, tmp_path, line, fragment):
@@ -160,6 +169,8 @@ class TestParseResults:
             ("1.5,2,10,20,30,40,0.9,-1,-1,-1", "bad frame"),
             ("2,2.7,10,20,30,40,0.9,-1,-1,-1", "bad id"),
             ("2,1,10,20,30,0,0.9,-1,-1,-1", "non-positive box"),
+            ("2,1,10,20,3e7,40,0.9,-1,-1,-1", "box field 3e7 beyond"),
+            ("2,1,10,-1e8,30,40,0.9,-1,-1,-1", "box field -1e8 beyond"),
             ("1,1,11,20,30,40,0.9,-1,-1,-1", "duplicate frame"),
         ],
     )
@@ -184,6 +195,8 @@ class TestParseGroundTruth:
             ("1,2,10,20,30,40,1,0.5,1.0", "bad class"),
             ("1,2,10,20,30,40,1,1,1.5", "visibility"),
             ("1,2,10,20,-30,40,1,1,1.0", "non-positive box"),
+            ("1,2,10,20,30,1e150,1,1,1.0", "box field 1e150 beyond"),
+            ("1,2,1e150,20,30,40,0,1,1.0", "box field 1e150 beyond"),
         ],
     )
     def test_malformed_lines_rejected_with_lineno(self, tmp_path, line, fragment):

@@ -1,12 +1,18 @@
+import functools
+from collections import defaultdict
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from meshsort import scenarios, synth
 from meshsort.config import TrackerConfig
 from meshsort.geometry import BoundingBox, bottom_middle, iou
 from meshsort.mesh import MeshGrid
 from meshsort.pipeline import (
+    Detection,
     DuplicateTrackIdError,
+    FrameDetections,
     SequencingError,
     Tracker,
     make_frame,
@@ -246,3 +252,75 @@ class TestStats:
         assert stats.removed == 1
         assert stats.doomed_predicts == 5
         assert stats.predicts == 5
+
+
+# --- metamorphic properties --------------------------------------------------
+
+_SCENES = {
+    "c11": lambda seed: scenarios.throughput_scene(seed=seed, n_agents=30, frames=200),
+    "transient": scenarios.transient_occlusion_scene,
+    "exit": scenarios.exit_scene,
+    "rollback": scenarios.rollback_scene,
+    "crossing": scenarios.crossing_scene,
+}
+_METAMORPHIC_SCENES = [("c11", 9)] + [
+    (family, seed) for family in ("transient", "exit", "rollback", "crossing") for seed in (1, 2, 3)
+]
+
+
+@functools.cache
+def _scene_run(family, seed):
+    """(scene, detection frames, tracker output) with virtual boxes emitted; shared, not mutated."""
+    scene = _SCENES[family](seed)
+    _, frames = synth.generate(scene)
+    return scene, tuple(frames), _virtual_run(scene, frames, 1.0)
+
+
+def _virtual_run(scene, frames, scale):
+    cfg = TrackerConfig(emit_virtual=True, frame_width=scene.frame_width * scale,
+                        frame_height=scene.frame_height * scale)
+    return run(cfg, frames)
+
+
+@settings(max_examples=12, deadline=None)
+@given(key=st.sampled_from(_METAMORPHIC_SCENES), k=st.integers(-8, 8))
+def test_power_of_two_scaling_keeps_ids_and_scales_boxes_exactly(key, k):
+    scene, frames, base = _scene_run(*key)
+    f = 2.0 ** k
+    scaled = [
+        FrameDetections(fd.index, tuple(
+            Detection(BoundingBox(*(v * f for v in d.box.as_ltwh())), d.score) for d in fd.detections
+        ))
+        for fd in frames
+    ]
+    out = _virtual_run(scene, scaled, f)
+    assert len(out) == len(base)
+    for got, want in zip(out, base):
+        assert [r.track_id for r in got.records] == [r.track_id for r in want.records]
+        assert [r.score for r in got.records] == [r.score for r in want.records]
+        assert [r.box.as_ltwh() for r in got.records] == [
+            tuple(v * f for v in r.box.as_ltwh()) for r in want.records
+        ]
+
+
+def _trajectories(outputs):
+    """The output's trajectories with their ids dropped, in a canonical order."""
+    trajs = defaultdict(list)
+    for fo in outputs:
+        for r in fo.records:
+            trajs[r.track_id].append((fo.index, r.box.as_ltwh(), r.score))
+    return sorted(trajs.values())
+
+
+@settings(max_examples=12, deadline=None)
+@given(key=st.sampled_from(_METAMORPHIC_SCENES), seed=st.integers(0, 2**32 - 1))
+def test_detection_order_within_a_frame_only_renames_ids(key, seed):
+    # Spawned ids follow detection order, so the ids may change, but only by
+    # one renaming that holds over the whole sequence.
+    scene, frames, base = _scene_run(*key)
+    rng = np.random.default_rng(seed)
+    shuffled = [
+        FrameDetections(fd.index, tuple(fd.detections[i] for i in rng.permutation(len(fd.detections))))
+        for fd in frames
+    ]
+    assert _trajectories(_virtual_run(scene, shuffled, 1.0)) == _trajectories(base)
