@@ -4,9 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
-LM_OUTSIDE_FREQUENT = "outside_frequent"
-LM_INSIDE_FREQUENT = "inside_frequent"
-
 
 @dataclass
 class TrackerConfig:
@@ -23,7 +20,6 @@ class TrackerConfig:
     location_age_reduction: int = 8
     min_hits: int = 3
     occlusion_iou: float = 0.3
-    lm_region_rule: str = LM_OUTSIDE_FREQUENT
 
     frame_width: float = 1920.0
     frame_height: float = 1080.0
@@ -36,7 +32,6 @@ class TrackerConfig:
     mesh_cols: int = 4
     mesh_rows: int = 4
     mesh_threshold_slope: float = 0.02
-    mesh_refresh_interval: int = 1
 
     conf_high: float = 0.6
     conf_low: float = 0.1
@@ -46,9 +41,6 @@ class TrackerConfig:
     buffer_scale: float = 0.3
 
     vel_buffer_len: int = 5
-    vel_rollback: str = "oldest"
-    freeze_size_velocity: bool = False
-    lm_noise_scale: float = 10.0
     pos_std_weight: float = 1.0 / 20.0
     vel_std_weight: float = 1.0 / 160.0
 
@@ -61,8 +53,6 @@ class TrackerConfig:
             raise ValueError("location_age_reduction must lie in [0, max_age)")
         if self.min_hits < 1:
             raise ValueError("min_hits must be >= 1")
-        if self.lm_region_rule not in (LM_OUTSIDE_FREQUENT, LM_INSIDE_FREQUENT):
-            raise ValueError(f"unknown lm_region_rule {self.lm_region_rule!r}")
         if self.frame_width <= 0 or self.frame_height <= 0:
             raise ValueError("frame size must be positive")
         if self.mesh_cols < 1 or self.mesh_rows < 1:
@@ -71,10 +61,6 @@ class TrackerConfig:
             raise ValueError("conf_low must be below conf_high")
         if not 1 <= self.vel_buffer_len <= 30:
             raise ValueError("vel_buffer_len must lie in [1, 30]")
-        if self.vel_rollback not in ("oldest", "mean"):
-            raise ValueError(f"unknown vel_rollback mode {self.vel_rollback!r}")
-        if self.mesh_refresh_interval < 1:
-            raise ValueError("mesh_refresh_interval must be >= 1")
 
     @classmethod
     def baseline(cls, **overrides) -> "TrackerConfig":

@@ -15,6 +15,9 @@ class Point2(NamedTuple):
 
 
 _INF = math.inf
+# Box fields beyond this many pixels are far past any frame; the filter's
+# area variances grow as height**4, so such boxes would overflow it.
+MAX_COORD = 1e7
 
 
 @dataclass(frozen=True, slots=True)
@@ -51,6 +54,13 @@ class BoundingBox:
 
     def as_ltwh(self) -> tuple[float, float, float, float]:
         return (self.left, self.top, self.width, self.height)
+
+
+def check_box_range(box: BoundingBox) -> None:
+    """Raise ValueError when a field of ``box`` lies beyond :data:`MAX_COORD` px."""
+    if (abs(box.left) > MAX_COORD or abs(box.top) > MAX_COORD
+            or box.width > MAX_COORD or box.height > MAX_COORD):
+        raise ValueError(f"box field beyond {MAX_COORD:g} px in {box!r}")
 
 
 def iou(a: BoundingBox, b: BoundingBox) -> float:

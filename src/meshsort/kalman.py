@@ -285,42 +285,26 @@ class VelocityBuffer:
         self.ring[rows, self.count[rows] % self.capacity] = velocity
         self.count[rows] += 1
 
-    def recall(self, mode: str = "oldest") -> tuple[np.ndarray, np.ndarray]:
-        """Per ring, the oldest (or the mean) held velocity, and whether any is held."""
-        ordered = self._oldest_first()
-        held = np.minimum(self.count, self.capacity)
-        if mode == "oldest":
-            recalled = ordered[:, 0]
-        elif mode == "mean":
-            used = np.arange(self.capacity) < held[:, None]
-            total = np.where(used[..., None], ordered, 0.0).sum(axis=1)
-            recalled = total / np.maximum(held, 1)[:, None]
-        else:
-            raise ValueError(f"unknown rollback mode {mode!r}")
-        return recalled, held > 0
+    def recall(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per ring, the oldest held velocity, and whether any is held."""
+        return self._oldest_first()[:, 0], self.count > 0
 
 
-def rollback_velocity(
-    state: KalmanState,
-    buffer: VelocityBuffer,
-    mode: str = "oldest",
-    freeze_size_velocity: bool = False,
-) -> tuple[KalmanState, np.ndarray]:
-    """Replace each mean's velocity components with a buffered (pre-noise) entry.
+def rollback_velocity(state: KalmanState, buffer: VelocityBuffer) -> tuple[KalmanState, np.ndarray]:
+    """Replace each mean's velocity components with its oldest buffered entry.
 
+    The oldest entry predates any detector noise just before the loss.
     ``buffer`` holds one ring per belief of ``state``. Position, size, and
     covariance are left untouched. Returns the new state plus, per belief, a
     flag telling whether any history was available; a belief with an empty
     ring keeps its velocity, and a stack without any history is returned
     as is.
     """
-    recalled, held = buffer.recall(mode)
+    recalled, held = buffer.recall()
     flags = held.reshape(state.mean.shape[:-1])
     if not held.any():
         return state, flags
     mean = state.mean.copy()
     velocity = mean.reshape(-1, STATE_DIM)[:, MEAS_DIM:]
     velocity[held] = recalled[held]
-    if freeze_size_velocity:
-        velocity[held, 2:] = 0.0
     return KalmanState(mean=mean, blocks=state.blocks), flags

@@ -51,29 +51,6 @@ class MeshSnapshot:
         lines.append(f"frequent: {cells}".rstrip())
         return "\n".join(lines) + "\n"
 
-    @classmethod
-    def from_text(cls, text: str) -> "MeshSnapshot":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        head = lines[0].split()
-        if len(head) != 5 or head[0] != "mesh" or head[3] != "frame":
-            raise ValueError(f"bad snapshot header: {lines[0]!r}")
-        cols, rows, frame = int(head[1]), int(head[2]), int(head[4])
-        counts = np.zeros((cols, rows), dtype=np.int64)
-        for j in range(rows):
-            row = lines[1 + j].split()
-            if len(row) != cols:
-                raise ValueError(f"snapshot row {j} has {len(row)} entries, expected {cols}")
-            for i, v in enumerate(row):
-                counts[i, j] = int(v)
-        tail = lines[1 + rows]
-        if not tail.startswith("frequent:"):
-            raise ValueError(f"bad snapshot trailer: {tail!r}")
-        frequent = set()
-        for token in tail[len("frequent:"):].split():
-            i, j = token.strip("()").split(",")
-            frequent.add((int(i), int(j)))
-        return cls(cols=cols, rows=rows, frame=frame, counts=counts, frequent=frozenset(frequent))
-
 
 @dataclass
 class MeshGrid:

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .config import TrackerConfig
-from .geometry import BoundingBox
+from .geometry import MAX_COORD, BoundingBox
 from .metrics import TrajectorySet
 from .pipeline import Detection, FrameDetections, FrameOutput
 from .synth import SceneConfig, parse_scene
@@ -35,9 +35,6 @@ class ParseError(ValueError):
 # The detection reader yields every frame up to the last one in the file, so
 # a frame index far past any video would allocate one empty frame per index.
 _MAX_FRAME = 1_000_000
-# Box fields beyond this many pixels are far past any frame; the filter's
-# area variances grow as height**4, so such boxes would overflow it.
-_MAX_COORD = 1e7
 
 
 def _rows(path, n_fields: int, whole: dict[int, str]):
@@ -45,7 +42,7 @@ def _rows(path, n_fields: int, whole: dict[int, str]):
 
     Every field must be a finite number, the fields named in ``whole`` whole
     numbers, the frame index (field 0) lie in [1, ``_MAX_FRAME``], and no box
-    field (2-5: left, top, width, height) exceed ``_MAX_COORD`` in magnitude
+    field (2-5: left, top, width, height) exceed ``MAX_COORD`` in magnitude
     (a negative size is left to the size checks).
     """
     with open(path, "r", encoding="ascii") as fh:
@@ -67,10 +64,10 @@ def _rows(path, n_fields: int, whole: dict[int, str]):
                     raise ParseError(path, lineno, f"bad {name} {parts[k]}")
             if not 1 <= values[0] <= _MAX_FRAME:
                 raise ParseError(path, lineno, f"bad frame index {parts[0]}")
-            if (abs(values[2]) > _MAX_COORD or abs(values[3]) > _MAX_COORD
-                    or values[4] > _MAX_COORD or values[5] > _MAX_COORD):
-                field = next(p for p, v in zip(parts[2:6], values[2:6]) if abs(v) > _MAX_COORD)
-                raise ParseError(path, lineno, f"box field {field} beyond {_MAX_COORD:g} px")
+            if (abs(values[2]) > MAX_COORD or abs(values[3]) > MAX_COORD
+                    or values[4] > MAX_COORD or values[5] > MAX_COORD):
+                field = next(p for p, v in zip(parts[2:6], values[2:6]) if abs(v) > MAX_COORD)
+                raise ParseError(path, lineno, f"box field {field} beyond {MAX_COORD:g} px")
             yield lineno, values
 
 

@@ -28,7 +28,7 @@ import numpy as np
 from . import kalman, tracks as _tracks
 from .association import two_stage_associate
 from .config import TrackerConfig
-from .geometry import BoundingBox, ltwh_to_ltrb
+from .geometry import BoundingBox, check_box_range, ltwh_to_ltrb
 from .mesh import LossThreshold, MeshGrid
 from .tracks import LOST, LOST_MAINTAINED, REMOVED, TENTATIVE, TRACKED, TrackTable, TrackView
 
@@ -59,6 +59,7 @@ class FrameDetections:
         for det in self.detections:
             if not 0.0 <= det.score <= 1.0:
                 raise ValueError(f"confidence outside [0, 1]: {det.score}")
+            check_box_range(det.box)
 
 
 @dataclass(frozen=True)
@@ -165,9 +166,8 @@ class Tracker:
         matched, matched_dets = candidates[pairs[:, 0]], pairs[:, 1]
         scores = np.asarray(det_scores, dtype=np.float64)
         if len(matched):
-            grid = self.grid if cfg.enable_mesh else None
             _tracks.on_matched(table, matched, det_boxes[matched_dets],
-                               scores[matched_dets], cfg, self.model, grid)
+                               scores[matched_dets], cfg, self.model, self.grid)
 
         spawn = np.ones(len(scores), dtype=bool)
         spawn[matched_dets] = False
@@ -183,15 +183,14 @@ class Tracker:
         missed[matched] = False
         missed = missed.nonzero()[0]
         if len(missed):
-            _tracks.on_missed(table, missed, predicted_ltwh[missed], cfg, self.model, self.grid,
-                              self.grid.state)
+            _tracks.on_missed(table, missed, predicted_ltwh[missed], cfg, self.model, self.grid)
             removed = missed[table.status[missed] == REMOVED]
             if len(removed):
                 self._stats.removed += len(removed)
                 self._stats.doomed_predicts += int(table.predicts_since_match[removed].sum())
                 table.keep(table.status != REMOVED)
 
-        if cfg.enable_mesh and fd.index % cfg.mesh_refresh_interval == 0:
+        if cfg.enable_mesh:
             self.grid.identify(self.threshold, fd.index)
 
         self._stats.frames += 1

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import BoundingBox
+from .geometry import BoundingBox, check_box_range
 from .pipeline import Detection, FrameDetections
 
 _MASK64 = (1 << 64) - 1
@@ -107,6 +107,10 @@ class AgentSpec:
         for t, x, y in self.waypoints:
             if not (math.isfinite(x) and math.isfinite(y)):
                 raise ValueError(f"non-finite waypoint {x},{y}@{t}")
+            # Centres between waypoints interpolate, so in-range boxes at the
+            # waypoints keep every ground-truth box in range.
+            check_box_range(BoundingBox(x - self.width / 2, y - self.height / 2,
+                                        self.width, self.height))
 
     def center_at(self, frame: int) -> tuple[float, float]:
         pts = self.waypoints
@@ -406,7 +410,9 @@ def parse_scene(text: str) -> SceneConfig:
                 agent_lines.append(lineno)
             elif key == "occluder":
                 left, top, w, h = (float(v) for v in value.split(","))
-                cfg.occluders.append(BoundingBox(left, top, w, h))
+                occluder = BoundingBox(left, top, w, h)
+                check_box_range(occluder)
+                cfg.occluders.append(occluder)
             elif key in scalars:
                 number = scalars[key](value)
                 if not math.isfinite(number):

@@ -23,13 +23,15 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import kalman
-from .config import LM_OUTSIDE_FREQUENT, TrackerConfig
+from .config import TrackerConfig
 from .geometry import BoundingBox, Point2, iou_matrix, ltwh_to_measurement, measurement_to_ltwh
 from .geometry import iou  # noqa: F401  -- perfbench's tracer wraps tracks.iou by name
 from .mesh import CellId, MeshGrid
 
 _MIN_BOX_SIZE = 1e-3
 _NO_CELL = -1
+# Measurement-noise inflation of a maintained track's pseudo-observation.
+_LM_NOISE_SCALE = 10.0
 
 
 class TrackStatus(enum.IntEnum):
@@ -191,18 +193,18 @@ def on_matched(
     det_confs: np.ndarray,
     cfg: TrackerConfig,
     model: kalman.MotionModel,
-    grid: MeshGrid | None,
+    grid: MeshGrid,
 ) -> None:
     """Fold one real detection into each live row and restore the rows to the tracked pool.
 
-    ``grid`` receives one refind event per row that was lost, in row order;
-    None records none.
+    When the mesh feature is on, ``grid`` receives one refind event per row
+    that was lost, in row order.
     """
     status = table.status[rows]
     post = kalman.update(table.state(rows), ltwh_to_measurement(det_boxes), model)
     table.set_state(rows, post)
     table.velocities.record(post, rows)
-    if grid is not None and cfg.enable_mesh:
+    if cfg.enable_mesh:
         # Refinds decrement at the refound location; a track lost in one cell
         # and refound in another leaves both counts shifted, which is allowed.
         for point in _points(*_bottom_middle(det_boxes[status == LOST])):
@@ -228,21 +230,9 @@ def lost_maintain_step(table: TrackTable, rows: np.ndarray, cfg: TrackerConfig,
     virtual proposal stays matchable.
     """
     prior = table.state(rows)
-    post = kalman.update(prior, prior.projected(), model, noise_scale=cfg.lm_noise_scale)
+    post = kalman.update(prior, prior.projected(), model, noise_scale=_LM_NOISE_SCALE)
     table.set_state(rows, post)
     table.last_box[rows] = state_box(post.mean)
-
-
-def _lm_eligible(cell_in_frequent: np.ndarray, cfg: TrackerConfig) -> np.ndarray:
-    if cfg.lm_region_rule == LM_OUTSIDE_FREQUENT:
-        return ~cell_in_frequent
-    return cell_in_frequent
-
-
-def _age_reduced(cell_in_frequent: np.ndarray, cfg: TrackerConfig) -> np.ndarray:
-    if cfg.lm_region_rule == LM_OUTSIDE_FREQUENT:
-        return cell_in_frequent
-    return ~cell_in_frequent
 
 
 def on_missed(
@@ -252,16 +242,16 @@ def on_missed(
     cfg: TrackerConfig,
     model: kalman.MotionModel,
     grid: MeshGrid,
-    frequent: np.ndarray,
 ) -> None:
     """Advance the lifecycle of live rows that got no detection this frame.
 
     ``boxes`` are the rows' predicted [left, top, width, height] boxes (the
-    :func:`state_box` of their means). ``frequent`` is the (cols, rows)
-    boolean mask of frequent-loss cells. The cell lookups work whether or
-    not the mesh feature is on; loss events reach ``grid`` only when it is,
-    one per row entering the lost pool, in row order.
+    :func:`state_box` of their means). The frequent-loss cells are read from
+    ``grid.state``. The cell lookups work whether or not the mesh feature is
+    on; loss events reach ``grid`` only when it is, one per row entering the
+    lost pool, in row order.
     """
+    frequent = grid.state
     status = table.status[rows]
     tentative = status == TENTATIVE
     table.status[rows[tentative]] = REMOVED
@@ -273,7 +263,7 @@ def on_missed(
         maintain = (
             (status != LOST)
             & (table.lm_count[rows] < cfg.lost_maintain_frames)
-            & _lm_eligible(frequent[cell], cfg)
+            & ~frequent[cell]
         )
     kept = rows[maintain]
     if len(kept):
@@ -293,10 +283,7 @@ def on_missed(
             for point in _points(x, y):
                 grid.record_lost(point)
         if cfg.enable_velocity_rollback:
-            rolled, _ = kalman.rollback_velocity(
-                table.state(entering), table.velocities[entering],
-                cfg.vel_rollback, cfg.freeze_size_velocity,
-            )
+            rolled, _ = kalman.rollback_velocity(table.state(entering), table.velocities[entering])
             table.mean[entering] = rolled.mean
         table.status[entering] = LOST
 
@@ -305,7 +292,7 @@ def on_missed(
     effective_age = np.full(len(lost), cfg.max_age)
     if cfg.enable_location_ages:
         i, j = table.lost_cell[lost].T
-        reduced = (i != _NO_CELL) & _age_reduced(frequent[i, j], cfg)
+        reduced = (i != _NO_CELL) & frequent[i, j]
         effective_age[reduced] -= cfg.location_age_reduction
     table.status[lost[lost_count >= effective_age]] = REMOVED
 

@@ -298,3 +298,48 @@ class TestAbsurdMagnitudes:
         assert "beyond" in err
         assert "Traceback" not in err
         assert not res.exists()
+
+    @pytest.mark.parametrize("line", [
+        "agent = spawn:1 despawn:5 size:1e150x1e150 path:100,300@1",
+        "agent = spawn:1 despawn:5 size:20x40 path:100,300@1 3e7,300@5",
+        "occluder = 10,10,40,2e7",
+    ])
+    def test_synth_scene(self, tmp_path, capsys, line):
+        # Such a scene once gave a GT file that the GT reader then rejected.
+        scene = tmp_path / "scene.txt"
+        scene.write_text("frames = 10\n" + line + "\n")
+        gt = tmp_path / "gt.txt"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["synth", "--scene", str(scene), "--out-gt", str(gt),
+                       "--out-dets", str(tmp_path / "dets.txt")])
+        assert rc == 1
+        assert caught == []
+        err = capsys.readouterr().err
+        assert err.startswith("error: scene line 2:") and "beyond 1e+07 px" in err
+        assert "Traceback" not in err
+        assert not gt.exists()
+
+
+_REMOVED_KEYS = ["lm_region_rule", "vel_rollback", "freeze_size_velocity",
+                 "mesh_refresh_interval", "lm_noise_scale"]
+
+
+class TestRemovedKeys:
+    @pytest.mark.parametrize("key", _REMOVED_KEYS)
+    def test_track_config(self, tmp_path, scene_file, capsys, key):
+        _, dets = _synth_files(tmp_path, scene_file)
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"{key} = 1\n")
+        rc = main(["track", "--config", str(cfg), "--dets", str(dets),
+                   "--out", str(tmp_path / "res.txt")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "unknown key" in err
+        assert "Traceback" not in err
+
+    def test_ablate_grid(self, tmp_path, scene_file, capsys):
+        rc = main(["ablate", "--grid", "vel_rollback=mean", "--scene", str(scene_file),
+                   "--out", str(tmp_path / "t.txt")])
+        assert rc == 1
+        assert "unknown grid key" in capsys.readouterr().err

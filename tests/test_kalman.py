@@ -168,40 +168,26 @@ class TestVelocityBuffer:
         buf.record(self.make_state([1, 1, 1, 1]))
         buf.record(self.make_state([9, 9, 9, 9]))
         state = self.make_state([9, 9, 9, 9])
-        out, ok = K.rollback_velocity(state, buf, "oldest")
+        out, ok = K.rollback_velocity(state, buf)
         assert ok
         np.testing.assert_array_equal(out.mean[4:], [1, 1, 1, 1])
         np.testing.assert_array_equal(out.mean[:4], state.mean[:4])
         assert out.blocks is state.blocks
 
-    def test_rollback_mean_mode(self):
-        buf = K.VelocityBuffer(capacity=5)
-        buf.record(self.make_state([0, 0, 0, 0]))
-        buf.record(self.make_state([2, 4, 6, 8]))
-        out, ok = K.rollback_velocity(self.make_state([9, 9, 9, 9]), buf, "mean")
-        assert ok
-        np.testing.assert_array_equal(out.mean[4:], [1, 2, 3, 4])
-
     def test_rollback_idempotent_when_equal(self):
         buf = K.VelocityBuffer(capacity=5)
         buf.record(self.make_state([3, 3, 3, 3]))
         state = self.make_state([3, 3, 3, 3])
-        out, ok = K.rollback_velocity(state, buf, "oldest")
+        out, ok = K.rollback_velocity(state, buf)
         assert ok
         np.testing.assert_array_equal(out.mean, state.mean)
 
     def test_empty_buffer_signals_no_history(self):
         state = self.make_state([1, 2, 3, 4])
-        out, ok = K.rollback_velocity(state, K.VelocityBuffer(capacity=5), "oldest")
+        out, ok = K.rollback_velocity(state, K.VelocityBuffer(capacity=5))
         assert not ok
         assert out is state
 
-    def test_freeze_size_velocity(self):
-        buf = K.VelocityBuffer(capacity=5)
-        buf.record(self.make_state([1, 2, 3, 4]))
-        out, _ = K.rollback_velocity(self.make_state([9, 9, 9, 9]), buf,
-                                     "oldest", freeze_size_velocity=True)
-        np.testing.assert_array_equal(out.mean[4:], [1, 2, 0, 0])
 
 
 class TestRollbackScenario:
@@ -236,7 +222,7 @@ class TestRollbackScenario:
         s = K.update(s, z, model)
         buf.record(s)
 
-        rolled, ok = K.rollback_velocity(s, buf, "oldest")
+        rolled, ok = K.rollback_velocity(s, buf)
         assert ok
         plain = s
         for _ in range(10):

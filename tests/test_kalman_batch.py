@@ -153,10 +153,8 @@ def test_one_singular_row_raises():
 @given(
     records=st.lists(st.integers(0, 2), max_size=12),
     capacity=st.integers(1, 4),
-    mode=st.sampled_from(["oldest", "mean"]),
-    freeze=st.booleans(),
 )
-def test_stacked_rings_equal_single_rings(records, capacity, mode, freeze):
+def test_stacked_rings_equal_single_rings(records, capacity):
     # Three rings filled row by row in a stack against three one-belief
     # buffers fed the same velocities, then rolled back together.
     stack = K.VelocityBuffer(ring=np.zeros((3, capacity, 4)), count=np.zeros(3, dtype=np.int64))
@@ -166,9 +164,8 @@ def test_stacked_rings_equal_single_rings(records, capacity, mode, freeze):
         stack.record(K.KalmanState(mean[None], EYE_BLOCKS[None]), np.array([row]))
         singles[row].record(K.KalmanState(mean, EYE_BLOCKS))
     state = K.KalmanState(np.tile(np.r_[1.0, 2, 3, 4, 9, 9, 9, 9], (3, 1)), np.tile(EYE_BLOCKS, (3, 1, 1)))
-    rolled, held = K.rollback_velocity(state, stack, mode, freeze)
+    rolled, held = K.rollback_velocity(state, stack)
     for row, single in enumerate(singles):
-        one, ok = K.rollback_velocity(K.KalmanState(state.mean[row], state.blocks[row]),
-                                      single, mode, freeze)
+        one, ok = K.rollback_velocity(K.KalmanState(state.mean[row], state.blocks[row]), single)
         assert bool(held[row]) == bool(ok) == (len(single) > 0)
         np.testing.assert_array_equal(rolled.mean[row], one.mean)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from meshsort.geometry import Point2
-from meshsort.mesh import LossThreshold, MeshGrid, MeshSnapshot
+from meshsort.mesh import LossThreshold, MeshGrid
 
 from oracles import recount_mesh_events
 
@@ -185,19 +185,6 @@ class TestSnapshot:
         snap = g.snapshot(42)
         assert snap.counts[0, 0] == 3
         assert snap.counts.sum() == 3
-
-    def test_text_round_trip(self):
-        g = grid44()
-        for _ in range(3):
-            g.record_lost(Point2(100, 100))
-        g.record_lost(Point2(1900, 1000))
-        g.identify(LossThreshold(0.02), 100)
-        snap = g.snapshot(100)
-        back = MeshSnapshot.from_text(snap.to_text())
-        assert back.cols == snap.cols and back.rows == snap.rows
-        assert back.frame == snap.frame
-        np.testing.assert_array_equal(back.counts, snap.counts)
-        assert back.frequent == snap.frequent
 
     def test_text_layout(self):
         g = MeshGrid(3, 2, (300.0, 200.0))

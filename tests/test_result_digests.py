@@ -1,9 +1,8 @@
 """Golden result-file digests of the in-memory synth -> Tracker path.
 
 Each digest is the sha256 of the ``write_results`` file for one scene under
-one tracker configuration (an arm: the full config, the baseline, the full
-config with virtual boxes emitted, and two arms for non-default lifecycle
-paths). They pin the tracker's output byte for byte, so a change to its
+one tracker configuration (an arm: the full config, the baseline, or the
+full config with virtual boxes emitted). They pin the tracker's output byte for byte, so a change to its
 internals (state layout, batching, box conversions) that is meant to keep
 outputs must leave every digest as it is. A change that is meant to alter
 outputs updates the table and says why.
@@ -28,8 +27,6 @@ FAMILIES = {
 ARMS = {
     "full": {},
     "virtual": dict(emit_virtual=True),
-    "mean_rollback": dict(vel_rollback="mean", freeze_size_velocity=True, vel_buffer_len=3),
-    "inside_frequent": dict(lm_region_rule="inside_frequent", min_hits=1, emit_virtual=True),
 }
 
 
@@ -108,12 +105,6 @@ GOLDEN = {
     ("crossing", 5, "full"): "116dd80c5c7cbb8ec344cd228ee482700c5a7ed29da4c4b1da586854ec28c1a0",
     ("crossing", 5, "baseline"): "00715c250f1abed62c93e0e7de1b8331a6b90fab85e1404384df0ea14ce38496",
     ("crossing", 5, "virtual"): "93ad56e61023a6a0d1eabc1e421a6edeeab07d0c133eaf1032aebc99ec98ad11",
-    ("rollback", 1, "mean_rollback"): "d11e84108f41d83b01b459003b8db0169a4f606586b26560173132a17b4a5a1c",
-    ("rollback", 2, "mean_rollback"): "f74f6c60bb987e42bdd581046e8482e6d284f83630824c36f355c93169576c76",
-    ("transient", 1, "inside_frequent"): "bcce76c0ca912e4e1be5ac7c294c408b4028a0b8f8c4cb8cc24e980e26c611bb",
-    ("transient", 2, "inside_frequent"): "a53e90fe42b7ba5b9e50c5349a8d6c16851a6eee5a210fae106c4d619475fe3e",
-    ("exit", 1, "inside_frequent"): "b8b11dc7bda0b967826e0ccef988158c9622abf077a9fb2118fd284f85de9f06",
-    ("exit", 2, "inside_frequent"): "2c2283474d28248961a0b21d9c486177c812a015e7b63f0ce42e69035865b6cc",
 }
 
 THROUGHPUT_GOLDEN = "76ff095e8543dcf3581e7fddd5555ce1465899bc1be454614431637bf0d5c7a1"

@@ -60,10 +60,10 @@ def match(t, b, conf, c, model, g):
 
 
 def miss(t, c, model, g, frequent):
-    mask = np.zeros((g.cols, g.rows), dtype=bool)
+    g.state = np.zeros((g.cols, g.rows), dtype=bool)
     for cell in frequent:
-        mask[cell] = True
-    on_missed(t, ROW, state_box(t.mean), c, model, g, mask)
+        g.state[cell] = True
+    on_missed(t, ROW, state_box(t.mean), c, model, g)
 
 
 def predict(t, model):
@@ -215,14 +215,6 @@ class TestOnMissed:
         set_velocity(t, [99.0, 0, 0, 0])
         miss(t, c, model, grid(), frozenset())
         assert t.view(0).kf.mean[4] == 99.0
-
-    def test_inverted_region_rule(self):
-        c = cfg(lm_region_rule="inside_frequent")
-        t, model = make_tracked(c)
-        g = grid()
-        frequent = frozenset({g.cell_of(bottom_middle(t.view(0).last_box))})
-        miss(t, c, model, g, frequent)
-        assert t.view(0).status is TrackStatus.LOST_MAINTAINED
 
 
 class TestLostMaintainStep:
