@@ -7,15 +7,26 @@ Detection and result lines carry ten comma-separated fields::
 Ground-truth lines carry nine: frame,id,left,top,width,height,flag,class,
 visibility; only active (flag 1) class-1 rows are kept. Reals are written
 with two decimals so byte-identical reruns diff cleanly.
+
+A reader parses the whole file in one numeric pass and checks every row with
+array masks. Only when that pass fails or a mask is set is the file read
+again line by line (:func:`_rows` plus the reader's own line check), which
+raises the first bad line's :class:`ParseError` or, for what only the line
+grammar accepts (whitespace-only lines, ``1_0``), returns the rows. A writer
+formats the whole file in one ``%`` call.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import warnings
 from collections import defaultdict
+from itertools import chain
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable
+
+import numpy as np
 
 from .config import TrackerConfig
 from .geometry import MAX_COORD, BoundingBox
@@ -35,18 +46,25 @@ class ParseError(ValueError):
 # The detection reader yields every frame up to the last one in the file, so
 # a frame index far past any video would allocate one empty frame per index.
 _MAX_FRAME = 1_000_000
+# Ids must stay exact in a float64: from 2**53 on, neighbouring ids read as one.
+_MAX_ID = 2.0 ** 53
+_ID = 1  # the id column, bounded by _MAX_ID where it is a whole-number field
 
 
 def _rows(path, n_fields: int, whole: dict[int, str]):
     """Yield ``(lineno, fields)`` for each non-blank line of a MOT file.
 
-    Every field must be a finite number, the fields named in ``whole`` whole
-    numbers, the frame index (field 0) lie in [1, ``_MAX_FRAME``], and no box
-    field (2-5: left, top, width, height) exceed ``MAX_COORD`` in magnitude
-    (a negative size is left to the size checks).
+    Every byte must be ASCII, every field a finite number, the fields named in
+    ``whole`` whole numbers (an id also below ``_MAX_ID`` in magnitude), the
+    frame index (field 0) lie in [1, ``_MAX_FRAME``], and no box field (2-5:
+    left, top, width, height) exceed ``MAX_COORD`` in magnitude (a negative
+    size is left to the size checks).
     """
-    with open(path, "r", encoding="ascii") as fh:
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
+            if not raw.isascii():
+                byte = next(ord(c) - 0xDC00 for c in raw if not c.isascii())
+                raise ParseError(path, lineno, f"non-ASCII byte {byte:#04x}")
             line = raw.strip()
             if not line:
                 continue
@@ -60,7 +78,7 @@ def _rows(path, n_fields: int, whole: dict[int, str]):
             if not all(map(math.isfinite, values)):
                 raise _field_error(path, lineno, parts)
             for k, name in whole.items():
-                if not values[k].is_integer():
+                if not values[k].is_integer() or (k == _ID and abs(values[k]) >= _MAX_ID):
                     raise ParseError(path, lineno, f"bad {name} {parts[k]}")
             if not 1 <= values[0] <= _MAX_FRAME:
                 raise ParseError(path, lineno, f"bad frame index {parts[0]}")
@@ -82,45 +100,126 @@ def _field_error(path, lineno: int, parts: list[str]) -> ParseError:
             return ParseError(path, lineno, f"non-finite field {part!r}")
 
 
-def _box(path, lineno: int, v: list[float]) -> BoundingBox:
+def _bad_fields(table: np.ndarray, whole: dict[int, str]) -> np.ndarray:
+    """Row mask of :func:`_rows`' checks after the field count."""
+    bad = ~np.isfinite(table).all(axis=1)
+    for k in whole:
+        bad |= table[:, k] != np.floor(table[:, k])
+    if _ID in whole:
+        bad |= np.abs(table[:, _ID]) >= _MAX_ID
+    bad |= (table[:, 0] < 1) | (table[:, 0] > _MAX_FRAME)
+    bad |= (np.abs(table[:, 2:4]) > MAX_COORD).any(axis=1) | (table[:, 4:6] > MAX_COORD).any(axis=1)
+    return bad
+
+
+def _table(path, n_fields: int, whole: dict[int, str],
+           bad_rows: Callable[[np.ndarray], np.ndarray],
+           check_line: Callable[[int, list[float]], None]) -> np.ndarray:
+    """Every non-blank line of a MOT file as one row of an ``(n, n_fields)`` float64 array.
+
+    ``bad_rows`` masks the rows that fail the reader's own checks, and
+    ``check_line`` raises the same failures for one line. The line reader
+    runs only when the numeric pass raises (or warns: an empty file) or a
+    mask is set.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = np.loadtxt(path, delimiter=",", comments=None, ndmin=2, encoding="ascii")
+        clean = table.shape[1] == n_fields and not (_bad_fields(table, whole) | bad_rows(table)).any()
+    except (ValueError, Warning):  # a non-ASCII byte, a field float() or loadtxt rejects, no rows
+        clean = False
+    if clean:
+        return table
+    rows = []
+    for lineno, values in _rows(path, n_fields, whole):
+        check_line(lineno, values)
+        rows.append(values)
+    return np.array(rows, dtype=np.float64).reshape(-1, n_fields)
+
+
+def _bad_size(table: np.ndarray) -> np.ndarray:
+    return (table[:, 4] <= 0) | (table[:, 5] <= 0)
+
+
+def _check_size(path, lineno: int, v: list[float]) -> None:
     if v[4] <= 0 or v[5] <= 0:
         raise ParseError(path, lineno, "non-positive box size")
-    return BoundingBox(v[2], v[3], v[4], v[5])
 
 
-def _trajectories(path, rows) -> TrajectorySet:
-    trajs: TrajectorySet = defaultdict(dict)
-    for lineno, v in rows:
-        box = _box(path, lineno, v)
-        frame, tid = int(v[0]), int(v[1])
-        if frame in trajs[tid]:
-            raise ParseError(path, lineno, f"duplicate frame {frame} for id {tid}")
-        trajs[tid][frame] = box
-    return dict(trajs)
+def _outside_unit(column: np.ndarray) -> np.ndarray:
+    return ~((column >= 0.0) & (column <= 1.0))
+
+
+def _repeats(table: np.ndarray) -> np.ndarray:
+    """Row mask of ``(frame, id)`` pairs already seen on an earlier row."""
+    order = np.lexsort((table[:, 0], table[:, 1]))  # stable: equal pairs keep file order
+    frame, tid = table[order, 0], table[order, 1]
+    repeat = np.zeros(len(table), dtype=bool)
+    repeat[order[1:]] = (frame[1:] == frame[:-1]) & (tid[1:] == tid[:-1])
+    return repeat
+
+
+def _bad_track_rows(table: np.ndarray) -> np.ndarray:
+    """Row mask of :func:`_check_track_line` for the rows a trajectory keeps."""
+    return _bad_size(table) | _repeats(table)
+
+
+def _check_track_line(path, lineno: int, v: list[float], seen: set[tuple[int, int]]) -> None:
+    """A kept trajectory line has a positive size and a ``(frame, id)`` not in ``seen``."""
+    _check_size(path, lineno, v)
+    key = (int(v[0]), int(v[1]))
+    if key in seen:
+        raise ParseError(path, lineno, f"duplicate frame {key[0]} for id {key[1]}")
+    seen.add(key)
+
+
+def _boxes(ltwh: np.ndarray) -> list[BoundingBox]:
+    return list(map(BoundingBox, *ltwh.T.tolist()))
+
+
+def _trajectories(table: np.ndarray, kept: np.ndarray | slice = slice(None)) -> TrajectorySet:
+    """The ``kept`` rows as ``{id: {frame: box}}``.
+
+    Ids come in order of first appearance, and each id's frames in file order.
+    """
+    trajs: TrajectorySet = {}
+    ids, frames = table[kept, 1].astype(np.int64).tolist(), table[kept, 0].astype(np.int64).tolist()
+    for tid, frame, box in zip(ids, frames, _boxes(table[kept, 2:6])):
+        trajs.setdefault(tid, {})[frame] = box
+    return trajs
 
 
 def parse_detections(path) -> list[FrameDetections]:
     """Read a detection file into one group per frame, from frame 1 to the last in the file.
 
     Frames without detection lines get an empty group, so the tracker ages
-    its tracks over them. The id column is ignored; confidences must lie in
-    [0, 1].
+    its tracks over them; within a frame, detections keep their file order.
+    The id column is ignored; confidences must lie in [0, 1].
     """
-    by_frame: dict[int, list[Detection]] = defaultdict(list)
-    for lineno, v in _rows(path, 10, {0: "frame index"}):
-        box = _box(path, lineno, v)
+    def check_line(lineno: int, v: list[float]) -> None:
+        _check_size(path, lineno, v)
         if not 0.0 <= v[6] <= 1.0:
             raise ParseError(path, lineno, f"confidence {v[6]} outside [0, 1]")
-        by_frame[int(v[0])].append(Detection(box, v[6]))
+
+    table = _table(path, 10, {0: "frame index"},
+                   lambda t: _bad_size(t) | _outside_unit(t[:, 6]), check_line)
+    table = table[np.argsort(table[:, 0], kind="stable")]
+    frames = table[:, 0].astype(np.int64)
+    last = int(frames[-1]) if len(frames) else 0
+    bounds = np.searchsorted(frames, np.arange(1, last + 2)).tolist()
+    dets = list(map(Detection, _boxes(table[:, 2:6]), table[:, 6].tolist()))
     return [
-        FrameDetections(index=frame, detections=tuple(by_frame.get(frame, ())))
-        for frame in range(1, max(by_frame, default=0) + 1)
+        FrameDetections(index=frame, detections=tuple(dets[lo:hi]))
+        for frame, lo, hi in zip(range(1, last + 1), bounds, bounds[1:])
     ]
 
 
 def parse_results(path) -> TrajectorySet:
     """Read a result file (same 10-field grammar, real ids) as trajectories."""
-    return _trajectories(path, _rows(path, 10, {0: "frame index", 1: "id"}))
+    seen: set[tuple[int, int]] = set()
+    return _trajectories(_table(path, 10, {0: "frame index", 1: "id"}, _bad_track_rows,
+                                lambda lineno, v: _check_track_line(path, lineno, v, seen)))
 
 
 def parse_ground_truth(path) -> TrajectorySet:
@@ -128,47 +227,62 @@ def parse_ground_truth(path) -> TrajectorySet:
 
     The visibility column is validated but not used for filtering.
     """
-    def active():
-        for lineno, v in _rows(path, 9, {0: "frame index", 1: "id", 6: "flag", 7: "class"}):
-            if not 0.0 <= v[8] <= 1.0:
-                raise ParseError(path, lineno, f"visibility {v[8]} outside [0, 1]")
-            if v[6] == 1 and v[7] == 1:
-                yield lineno, v
+    def active(table: np.ndarray) -> np.ndarray:
+        return (table[:, 6] == 1) & (table[:, 7] == 1)
 
-    return _trajectories(path, active())
+    def bad_rows(table: np.ndarray) -> np.ndarray:
+        bad = _outside_unit(table[:, 8])
+        kept = active(table)
+        bad[kept] |= _bad_track_rows(table[kept])
+        return bad
+
+    seen: set[tuple[int, int]] = set()
+
+    def check_line(lineno: int, v: list[float]) -> None:
+        if not 0.0 <= v[8] <= 1.0:
+            raise ParseError(path, lineno, f"visibility {v[8]} outside [0, 1]")
+        if v[6] == 1 and v[7] == 1:
+            _check_track_line(path, lineno, v, seen)
+
+    table = _table(path, 9, {0: "frame index", 1: "id", 6: "flag", 7: "class"}, bad_rows, check_line)
+    return _trajectories(table, active(table))
 
 
-def _write(path, rows) -> None:
-    """One line per ``(frame, id, box, tail)`` row, box reals at two decimals."""
-    Path(path).write_text("".join([
-        f"{frame},{tid},{b.left:.2f},{b.top:.2f},{b.width:.2f},{b.height:.2f},{tail}\n"
-        for frame, tid, b, tail in rows
-    ]), encoding="ascii")
+# One line per row: frame, id, the box at two decimals, then the format's tail.
+_SCORED_LINE = "%s,%s,%.2f,%.2f,%.2f,%.2f,%.2f,-1,-1,-1\n"
+_GT_LINE = "%s,%s,%.2f,%.2f,%.2f,%.2f,1,1,1.00\n"
+
+
+def _write(path, line: str, fields: tuple) -> None:
+    """Write ``line``, one ``%`` directive per field, once per row of ``fields`` laid end to end."""
+    n_rows = len(fields) // line.count("%")
+    Path(path).write_text((line * n_rows) % fields, encoding="ascii")
 
 
 def write_results(path, outputs: Iterable[FrameOutput]) -> None:
     """One line per (frame, id), frames then ids ascending, reals at 2 decimals."""
-    _write(path, [
-        (fo.index, rec.track_id, rec.box, f"{rec.score:.2f},-1,-1,-1")
+    _write(path, _SCORED_LINE, tuple(chain.from_iterable(
+        (fo.index, rec.track_id, rec.box.left, rec.box.top, rec.box.width, rec.box.height, rec.score)
         for fo in sorted(outputs, key=lambda fo: fo.index)
         for rec in sorted(fo.records, key=lambda r: r.track_id)
-    ])
+    )))
 
 
 def write_detections(path, frames: Iterable[FrameDetections]) -> None:
     """One line per detection, frames ascending; a frame without detections writes nothing."""
-    _write(path, [
-        (fd.index, -1, det.box, f"{det.score:.2f},-1,-1,-1")
+    _write(path, _SCORED_LINE, tuple(chain.from_iterable(
+        (fd.index, -1, det.box.left, det.box.top, det.box.width, det.box.height, det.score)
         for fd in sorted(frames, key=lambda fd: fd.index)
         for det in fd.detections
-    ])
+    )))
 
 
 def write_ground_truth(path, trajs: TrajectorySet) -> None:
     """One active class-1 line per (frame, id), ascending, visibility 1."""
-    _write(path, sorted(
-        (frame, tid, box, "1,1,1.00") for tid, per_frame in trajs.items() for frame, box in per_frame.items()
-    ))
+    rows = sorted((frame, tid, box) for tid, per_frame in trajs.items() for frame, box in per_frame.items())
+    _write(path, _GT_LINE, tuple(chain.from_iterable(
+        (frame, tid, box.left, box.top, box.width, box.height) for frame, tid, box in rows
+    )))
 
 
 class ConfigError(ValueError):

@@ -12,7 +12,10 @@ kept as it was: it rebuilds every nearer agent's box for every agent and
 frame, and shares the PRNG, ``covered_fraction`` and the noise model with the
 library. The reference Kalman filter is the general dense 8×8 filter the
 per-slot block filter replaced; it shares the motion model's noise variances
-and the height clamp with the library.
+and the height clamp with the library. The reference MOT readers and writers
+are the per-line ones the whole-file readers and writers replaced, kept as
+they were; they share ``ParseError``, ``MAX_COORD`` and the public frame and
+box types with the library.
 """
 
 from __future__ import annotations
@@ -20,11 +23,13 @@ from __future__ import annotations
 import itertools
 import math
 from collections import defaultdict
+from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from meshsort.geometry import BoundingBox, boxes_to_ltrb, iou_matrix
+from meshsort.geometry import MAX_COORD, BoundingBox, boxes_to_ltrb, iou_matrix
 from meshsort.kalman import _measurement_height
 from meshsort.metrics import (
     HOTA_ALPHAS,
@@ -33,7 +38,8 @@ from meshsort.metrics import (
     MetricsReport,
     TrajectorySet,
 )
-from meshsort.pipeline import Detection, FrameDetections
+from meshsort.motfiles import ParseError
+from meshsort.pipeline import Detection, FrameDetections, FrameOutput
 from meshsort.synth import (
     SceneConfig,
     Xoshiro256StarStar,
@@ -639,3 +645,142 @@ def reference_kalman_update(mean: np.ndarray, cov: np.ndarray, z: np.ndarray, mo
     innovation = z - mean[..., :4]
     out_mean = mean + (gain @ innovation[..., None])[..., 0]
     return out_mean, _dense_symmetrized(cov - gain @ cov[..., :4, :])
+
+
+# The reference detection reader yields every frame up to the last one in the file, so
+# a frame index far past any video would allocate one empty frame per index.
+_REF_MAX_FRAME = 1_000_000
+
+
+def _ref_rows(path, n_fields: int, whole: dict[int, str]):
+    """Yield ``(lineno, fields)`` for each non-blank line of a MOT file.
+
+    Every field must be a finite number, the fields named in ``whole`` whole
+    numbers, the frame index (field 0) lie in [1, ``_REF_MAX_FRAME``], and no box
+    field (2-5: left, top, width, height) exceed ``MAX_COORD`` in magnitude
+    (a negative size is left to the size checks).
+    """
+    with open(path, "r", encoding="ascii") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            parts = line.split(",")
+            if len(parts) != n_fields:
+                raise ParseError(path, lineno, f"expected {n_fields} fields, got {len(parts)}")
+            try:
+                values = list(map(float, parts))
+            except ValueError:
+                raise _ref_field_error(path, lineno, parts) from None
+            if not all(map(math.isfinite, values)):
+                raise _ref_field_error(path, lineno, parts)
+            for k, name in whole.items():
+                if not values[k].is_integer():
+                    raise ParseError(path, lineno, f"bad {name} {parts[k]}")
+            if not 1 <= values[0] <= _REF_MAX_FRAME:
+                raise ParseError(path, lineno, f"bad frame index {parts[0]}")
+            if (abs(values[2]) > MAX_COORD or abs(values[3]) > MAX_COORD
+                    or values[4] > MAX_COORD or values[5] > MAX_COORD):
+                field = next(p for p, v in zip(parts[2:6], values[2:6]) if abs(v) > MAX_COORD)
+                raise ParseError(path, lineno, f"box field {field} beyond {MAX_COORD:g} px")
+            yield lineno, values
+
+
+def _ref_field_error(path, lineno: int, parts: list[str]) -> ParseError:
+    """The error naming the first of a line's fields that is not a finite number."""
+    for part in parts:
+        try:
+            value = float(part)
+        except ValueError:
+            return ParseError(path, lineno, f"non-numeric field {part!r}")
+        if not math.isfinite(value):
+            return ParseError(path, lineno, f"non-finite field {part!r}")
+
+
+def _ref_box(path, lineno: int, v: list[float]) -> BoundingBox:
+    if v[4] <= 0 or v[5] <= 0:
+        raise ParseError(path, lineno, "non-positive box size")
+    return BoundingBox(v[2], v[3], v[4], v[5])
+
+
+def _ref_trajectories(path, rows) -> TrajectorySet:
+    trajs: TrajectorySet = defaultdict(dict)
+    for lineno, v in rows:
+        box = _ref_box(path, lineno, v)
+        frame, tid = int(v[0]), int(v[1])
+        if frame in trajs[tid]:
+            raise ParseError(path, lineno, f"duplicate frame {frame} for id {tid}")
+        trajs[tid][frame] = box
+    return dict(trajs)
+
+
+def reference_parse_detections(path) -> list[FrameDetections]:
+    """Read a detection file into one group per frame, from frame 1 to the last in the file.
+
+    Frames without detection lines get an empty group, so the tracker ages
+    its tracks over them. The id column is ignored; confidences must lie in
+    [0, 1].
+    """
+    by_frame: dict[int, list[Detection]] = defaultdict(list)
+    for lineno, v in _ref_rows(path, 10, {0: "frame index"}):
+        box = _ref_box(path, lineno, v)
+        if not 0.0 <= v[6] <= 1.0:
+            raise ParseError(path, lineno, f"confidence {v[6]} outside [0, 1]")
+        by_frame[int(v[0])].append(Detection(box, v[6]))
+    return [
+        FrameDetections(index=frame, detections=tuple(by_frame.get(frame, ())))
+        for frame in range(1, max(by_frame, default=0) + 1)
+    ]
+
+
+def reference_parse_results(path) -> TrajectorySet:
+    """Read a result file (same 10-field grammar, real ids) as trajectories."""
+    return _ref_trajectories(path, _ref_rows(path, 10, {0: "frame index", 1: "id"}))
+
+
+def reference_parse_ground_truth(path) -> TrajectorySet:
+    """Read a ground-truth file; keeps active class-1 rows only.
+
+    The visibility column is validated but not used for filtering.
+    """
+    def active():
+        for lineno, v in _ref_rows(path, 9, {0: "frame index", 1: "id", 6: "flag", 7: "class"}):
+            if not 0.0 <= v[8] <= 1.0:
+                raise ParseError(path, lineno, f"visibility {v[8]} outside [0, 1]")
+            if v[6] == 1 and v[7] == 1:
+                yield lineno, v
+
+    return _ref_trajectories(path, active())
+
+
+def _ref_write(path, rows) -> None:
+    """One line per ``(frame, id, box, tail)`` row, box reals at two decimals."""
+    Path(path).write_text("".join([
+        f"{frame},{tid},{b.left:.2f},{b.top:.2f},{b.width:.2f},{b.height:.2f},{tail}\n"
+        for frame, tid, b, tail in rows
+    ]), encoding="ascii")
+
+
+def reference_write_results(path, outputs: Iterable[FrameOutput]) -> None:
+    """One line per (frame, id), frames then ids ascending, reals at 2 decimals."""
+    _ref_write(path, [
+        (fo.index, rec.track_id, rec.box, f"{rec.score:.2f},-1,-1,-1")
+        for fo in sorted(outputs, key=lambda fo: fo.index)
+        for rec in sorted(fo.records, key=lambda r: r.track_id)
+    ])
+
+
+def reference_write_detections(path, frames: Iterable[FrameDetections]) -> None:
+    """One line per detection, frames ascending; a frame without detections writes nothing."""
+    _ref_write(path, [
+        (fd.index, -1, det.box, f"{det.score:.2f},-1,-1,-1")
+        for fd in sorted(frames, key=lambda fd: fd.index)
+        for det in fd.detections
+    ])
+
+
+def reference_write_ground_truth(path, trajs: TrajectorySet) -> None:
+    """One active class-1 line per (frame, id), ascending, visibility 1."""
+    _ref_write(path, sorted(
+        (frame, tid, box, "1,1,1.00") for tid, per_frame in trajs.items() for frame, box in per_frame.items()
+    ))

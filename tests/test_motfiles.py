@@ -1,7 +1,9 @@
+import warnings
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from meshsort import scenarios, synth
+from meshsort import motfiles, scenarios, synth
 from meshsort.config import TrackerConfig
 from meshsort.geometry import BoundingBox
 from meshsort.motfiles import (
@@ -243,6 +245,96 @@ class TestParseGroundTruth:
         p.write_text("1,1,10,20,30,40,1,1,1.0\n1,1,11,20,30,40,1,1,1.0\n")
         with pytest.raises(ParseError, match="duplicate"):
             parse_ground_truth(p)
+
+
+class TestIdBound:
+    # Above 2**53 a float64 cannot tell neighbouring ids apart: 2**53 + 1 read
+    # as 2**53, and two ids on one frame read as a duplicate.
+    @pytest.mark.parametrize("ids,text", [
+        (["9007199254740993", "9007199254740992"], "9007199254740993"),
+        (["1", "9007199254740993"], "9007199254740993"),
+        (["1", "9007199254740992"], "9007199254740992"),
+        (["1", "1e300"], "1e300"),
+        (["1", "-9007199254740993"], "-9007199254740993"),
+    ])
+    @pytest.mark.parametrize("kind", ["res", "gt"])
+    def test_id_beyond_2_53_rejected(self, tmp_path, kind, ids, text):
+        tail = "1,1,1.0" if kind == "gt" else "0.9,-1,-1,-1"
+        p = tmp_path / f"{kind}.txt"
+        p.write_text("".join(f"1,{tid},10,20,30,40,{tail}\n" for tid in ids))
+        read = parse_ground_truth if kind == "gt" else parse_results
+        with pytest.raises(ParseError) as err:
+            read(p)
+        lineno = ids.index(text) + 1
+        assert str(err.value) == f"{p}:{lineno}: bad id {text}"
+        assert err.value.lineno == lineno
+
+    @pytest.mark.parametrize("kind", ["res", "gt"])
+    def test_largest_exact_ids_kept(self, tmp_path, kind):
+        tail = "1,1,1.0" if kind == "gt" else "0.9,-1,-1,-1"
+        p = tmp_path / f"{kind}.txt"
+        p.write_text(f"1,9007199254740991,10,20,30,40,{tail}\n1,-9007199254740991,10,20,30,40,{tail}\n")
+        read = parse_ground_truth if kind == "gt" else parse_results
+        assert list(read(p)) == [2**53 - 1, -(2**53 - 1)]
+
+    def test_detection_id_column_still_ignored(self, tmp_path):
+        p = tmp_path / "det.txt"
+        p.write_text("1,1e300,10,20,30,40,0.9,-1,-1,-1\n")
+        assert len(parse_detections(p)[0].detections) == 1
+
+
+class TestNonAscii:
+    # These once escaped as "'ascii' codec can't decode byte ..." with no
+    # file or line.
+    def test_detection_byte_named_with_its_line(self, tmp_path):
+        p = tmp_path / "det.txt"
+        p.write_bytes(b"1,-1,10,20,30,40,0.9,-1,-1,-1\n2,-1,10,20,30,40,0.9\xc2\xa0,-1,-1,-1\n")
+        with pytest.raises(ParseError) as err:
+            parse_detections(p)
+        assert str(err.value) == f"{p}:2: non-ASCII byte 0xc2"
+        assert err.value.lineno == 2
+
+    def test_gt_byte_order_mark(self, tmp_path):
+        p = tmp_path / "gt.txt"
+        p.write_bytes(b"\xef\xbb\xbf1,1,10,20,30,40,1,1,1.0\n")
+        with pytest.raises(ParseError) as err:
+            parse_ground_truth(p)
+        assert str(err.value) == f"{p}:1: non-ASCII byte 0xef"
+
+    def test_earlier_bad_line_wins(self, tmp_path):
+        p = tmp_path / "res.txt"
+        p.write_bytes(b"1,1,10,20,30,40,0.9,-1,-1,-1\n1,1,10,20,30,40,0.9,-1,-1,-1\n\xff\n")
+        with pytest.raises(ParseError, match="duplicate frame 1 for id 1") as err:
+            parse_results(p)
+        assert err.value.lineno == 2
+
+
+class TestNumericPass:
+    @pytest.mark.parametrize("text", ["", "\n\n\n", "\r\n  \n\t\n"])
+    @pytest.mark.parametrize("read", [parse_detections, parse_results, parse_ground_truth])
+    def test_no_rows_no_warning(self, tmp_path, text, read):
+        p = tmp_path / "f.txt"
+        p.write_bytes(text.encode())
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert not read(p)
+        assert caught == []
+
+    def test_clean_files_never_reach_the_line_reader(self, tmp_path, monkeypatch):
+        scene = scenarios.transient_occlusion_scene(1)
+        gt, frames = synth.generate(scene)
+        write_ground_truth(tmp_path / "gt.txt", gt)
+        write_detections(tmp_path / "dets.txt", frames)
+        outputs = run(TrackerConfig(), frames)
+        write_results(tmp_path / "res.txt", outputs)
+
+        def fail(*args):
+            raise AssertionError("line reader ran on a clean file")
+
+        monkeypatch.setattr(motfiles, "_rows", fail)
+        assert parse_ground_truth(tmp_path / "gt.txt")
+        assert parse_detections(tmp_path / "dets.txt")
+        assert parse_results(tmp_path / "res.txt")
 
 
 records = st.lists(
