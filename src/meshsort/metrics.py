@@ -1,22 +1,25 @@
 """Tracking evaluation: CLEAR accuracy, identity F1, and higher-order accuracy.
 
-Trajectories are plain dicts ``{track_id: {frame: BoundingBox}}`` so that both
-parsed ground-truth files and tracker outputs evaluate through the same path.
+Trajectories are a :class:`TrajectorySet`: one flat ``(frame, id, ltwh box)``
+table, read as ``{track_id: {frame: BoundingBox}}``. Parsed ground-truth and
+result files, generated scenes and tracker outputs all arrive as one; a plain
+dict of that shape is converted once on entry, so every input takes the same
+path.
 Frame-level correspondence keeps previous-frame pairs alive while they still
 overlap (persistence bias), which is what makes switch and fragmentation
 counts meaningful.
 
 All three metrics read one sweep of the sequence: each frame's overlaps are
 computed once and kept sparse, as the nonzero (gt, result) entries. The sweep
-is built from flat arrays: every box of a trajectory set is read once, and one
-sort by (frame, id) lays the boxes out frame by frame. HOTA runs an assignment
-only over the boxes that eligible pairs share, one block per frame.
+is built from the tables' arrays: one sort by (frame, id) lays the boxes out
+frame by frame. HOTA runs an assignment only over the boxes that eligible
+pairs share, one block per frame.
 """
 
 from __future__ import annotations
 
 import math
-from collections import defaultdict
+from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -25,7 +28,109 @@ from scipy.optimize import linear_sum_assignment
 
 from .geometry import BoundingBox, boxes_to_ltrb, iou_matrix, ltwh_to_ltrb
 
-TrajectorySet = dict[int, dict[int, BoundingBox]]
+
+class TrajectorySet(Mapping):
+    """Trajectories as ``{track_id: {frame: BoundingBox}}``, read-only, over one flat table.
+
+    Rows are grouped by id: ``ids`` holds each id once, in order of first
+    appearance, and id ``ids[k]`` owns rows ``start[k]:start[k + 1]`` of
+    ``frames`` and ``boxes`` (``(n, 4)`` ltwh), in input order. An id may own
+    no rows. An id is looked up in an index of these row ranges, and a frame
+    by binary search within its id's rows; a box is built each time it is
+    read and is not kept.
+    """
+
+    __slots__ = ("ids", "start", "frames", "boxes", "_rows_of", "_by_frame", "_frame_sorted")
+
+    def __init__(self, ids: np.ndarray, counts: np.ndarray, frames: np.ndarray, boxes: np.ndarray):
+        """Rows already grouped by id: ``counts[k]`` rows for ``ids[k]``, ids distinct."""
+        self.ids, self.frames, self.boxes = ids, frames, boxes
+        self.start = np.concatenate(([0], np.cumsum(counts))).astype(np.intp)
+        bounds = self.start.tolist()
+        self._rows_of = dict(zip(ids.tolist(), zip(bounds, bounds[1:])))
+        owner = np.repeat(np.arange(len(ids)), counts)
+        self._by_frame = np.lexsort((frames, owner))  # each id's rows, frames ascending
+        frame, owner = frames[self._by_frame], owner[self._by_frame]
+        repeat = np.flatnonzero((frame[1:] == frame[:-1]) & (owner[1:] == owner[:-1]))
+        if len(repeat):
+            raise ValueError(f"duplicate frame {frame[repeat[0]]} for id {ids[owner[repeat[0]]]}")
+        self._frame_sorted = frame
+
+    @classmethod
+    def from_rows(cls, frames: np.ndarray, ids: np.ndarray, boxes: np.ndarray) -> "TrajectorySet":
+        """One row per ``(frame, id, ltwh box)``, in any order."""
+        uniq, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+        order = np.argsort(first)  # the distinct ids by first appearance
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        rows = np.argsort(rank[inverse], kind="stable")
+        return cls(uniq[order], np.bincount(rank[inverse], minlength=len(uniq)), frames[rows], boxes[rows])
+
+    @classmethod
+    def of(cls, trajs) -> "TrajectorySet":
+        """``trajs`` itself, or the table of a ``{track_id: {frame: box}}`` mapping."""
+        if isinstance(trajs, TrajectorySet):
+            return trajs
+        pers = list(trajs.values())
+        return cls(np.array(list(trajs), dtype=np.int64), np.array([len(p) for p in pers], dtype=np.intp),
+                   np.array([f for p in pers for f in p], dtype=np.int64),
+                   np.array([b.as_ltwh() for p in pers for b in p.values()], dtype=np.float64).reshape(-1, 4))
+
+    def __getitem__(self, tid) -> "_Track":
+        return _Track(self, *self._rows_of[tid])
+
+    def __iter__(self):
+        return iter(self.ids.tolist())
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __repr__(self) -> str:
+        return f"TrajectorySet({ {tid: dict(per.items()) for tid, per in self.items()} !r})"
+
+
+class _Track(Mapping):
+    """One id's ``{frame: BoundingBox}``: a row range of a :class:`TrajectorySet`."""
+
+    __slots__ = ("_set", "_lo", "_hi")
+
+    def __init__(self, trajs: TrajectorySet, lo: int, hi: int):
+        self._set, self._lo, self._hi = trajs, lo, hi
+
+    def _row(self, frame) -> int:
+        ts, hi = self._set, self._hi
+        i = self._lo + ts._frame_sorted[self._lo : hi].searchsorted(frame)
+        if i == hi or ts._frame_sorted[i] != frame:
+            raise KeyError(frame)
+        return ts._by_frame[i]
+
+    def __getitem__(self, frame) -> BoundingBox:
+        return BoundingBox(*self._set.boxes[self._row(frame)].tolist())
+
+    def __contains__(self, frame) -> bool:
+        try:
+            self._row(frame)
+        except KeyError:
+            return False
+        return True
+
+    def __iter__(self):
+        return iter(self._set.frames[self._lo : self._hi].tolist())
+
+    def __len__(self) -> int:
+        return self._hi - self._lo
+
+    def items(self):
+        return _TrackItems(self)
+
+
+class _TrackItems(ItemsView):
+    """A track's ``(frame, box)`` pairs, read in one pass rather than looked up frame by frame."""
+
+    def __iter__(self):
+        track = self._mapping
+        return zip(track, map(BoundingBox, *track._set.boxes[track._lo : track._hi].T.tolist()))
+
 
 HOTA_ALPHAS = tuple(round(0.05 * k, 2) for k in range(1, 20))
 
@@ -98,34 +203,25 @@ def _flat_boxes(trajs: TrajectorySet) -> tuple[list[int], np.ndarray, np.ndarray
 
     Boxes come out ordered by frame, then rank.
     """
-    ids = sorted(trajs)
-    frames: list[int] = []
-    ranks: list[int] = []
-    ltwh: list[float] = []
-    for rank, tid in enumerate(ids):
-        per = trajs[tid]
-        frames += per
-        ranks += [rank] * len(per)
-        for box in per.values():
-            ltwh += box.as_ltwh()
-    order = np.lexsort((ranks, frames))
-    boxes = np.array(ltwh, dtype=np.float64).reshape(-1, 4)[order]
+    ids = np.sort(trajs.ids)
+    ranks = np.repeat(np.searchsorted(ids, trajs.ids), np.diff(trajs.start))
+    order = np.lexsort((ranks, trajs.frames))
     # ltwh_to_ltrb adds left to width and top to height, as BoundingBox.right/.bottom do.
-    return ids, np.array(frames, dtype=np.int64)[order], np.array(ranks, dtype=np.intp)[order], ltwh_to_ltrb(boxes)
+    return ids.tolist(), trajs.frames[order], ranks[order], ltwh_to_ltrb(trajs.boxes[order])
 
 
 class _Sweep(NamedTuple):
     """The per-frame overlaps of one (gt, res) pair, built once for every metric.
 
-    ``frames`` are the frames present in either set, ascending. Boxes are
-    numbered frame by frame: frame ``f``'s gt boxes are ``goff[f]:goff[f + 1]``,
-    in ascending id order, and ``g_rank`` holds each one's id as its rank in
-    ``gt_ids``; likewise ``roff`` and ``r_rank`` for result boxes. Frame
-    ``f``'s nonzero overlaps are entries ``eoff[f]:eoff[f + 1]`` of ``g_box``,
-    ``r_box`` (box numbers) and ``val``, in row-major order.
+    Frames are numbered 0, 1, ... over the frames present in either set,
+    ascending. Boxes are numbered frame by frame: frame ``f``'s gt boxes are
+    ``goff[f]:goff[f + 1]``, in ascending id order, and ``g_rank`` holds each
+    one's id as its rank in ``gt_ids``; likewise ``roff`` and ``r_rank`` for
+    result boxes. Frame ``f``'s nonzero overlaps are entries
+    ``eoff[f]:eoff[f + 1]`` of ``g_box``, ``r_box`` (box numbers) and ``val``,
+    in row-major order.
     """
 
-    frames: list[int]
     gt_ids: list[int]
     res_ids: list[int]
     g_rank: np.ndarray
@@ -146,11 +242,11 @@ class _Sweep(NamedTuple):
         return dense
 
 
-def _sweep(gt: TrajectorySet, res: TrajectorySet) -> _Sweep:
-    gt_ids, g_frame, g_rank, g_ltrb = _flat_boxes(gt)
+def _sweep(gt, res) -> _Sweep:
+    gt_ids, g_frame, g_rank, g_ltrb = _flat_boxes(TrajectorySet.of(gt))
     if not len(g_frame):
         raise MetricsError("ground truth is empty; metrics undefined")
-    res_ids, r_frame, r_rank, r_ltrb = _flat_boxes(res)
+    res_ids, r_frame, r_rank, r_ltrb = _flat_boxes(TrajectorySet.of(res))
     frames = np.union1d(g_frame, r_frame)
     goff = np.concatenate(([0], np.searchsorted(g_frame, frames, side="right")))
     roff = np.concatenate(([0], np.searchsorted(r_frame, frames, side="right")))
@@ -168,7 +264,7 @@ def _sweep(gt: TrajectorySet, res: TrajectorySet) -> _Sweep:
     eoff = np.concatenate(([0], np.cumsum(counts)))
     g_box, r_box = (np.concatenate(x) if x else np.zeros(0, dtype=np.intp) for x in (g_box, r_box))
     val = np.concatenate(val) if val else np.zeros(0)
-    return _Sweep(frames.tolist(), gt_ids, res_ids, g_rank, r_rank, goff, roff, eoff, g_box, r_box, val)
+    return _Sweep(gt_ids, res_ids, g_rank, r_rank, goff, roff, eoff, g_box, r_box, val)
 
 
 def match_frame(
@@ -223,9 +319,9 @@ def clear_mot(gt: TrajectorySet, res: TrajectorySet, iou_thr: float = 0.5, *, sw
     fp = fn = idsw = gt_total = 0
     last_match: dict[int, int] = {}
     prev_pairs: dict[int, int] = {}
-    covered: dict[int, set[int]] = defaultdict(set)
-    for f, frame in enumerate(sw.frames):
-        g = sw.g_rank[sw.goff[f] : sw.goff[f + 1]].tolist()
+    covered = np.zeros(len(sw.g_rank), dtype=bool)  # per gt box
+    for f, g0 in enumerate(sw.goff[:-1].tolist()):
+        g = sw.g_rank[g0 : sw.goff[f + 1]].tolist()
         r = sw.r_rank[sw.roff[f] : sw.roff[f + 1]].tolist()
         gt_total += len(g)
         pairs: list[tuple[int, int]] = []
@@ -246,28 +342,18 @@ def clear_mot(gt: TrajectorySet, res: TrajectorySet, iou_thr: float = 0.5, *, sw
             if gk in last_match and last_match[gk] != rk:
                 idsw += 1
             last_match[gk] = rk
-            covered[gk].add(frame)
+            covered[g0 + row] = True
         prev_pairs = frame_pairs
 
-    fm = mt = ml = 0
-    for rank, tid in enumerate(sw.gt_ids):
-        frames = sorted(gt[tid])
-        cov = covered.get(rank, set())
-        runs = 0
-        in_run = False
-        for f in frames:
-            if f in cov and not in_run:
-                runs += 1
-                in_run = True
-            elif f not in cov:
-                in_run = False
-        if runs > 1:
-            fm += runs - 1
-        ratio = len(cov) / len(frames) if frames else 0.0
-        if ratio >= 0.8:
-            mt += 1
-        elif ratio <= 0.2:
-            ml += 1
+    # Each gt id's boxes, frames ascending: the sweep lists boxes frame by frame.
+    order = np.argsort(sw.g_rank, kind="stable")
+    rank, cov = sw.g_rank[order], covered[order]
+    run_starts = cov & np.concatenate(([True], ~cov[:-1] | (rank[1:] != rank[:-1])))
+    n_g = len(sw.gt_ids)
+    fm = int(np.maximum(np.bincount(rank[run_starts], minlength=n_g) - 1, 0).sum())
+    boxes = np.bincount(rank, minlength=n_g)
+    ratio = np.divide(np.bincount(rank, weights=cov, minlength=n_g), boxes, out=np.zeros(n_g), where=boxes > 0)
+    mt, ml = int((ratio >= 0.8).sum()), int((ratio <= 0.2).sum())
     mota = 1.0 - (fn + fp + idsw) / gt_total
     return mota, fp, fn, idsw, fm, mt, ml, gt_total
 
@@ -395,6 +481,7 @@ def hota(gt: TrajectorySet, res: TrajectorySet, *, sweep: _Sweep | None = None) 
 
 def evaluate(gt: TrajectorySet, res: TrajectorySet, iou_thr: float = 0.5) -> MetricsReport:
     _check_threshold(iou_thr)
+    gt, res = TrajectorySet.of(gt), TrajectorySet.of(res)
     sweep = _sweep(gt, res)
     mota, fp, fn, idsw, fm, mt, ml, gt_total = clear_mot(gt, res, iou_thr, sweep=sweep)
     idf1_value = idf1(gt, res, iou_thr, sweep=sweep)

@@ -12,8 +12,11 @@ A reader parses the whole file in one numeric pass and checks every row with
 array masks. Only when that pass fails or a mask is set is the file read
 again line by line (:func:`_rows` plus the reader's own line check), which
 raises the first bad line's :class:`ParseError` or, for what only the line
-grammar accepts (whitespace-only lines, ``1_0``), returns the rows. A writer
-formats the whole file in one ``%`` call.
+grammar accepts (whitespace-only lines, ``1_0``), returns the rows. Readers
+return arrays: one :class:`~meshsort.pipeline.Detections` view per frame over
+the file's box and score columns, or one
+:class:`~meshsort.metrics.TrajectorySet`. A writer formats the whole file in
+one ``%`` call, straight from those arrays.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from __future__ import annotations
 import dataclasses
 import math
 import warnings
-from collections import defaultdict
 from itertools import chain
 from pathlib import Path
 from typing import Callable, Iterable
@@ -29,9 +31,9 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .config import TrackerConfig
-from .geometry import MAX_COORD, BoundingBox
+from .geometry import MAX_COORD
 from .metrics import TrajectorySet
-from .pipeline import Detection, FrameDetections, FrameOutput
+from .pipeline import Detections, FrameDetections, FrameOutput, Records
 from .synth import SceneConfig, parse_scene
 
 
@@ -62,9 +64,7 @@ def _rows(path, n_fields: int, whole: dict[int, str]):
     """
     with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            if not raw.isascii():
-                byte = next(ord(c) - 0xDC00 for c in raw if not c.isascii())
-                raise ParseError(path, lineno, f"non-ASCII byte {byte:#04x}")
+            _check_ascii(path, lineno, raw)
             line = raw.strip()
             if not line:
                 continue
@@ -87,6 +87,22 @@ def _rows(path, n_fields: int, whole: dict[int, str]):
                 field = next(p for p, v in zip(parts[2:6], values[2:6]) if abs(v) > MAX_COORD)
                 raise ParseError(path, lineno, f"box field {field} beyond {MAX_COORD:g} px")
             yield lineno, values
+
+
+def _check_ascii(path, lineno: int, line: str) -> None:
+    """Raise the error naming the first non-ASCII byte of a line read with ``surrogateescape``."""
+    if not line.isascii():
+        byte = next(ord(c) - 0xDC00 for c in line if not c.isascii())
+        raise ParseError(path, lineno, f"non-ASCII byte {byte:#04x}")
+
+
+def _ascii_text(path) -> str:
+    """A flat text file's contents; a non-ASCII byte raises the error naming its line."""
+    text = Path(path).read_text(encoding="ascii", errors="surrogateescape")
+    if not text.isascii():
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            _check_ascii(path, lineno, line)
+    return text
 
 
 def _field_error(path, lineno: int, parts: list[str]) -> ParseError:
@@ -174,20 +190,10 @@ def _check_track_line(path, lineno: int, v: list[float], seen: set[tuple[int, in
     seen.add(key)
 
 
-def _boxes(ltwh: np.ndarray) -> list[BoundingBox]:
-    return list(map(BoundingBox, *ltwh.T.tolist()))
-
-
 def _trajectories(table: np.ndarray, kept: np.ndarray | slice = slice(None)) -> TrajectorySet:
-    """The ``kept`` rows as ``{id: {frame: box}}``.
-
-    Ids come in order of first appearance, and each id's frames in file order.
-    """
-    trajs: TrajectorySet = {}
-    ids, frames = table[kept, 1].astype(np.int64).tolist(), table[kept, 0].astype(np.int64).tolist()
-    for tid, frame, box in zip(ids, frames, _boxes(table[kept, 2:6])):
-        trajs.setdefault(tid, {})[frame] = box
-    return trajs
+    """The ``kept`` rows as trajectories: ids by first appearance, each id's frames in file order."""
+    table = table[kept]
+    return TrajectorySet.from_rows(table[:, 0].astype(np.int64), table[:, 1].astype(np.int64), table[:, 2:6])
 
 
 def parse_detections(path) -> list[FrameDetections]:
@@ -208,11 +214,8 @@ def parse_detections(path) -> list[FrameDetections]:
     frames = table[:, 0].astype(np.int64)
     last = int(frames[-1]) if len(frames) else 0
     bounds = np.searchsorted(frames, np.arange(1, last + 2)).tolist()
-    dets = list(map(Detection, _boxes(table[:, 2:6]), table[:, 6].tolist()))
-    return [
-        FrameDetections(index=frame, detections=tuple(dets[lo:hi]))
-        for frame, lo, hi in zip(range(1, last + 1), bounds, bounds[1:])
-    ]
+    views = Detections.split(np.ascontiguousarray(table[:, 2:6]), table[:, 6].copy(), bounds)
+    return [FrameDetections(index=frame, detections=dets) for frame, dets in enumerate(views, start=1)]
 
 
 def parse_results(path) -> TrajectorySet:
@@ -253,36 +256,46 @@ _SCORED_LINE = "%s,%s,%.2f,%.2f,%.2f,%.2f,%.2f,-1,-1,-1\n"
 _GT_LINE = "%s,%s,%.2f,%.2f,%.2f,%.2f,1,1,1.00\n"
 
 
-def _write(path, line: str, fields: tuple) -> None:
-    """Write ``line``, one ``%`` directive per field, once per row of ``fields`` laid end to end."""
-    n_rows = len(fields) // line.count("%")
-    Path(path).write_text((line * n_rows) % fields, encoding="ascii")
+def _write(path, line: str, order: np.ndarray, *columns: np.ndarray) -> None:
+    """Write ``line`` once per row of ``columns`` taken in ``order``, one ``%`` directive per column.
+
+    A 2-D column (the boxes) gives one directive per array column.
+    """
+    lists = [c.T.tolist() if c.ndim == 2 else [c.tolist()] for c in (c[order] for c in columns)]
+    fields = tuple(chain.from_iterable(zip(*chain.from_iterable(lists))))
+    Path(path).write_text((line * len(order)) % fields, encoding="ascii")
+
+
+def _frame_of_rows(frames: list, views: list) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of ``views`` (one view per frame): its frame index and its frame's position in ``frames``."""
+    counts = list(map(len, views))
+    return (np.repeat(np.array([f.index for f in frames], dtype=np.int64), counts),
+            np.repeat(np.arange(len(frames)), counts))
 
 
 def write_results(path, outputs: Iterable[FrameOutput]) -> None:
     """One line per (frame, id), frames then ids ascending, reals at 2 decimals."""
-    _write(path, _SCORED_LINE, tuple(chain.from_iterable(
-        (fo.index, rec.track_id, rec.box.left, rec.box.top, rec.box.width, rec.box.height, rec.score)
-        for fo in sorted(outputs, key=lambda fo: fo.index)
-        for rec in sorted(fo.records, key=lambda r: r.track_id)
-    )))
+    outputs = sorted(outputs, key=lambda fo: fo.index)
+    views = [fo.records for fo in outputs]
+    frame, position = _frame_of_rows(outputs, views)
+    recs = Records.concat(views)
+    _write(path, _SCORED_LINE, np.lexsort((recs.ids, position)), frame, recs.ids, recs.boxes, recs.scores)
 
 
 def write_detections(path, frames: Iterable[FrameDetections]) -> None:
     """One line per detection, frames ascending; a frame without detections writes nothing."""
-    _write(path, _SCORED_LINE, tuple(chain.from_iterable(
-        (fd.index, -1, det.box.left, det.box.top, det.box.width, det.box.height, det.score)
-        for fd in sorted(frames, key=lambda fd: fd.index)
-        for det in fd.detections
-    )))
+    frames = sorted(frames, key=lambda fd: fd.index)
+    views = [fd.detections for fd in frames]
+    frame, _ = _frame_of_rows(frames, views)
+    dets = Detections.concat(views)
+    _write(path, _SCORED_LINE, np.arange(len(frame)), frame, np.full(len(frame), -1), dets.boxes, dets.scores)
 
 
 def write_ground_truth(path, trajs: TrajectorySet) -> None:
     """One active class-1 line per (frame, id), ascending, visibility 1."""
-    rows = sorted((frame, tid, box) for tid, per_frame in trajs.items() for frame, box in per_frame.items())
-    _write(path, _GT_LINE, tuple(chain.from_iterable(
-        (frame, tid, box.left, box.top, box.width, box.height) for frame, tid, box in rows
-    )))
+    trajs = TrajectorySet.of(trajs)
+    ids = np.repeat(trajs.ids, np.diff(trajs.start))
+    _write(path, _GT_LINE, np.lexsort((ids, trajs.frames)), trajs.frames, ids, trajs.boxes)
 
 
 class ConfigError(ValueError):
@@ -322,17 +335,16 @@ def coerce_value(kind: type, value: str, lineno: int = 0):
 
 
 def load_config(path) -> TrackerConfig:
-    return parse_config_text(Path(path).read_text(encoding="ascii"))
+    return parse_config_text(_ascii_text(path))
 
 
 def load_scene(path) -> SceneConfig:
-    return parse_scene(Path(path).read_text(encoding="ascii"))
+    return parse_scene(_ascii_text(path))
 
 
 def outputs_to_trajectories(outputs: Iterable[FrameOutput]) -> TrajectorySet:
     """View tracker output as trajectories for the evaluator."""
-    trajs: TrajectorySet = defaultdict(dict)
-    for fo in outputs:
-        for rec in fo.records:
-            trajs[rec.track_id][fo.index] = rec.box
-    return dict(trajs)
+    outputs = list(outputs)
+    views = [fo.records for fo in outputs]
+    recs = Records.concat(views)
+    return TrajectorySet.from_rows(_frame_of_rows(outputs, views)[0], recs.ids, recs.boxes)

@@ -15,20 +15,28 @@ The per-frame flow is:
 6. apply the missed-row lifecycle (one batched update for maintained rows,
    one rollback for rows entering the lost pool); loss events, row order
 7. refresh the frequent-loss cells (consumed by the *next* frame's lifecycle)
-8. emit the frame output, the only place boxes become :class:`BoundingBox`
+8. emit the frame output as arrays: the shown rows' ids, boxes and scores
+
+Frames are arrays: :class:`FrameDetections` holds :class:`Detections`
+(``boxes`` ``(n, 4)`` ltwh and ``scores``) and :class:`FrameOutput` holds
+:class:`Records` (``ids``, ``boxes`` and ``scores``). Both read as tuples of
+:class:`Detection` or :class:`OutputRecord`, whose :class:`BoundingBox` is
+built only when a record is read.
 """
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from . import kalman, tracks as _tracks
 from .association import two_stage_associate
 from .config import TrackerConfig
-from .geometry import BoundingBox, check_box_range, ltwh_to_ltrb
+from .geometry import MAX_COORD, BoundingBox, check_box_range, ltwh_to_ltrb
 from .mesh import LossThreshold, MeshGrid
 from .tracks import LOST, LOST_MAINTAINED, REMOVED, TENTATIVE, TRACKED, TrackTable, TrackView
 
@@ -48,24 +56,152 @@ class OutputRecord(NamedTuple):
     score: float
 
 
+class _Records(Sequence):
+    """Read-only records over column arrays, one per slot, ``boxes`` ``(n, 4)`` ltwh.
+
+    A record is built each time it is read and is not kept. A slice is a tuple
+    of records. Views of one type compare by their arrays, and a view equals
+    the tuple of its records.
+    """
+
+    __slots__ = ()
+    _record: type  # the NamedTuple each row reads as, its fields in slot order
+
+    def __init__(self, *columns: np.ndarray):
+        for name, column in zip(self.__slots__, columns):
+            setattr(self, name, column)
+
+    @classmethod
+    def _view(cls, *columns: np.ndarray):
+        """A view of columns taken from checked views, so not checked again."""
+        view = object.__new__(cls)
+        _Records.__init__(view, *columns)
+        return view
+
+    def _columns(self) -> list[np.ndarray]:
+        return [getattr(self, name) for name in self.__slots__]
+
+    def __len__(self) -> int:
+        return len(self.boxes)
+
+    def __iter__(self):
+        return map(self._record, *(
+            map(BoundingBox, *column.T.tolist()) if column.ndim == 2 else column.tolist()
+            for column in self._columns()
+        ))
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(self._view(*(column[k] for column in self._columns())))
+        k = operator.index(k)
+        n = len(self)
+        if not -n <= k < n:
+            raise IndexError(f"record {k} of {n}")
+        k %= n
+        (record,) = self._view(*(column[k : k + 1] for column in self._columns()))
+        return record
+
+    def __eq__(self, other):
+        if type(other) is type(self):
+            return all(map(np.array_equal, self._columns(), other._columns()))
+        if isinstance(other, tuple):
+            return tuple(self) == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({tuple(self)!r})"
+
+    @classmethod
+    def concat(cls, views: Iterable["_Records"]):
+        """The rows of ``views`` end to end."""
+        return cls._view(*map(np.concatenate, zip(*(v._columns() for v in [cls.of(()), *views]))))
+
+
+def _ltwh(boxes: Iterable[BoundingBox]) -> np.ndarray:
+    return np.array([b.as_ltwh() for b in boxes], dtype=np.float64).reshape(-1, 4)
+
+
+def _check_detection(det: Detection) -> None:
+    if not 0.0 <= det.score <= 1.0:
+        raise ValueError(f"confidence outside [0, 1]: {det.score}")
+    check_box_range(det.box)
+
+
+class Detections(_Records):
+    """Detections as ``boxes`` ``(n, 4)`` ltwh and ``scores`` ``(n,)``, read as :class:`Detection`.
+
+    Each box must be valid, within :data:`MAX_COORD`, and each score in [0, 1].
+    """
+
+    __slots__ = ("boxes", "scores")
+    _record = Detection
+
+    def __init__(self, boxes: np.ndarray, scores: np.ndarray):
+        super().__init__(boxes, scores)
+        self._check(self)
+
+    @classmethod
+    def of(cls, dets: Iterable[Detection]) -> "Detections":
+        dets = tuple(dets)
+        view = cls._view(_ltwh(d.box for d in dets), np.array([d.score for d in dets], dtype=np.float64))
+        view._check(dets)
+        return view
+
+    @classmethod
+    def split(cls, boxes: np.ndarray, scores: np.ndarray, bounds: list[int]) -> list["Detections"]:
+        """Views of rows ``bounds[i]:bounds[i + 1]``; the arrays are checked once, as a whole."""
+        cls(boxes, scores)
+        return [cls._view(boxes[lo:hi], scores[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+
+    def _check(self, given: Sequence[Detection]) -> None:
+        """Raise, for the first bad row, what :func:`_check_detection` raises for that row of ``given``."""
+        boxes, scores = self.boxes, self.scores
+        ok = (scores >= 0.0) & (scores <= 1.0)
+        ok &= (boxes[:, 2:] > 0.0).all(axis=1) & (np.abs(boxes) <= MAX_COORD).all(axis=1)
+        if not ok.all():
+            _check_detection(given[int(ok.argmin())])
+
+
+class Records(_Records):
+    """Tracker output as ``ids``, ``boxes`` ``(n, 4)`` ltwh and ``scores``, read as :class:`OutputRecord`."""
+
+    __slots__ = ("ids", "boxes", "scores")
+    _record = OutputRecord
+
+    @classmethod
+    def of(cls, records: Iterable[OutputRecord]) -> "Records":
+        records = tuple(records)
+        return cls(np.array([r.track_id for r in records], dtype=np.int64),
+                   _ltwh(r.box for r in records), np.array([r.score for r in records], dtype=np.float64))
+
+
 @dataclass(frozen=True)
 class FrameDetections:
+    """One frame's detections. Any sequence of :class:`Detection` given is stored as :class:`Detections`."""
+
     index: int
-    detections: tuple[Detection, ...]
+    detections: Detections
 
     def __post_init__(self):
         if self.index < 1:
             raise ValueError("frame indices start at 1")
-        for det in self.detections:
-            if not 0.0 <= det.score <= 1.0:
-                raise ValueError(f"confidence outside [0, 1]: {det.score}")
-            check_box_range(det.box)
+        if not isinstance(self.detections, Detections):
+            object.__setattr__(self, "detections", Detections.of(self.detections))
 
 
 @dataclass(frozen=True)
 class FrameOutput:
+    """One frame's output. Any sequence of :class:`OutputRecord` given is stored as :class:`Records`."""
+
     index: int
-    records: tuple[OutputRecord, ...]
+    records: Records
+
+    def __post_init__(self):
+        if not isinstance(self.records, Records):
+            object.__setattr__(self, "records", Records.of(self.records))
 
 
 @dataclass
@@ -147,14 +283,12 @@ class Tracker:
         lost_rows = ((status == LOST) & ~occluded).nonzero()[0]
         candidates = np.concatenate([full_rows, lost_rows])
 
-        det_boxes = np.array([d.box.as_ltwh() for d in fd.detections], dtype=np.float64)
-        det_boxes = det_boxes.reshape(-1, 4)
-        det_scores = [d.score for d in fd.detections]
+        det_boxes, scores = fd.detections.boxes, fd.detections.scores
         result = two_stage_associate(
             predicted[full_rows],
             predicted[lost_rows],
             ltwh_to_ltrb(det_boxes),
-            det_scores,
+            scores,
             conf_high=cfg.conf_high,
             conf_low=cfg.conf_low,
             gate_first=cfg.gate_first,
@@ -164,7 +298,6 @@ class Tracker:
 
         pairs = np.array(result.matches, dtype=np.int64).reshape(-1, 2)
         matched, matched_dets = candidates[pairs[:, 0]], pairs[:, 1]
-        scores = np.asarray(det_scores, dtype=np.float64)
         if len(matched):
             _tracks.on_matched(table, matched, det_boxes[matched_dets],
                                scores[matched_dets], cfg, self.model, self.grid)
@@ -196,7 +329,7 @@ class Tracker:
         self._stats.frames += 1
         return FrameOutput(index=fd.index, records=self._records())
 
-    def _records(self) -> tuple[OutputRecord, ...]:
+    def _records(self) -> Records:
         table = self.table
         shown = table.status == TRACKED
         if self.cfg.emit_virtual:
@@ -207,12 +340,7 @@ class Tracker:
         repeated = ids[1:][ids[1:] == ids[:-1]]
         if repeated.size:
             raise DuplicateTrackIdError(f"track id {repeated[0]} appears twice in one frame output")
-        return tuple(
-            OutputRecord(track_id, BoundingBox(*box), score)
-            for track_id, box, score in zip(
-                ids.tolist(), table.last_box[rows].tolist(), table.confidence[rows].tolist()
-            )
-        )
+        return Records(ids, table.last_box[rows], table.confidence[rows])
 
 
 def run(cfg: TrackerConfig, frames: Iterable[FrameDetections]) -> list[FrameOutput]:

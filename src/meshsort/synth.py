@@ -8,10 +8,11 @@ xoshiro256** generator with Box-Muller normals so byte-identical output for a
 given (config, seed) holds across platforms.
 
 :func:`generate` computes every agent's boxes once, as (frames, agents)
-arrays, and builds ground truth from them. Cover is found from those arrays:
-one strict-overlap test per block of frames lists, for each live agent, the
-later live agents whose box overlaps it, and only those plus the occluders go
-to :func:`covered_fraction`.
+arrays, and returns ground truth as one :class:`~meshsort.metrics.TrajectorySet`
+table over them and detections as array-backed frames. Cover is found from
+those arrays: one strict-overlap test per block of frames lists, for each live
+agent, the later live agents whose box overlaps it, and only those plus the
+occluders go to the union-area computation of :func:`covered_fraction`.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import BoundingBox, check_box_range
-from .pipeline import Detection, FrameDetections
+from .metrics import TrajectorySet
+from .pipeline import Detections, FrameDetections
 
 _MASK64 = (1 << 64) - 1
 
@@ -175,6 +177,10 @@ class SceneConfig:
             raise ValueError(f"agent outlives the scene (despawn {agent.despawn} > frames {self.frames})")
 
 
+def _ltrb(box: BoundingBox) -> tuple[float, float, float, float]:
+    return box.left, box.top, box.right, box.bottom
+
+
 def covered_fraction(box: BoundingBox, covers: list[BoundingBox],
                      frame_size: tuple[float, float]) -> float:
     """Fraction of the box hidden: covered by rectangles or outside the frame.
@@ -182,20 +188,25 @@ def covered_fraction(box: BoundingBox, covers: list[BoundingBox],
     Exact area computation over the union of covers via coordinate
     compression (cover counts per scene are small).
     """
+    return _hidden(_ltrb(box), box.area, list(map(_ltrb, covers)), frame_size)
+
+
+def _hidden(box: tuple, area: float, covers: list[tuple], frame_size: tuple[float, float]) -> float:
+    """:func:`covered_fraction` of an ltrb box of the given area, covers also ltrb."""
     fw, fh = frame_size
     # Out-of-frame area counts as hidden.
-    in_left = max(box.left, 0.0)
-    in_top = max(box.top, 0.0)
-    in_right = min(box.right, fw)
-    in_bottom = min(box.bottom, fh)
+    in_left = max(box[0], 0.0)
+    in_top = max(box[1], 0.0)
+    in_right = min(box[2], fw)
+    in_bottom = min(box[3], fh)
     if in_right <= in_left or in_bottom <= in_top:
         return 1.0
     clipped = []
     for c in covers:
-        left = max(c.left, in_left)
-        top = max(c.top, in_top)
-        right = min(c.right, in_right)
-        bottom = min(c.bottom, in_bottom)
+        left = max(c[0], in_left)
+        top = max(c[1], in_top)
+        right = min(c[2], in_right)
+        bottom = min(c[3], in_bottom)
         if right > left and bottom > top:
             clipped.append((left, top, right, bottom))
     covered = 0.0
@@ -209,8 +220,8 @@ def covered_fraction(box: BoundingBox, covers: list[BoundingBox],
                 if any(r[0] <= mx <= r[2] and r[1] <= my <= r[3] for r in clipped):
                     covered += (x1 - x0) * (y1 - y0)
     inside = (in_right - in_left) * (in_bottom - in_top)
-    hidden = (box.area - inside) + covered
-    return min(max(hidden / box.area, 0.0), 1.0)
+    hidden = (area - inside) + covered
+    return min(max(hidden / area, 0.0), 1.0)
 
 
 def semi_occlusion_noise(
@@ -336,48 +347,40 @@ def generate(cfg: SceneConfig):
     cfg.validate()
     rng = Xoshiro256StarStar(cfg.seed)
     ltrb = _agent_ltrb(cfg)
-    gt: dict[int, dict[int, BoundingBox]] = {}
-    for idx, agent in enumerate(cfg.agents):
-        rows = slice(agent.spawn - 1, agent.despawn)
-        gt[idx + 1] = {
-            frame: BoundingBox(left, top, agent.width, agent.height)
-            for frame, left, top in zip(
-                range(agent.spawn, agent.despawn + 1),
-                ltrb[0, rows, idx].tolist(),
-                ltrb[1, rows, idx].tolist(),
-            )
-        }
-    occluders = list(cfg.occluders)
+    live = ~np.isnan(ltrb[0].T)  # (agents, frames)
+    agent_of, frame_of = np.nonzero(live)
+    sizes = np.array([(a.width, a.height) for a in cfg.agents], dtype=np.float64).reshape(-1, 2)
+    gt = TrajectorySet.from_rows(frame_of + 1, agent_of + 1,
+                                 np.column_stack((ltrb[0].T[live], ltrb[1].T[live], sizes[agent_of])))
+    occluders = list(map(_ltrb, cfg.occluders))
     frame_size = (cfg.frame_width, cfg.frame_height)
-    det_frames: list[FrameDetections] = []
-    for frame, overlaps in zip(range(1, cfg.frames + 1), _later_overlaps(ltrb)):
-        dets: list[Detection] = []
+    rows: list[tuple[float, float, float, float]] = []
+    confs: list[float] = []
+    bounds = [0]
+    for frame, boxes, overlaps in zip(range(1, cfg.frames + 1), np.moveaxis(ltrb, 0, 2).tolist(),
+                                      _later_overlaps(ltrb)):
         for idx, agent in enumerate(cfg.agents):
             if not agent.spawn <= frame <= agent.despawn:
                 continue
-            box = gt[idx + 1][frame]
-            covers = occluders + [gt[j + 1][frame] for j in overlaps.get(idx, ())]
-            vis = 1.0 - covered_fraction(box, covers, frame_size)
+            left, top = boxes[idx][:2]
+            width, height = agent.width, agent.height
+            covers = occluders + [boxes[j] for j in overlaps.get(idx, ())]
+            vis = 1.0 - _hidden(boxes[idx], width * height, covers, frame_size)
             if vis < cfg.min_visibility or vis <= 0.0:
                 continue
             if cfg.miss_prob > 0.0 and rng.uniform() < cfg.miss_prob:
                 continue
             if vis < 1.0:
-                z = np.array(
-                    [
-                        box.left + box.width / 2,
-                        box.top + box.height / 2,
-                        box.area,
-                        box.width / box.height,
-                    ]
-                )
+                z = np.array([left + width / 2, top + height / 2, width * height, width / height])
                 z = semi_occlusion_noise(z, vis, cfg.sigma_area, cfg.sigma_ratio, rng)
-                w = math.sqrt(z[2] * z[3])
-                h = math.sqrt(z[2] / z[3])
-                box = BoundingBox(z[0] - w / 2, z[1] - h / 2, w, h)
-            conf = min(max(cfg.conf_base - cfg.conf_penalty * (1.0 - vis), 0.05), 1.0)
-            dets.append(Detection(box, conf))
-        det_frames.append(FrameDetections(index=frame, detections=tuple(dets)))
+                width = math.sqrt(z[2] * z[3])
+                height = math.sqrt(z[2] / z[3])
+                left, top = z[0] - width / 2, z[1] - height / 2
+            rows.append((left, top, width, height))
+            confs.append(min(max(cfg.conf_base - cfg.conf_penalty * (1.0 - vis), 0.05), 1.0))
+        bounds.append(len(rows))
+    views = Detections.split(np.array(rows, dtype=np.float64).reshape(-1, 4), np.array(confs, dtype=np.float64), bounds)
+    det_frames = [FrameDetections(index=frame, detections=dets) for frame, dets in enumerate(views, start=1)]
     return gt, det_frames
 
 

@@ -277,6 +277,27 @@ class TestNonFiniteInput:
         assert not (tmp_path / "gt.txt").exists()
 
 
+class TestNonAsciiFlatFiles:
+    # These once printed only "'ascii' codec can't decode byte 0xc2".
+    def test_track_config(self, tmp_path, scene_file, capsys):
+        _, dets = _synth_files(tmp_path, scene_file)
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_bytes(b"# tracker\nmax_age = 40 \xc2\xa0\n")
+        rc = main(["track", "--config", str(cfg), "--dets", str(dets), "--out", str(tmp_path / "res.txt")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {cfg}:2: non-ASCII byte 0xc2\n"
+        assert not (tmp_path / "res.txt").exists()
+
+    def test_synth_scene(self, tmp_path, capsys):
+        scene = tmp_path / "scene.txt"
+        scene.write_bytes(b"seed = 3\nframes = 10 \xc2\xa0\n")
+        rc = main(["synth", "--scene", str(scene), "--out-gt", str(tmp_path / "gt.txt"),
+                   "--out-dets", str(tmp_path / "dets.txt")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {scene}:2: non-ASCII byte 0xc2\n"
+        assert not (tmp_path / "gt.txt").exists()
+
+
 class TestAbsurdMagnitudes:
     @pytest.mark.parametrize("lines,lineno", [
         (["1,-1,10,10,1e200,1e200,0.9,-1,-1,-1"], 1),

@@ -10,6 +10,7 @@ from meshsort.motfiles import (
     ConfigError,
     ParseError,
     load_config,
+    load_scene,
     parse_config_text,
     parse_detections,
     parse_ground_truth,
@@ -307,6 +308,17 @@ class TestNonAscii:
         with pytest.raises(ParseError, match="duplicate frame 1 for id 1") as err:
             parse_results(p)
         assert err.value.lineno == 2
+
+    @pytest.mark.parametrize("load,text", [
+        (load_config, b"# tracker\nmax_age = 40 \xc2\xa0\n"),
+        (load_scene, b"seed = 3\nframes = 10 \xc2\xa0\n"),
+    ])
+    def test_config_and_scene_byte_named_with_its_line(self, tmp_path, load, text):
+        p = tmp_path / "flat.txt"
+        p.write_bytes(text)
+        with pytest.raises(ParseError) as err:
+            load(p)
+        assert str(err.value) == f"{p}:2: non-ASCII byte 0xc2"
 
 
 class TestNumericPass:

@@ -1,8 +1,9 @@
 """The whole-file MOT readers and writers against the per-line ones they replaced.
 
 Each generated file must give the reference reader's result, compared through
-``repr`` so that dict key order, per-frame detection order, float bits (the
-sign of zero included) and value types all count, or the reference's
+the ``repr`` of its materialised views (each frame's detection list, each
+trajectory as a dict) so that dict key order, per-frame detection order, float
+bits (the sign of zero included) and value types all count, or the reference's
 ``ParseError`` with the same message and line number. Each generated input
 must give the reference writer's bytes.
 """
@@ -39,9 +40,16 @@ READERS = {
 }
 
 
+def _materialised(result):
+    """Frames as ``(index, [Detection, ...])``, trajectories as ``{id: {frame: box}}`` dicts."""
+    if isinstance(result, list):
+        return [(fd.index, list(fd.detections)) for fd in result]
+    return {tid: dict(per) for tid, per in result.items()}
+
+
 def _outcome(read, path):
     try:
-        return "ok", repr(read(path))
+        return "ok", repr(_materialised(read(path)))
     except ParseError as exc:
         return "error", str(exc), exc.lineno
 
