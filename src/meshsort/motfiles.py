@@ -8,13 +8,16 @@ Ground-truth lines carry nine: frame,id,left,top,width,height,flag,class,
 visibility; only active (flag 1) class-1 rows are kept. Reals are written
 with two decimals so byte-identical reruns diff cleanly.
 
-A reader parses the whole file in one numeric pass and checks every row with
-array masks. Only when that pass fails or a mask is set is the file read
-again line by line (:func:`_rows` plus the reader's own line check), which
-raises the first bad line's :class:`ParseError` or, for what only the line
-grammar accepts (whitespace-only lines, ``1_0``), returns the rows. Readers
-return arrays: one :class:`~meshsort.pipeline.Detections` view per frame over
-the file's box and score columns, or one
+A reader parses the whole file in one numeric pass (``numpy.loadtxt``). Only
+if that fails does :func:`_rows` walk it line by line, just splitting lines
+into fields; it stops at the first line that is not ASCII, has another field
+count or holds a field ``float`` rejects. Every other check is one rule in the
+reader's ordered rule list, a row mask plus the message for one line, run
+over the table on both paths: the earliest row that breaks a rule, if it
+comes before the walk's stop, raises the :class:`ParseError` of the first
+rule it breaks, its line found by walking the non-blank lines again.
+Readers return arrays: one :class:`~meshsort.pipeline.Detections` view per
+frame over the file's box and score columns, or one
 :class:`~meshsort.metrics.TrajectorySet`. A writer formats the whole file in
 one ``%`` call, straight from those arrays.
 """
@@ -24,7 +27,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import warnings
-from itertools import chain
+from itertools import chain, islice
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -50,43 +53,37 @@ class ParseError(ValueError):
 _MAX_FRAME = 1_000_000
 # Ids must stay exact in a float64: from 2**53 on, neighbouring ids read as one.
 _MAX_ID = 2.0 ** 53
-_ID = 1  # the id column, bounded by _MAX_ID where it is a whole-number field
 
 
-def _rows(path, n_fields: int, whole: dict[int, str]):
-    """Yield ``(lineno, fields)`` for each non-blank line of a MOT file.
-
-    Every byte must be ASCII, every field a finite number, the fields named in
-    ``whole`` whole numbers (an id also below ``_MAX_ID`` in magnitude), the
-    frame index (field 0) lie in [1, ``_MAX_FRAME``], and no box field (2-5:
-    left, top, width, height) exceed ``MAX_COORD`` in magnitude (a negative
-    size is left to the size checks).
-    """
+def _lines(path):
+    """Yield ``(lineno, line)`` for each non-blank line of a file, stripped."""
     with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            _check_ascii(path, lineno, raw)
             line = raw.strip()
-            if not line:
-                continue
+            if line:
+                yield lineno, line
+
+
+def _rows(path, n_fields: int) -> tuple[np.ndarray, ParseError | None]:
+    """The non-blank lines of a MOT file as rows of ``n_fields`` floats, and the error that stopped them.
+
+    The walk stops at the first line that is not ASCII, has another field
+    count or holds a field ``float`` rejects; the rows before it are kept.
+    """
+    rows, stop = [], None
+    try:
+        for lineno, line in _lines(path):
+            _check_ascii(path, lineno, line)
             parts = line.split(",")
             if len(parts) != n_fields:
                 raise ParseError(path, lineno, f"expected {n_fields} fields, got {len(parts)}")
             try:
-                values = list(map(float, parts))
+                rows.append(list(map(float, parts)))
             except ValueError:
-                raise _field_error(path, lineno, parts) from None
-            if not all(map(math.isfinite, values)):
-                raise _field_error(path, lineno, parts)
-            for k, name in whole.items():
-                if not values[k].is_integer() or (k == _ID and abs(values[k]) >= _MAX_ID):
-                    raise ParseError(path, lineno, f"bad {name} {parts[k]}")
-            if not 1 <= values[0] <= _MAX_FRAME:
-                raise ParseError(path, lineno, f"bad frame index {parts[0]}")
-            if (abs(values[2]) > MAX_COORD or abs(values[3]) > MAX_COORD
-                    or values[4] > MAX_COORD or values[5] > MAX_COORD):
-                field = next(p for p, v in zip(parts[2:6], values[2:6]) if abs(v) > MAX_COORD)
-                raise ParseError(path, lineno, f"box field {field} beyond {MAX_COORD:g} px")
-            yield lineno, values
+                raise ParseError(path, lineno, _field_error(parts)) from None
+    except ParseError as error:
+        stop = error
+    return np.array(rows, dtype=np.float64).reshape(-1, n_fields), stop
 
 
 def _check_ascii(path, lineno: int, line: str) -> None:
@@ -105,66 +102,70 @@ def _ascii_text(path) -> str:
     return text
 
 
-def _field_error(path, lineno: int, parts: list[str]) -> ParseError:
-    """The error naming the first of a line's fields that is not a finite number."""
+def _field_error(parts: list[str]) -> str:
+    """The message naming the first of a line's fields that is not a finite number."""
     for part in parts:
         try:
             value = float(part)
         except ValueError:
-            return ParseError(path, lineno, f"non-numeric field {part!r}")
+            return f"non-numeric field {part!r}"
         if not math.isfinite(value):
-            return ParseError(path, lineno, f"non-finite field {part!r}")
+            return f"non-finite field {part!r}"
 
 
-def _bad_fields(table: np.ndarray, whole: dict[int, str]) -> np.ndarray:
-    """Row mask of :func:`_rows`' checks after the field count."""
-    bad = ~np.isfinite(table).all(axis=1)
-    for k in whole:
-        bad |= table[:, k] != np.floor(table[:, k])
-    if _ID in whole:
-        bad |= np.abs(table[:, _ID]) >= _MAX_ID
-    bad |= (table[:, 0] < 1) | (table[:, 0] > _MAX_FRAME)
-    bad |= (np.abs(table[:, 2:4]) > MAX_COORD).any(axis=1) | (table[:, 4:6] > MAX_COORD).any(axis=1)
-    return bad
+# A row rule: the mask of the table rows that break it, and the message for one
+# such line from its raw fields and its values.
+_Rule = tuple[Callable[[np.ndarray], np.ndarray], Callable[[list[str], list[float]], str]]
 
 
-def _table(path, n_fields: int, whole: dict[int, str],
-           bad_rows: Callable[[np.ndarray], np.ndarray],
-           check_line: Callable[[int, list[float]], None]) -> np.ndarray:
+def _table(path, n_fields: int, rules: list[_Rule]) -> np.ndarray:
     """Every non-blank line of a MOT file as one row of an ``(n, n_fields)`` float64 array.
 
-    ``bad_rows`` masks the rows that fail the reader's own checks, and
-    ``check_line`` raises the same failures for one line. The line reader
-    runs only when the numeric pass raises (or warns: an empty file) or a
-    mask is set.
+    The line walk runs when the numeric pass raises, warns (no rows) or reads
+    another width. The earliest line that breaks one of ``rules`` raises the
+    first rule it breaks, unless the walk stopped on an earlier line.
     """
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             table = np.loadtxt(path, delimiter=",", comments=None, ndmin=2, encoding="ascii")
-        clean = table.shape[1] == n_fields and not (_bad_fields(table, whole) | bad_rows(table)).any()
     except (ValueError, Warning):  # a non-ASCII byte, a field float() or loadtxt rejects, no rows
-        clean = False
-    if clean:
-        return table
-    rows = []
-    for lineno, values in _rows(path, n_fields, whole):
-        check_line(lineno, values)
-        rows.append(values)
-    return np.array(rows, dtype=np.float64).reshape(-1, n_fields)
+        table = np.empty((0, 0))
+    table, stop = (table, None) if table.shape[1] == n_fields else _rows(path, n_fields)
+    masks = [mask(table) for mask, _ in rules]
+    bad = np.logical_or.reduce(masks)
+    if bad.any():
+        row = int(bad.argmax())
+        lineno, line = next(islice(_lines(path), row, None))
+        message = next(message for hit, (_, message) in zip(masks, rules) if hit[row])
+        raise ParseError(path, lineno, message(line.split(","), table[row].tolist()))
+    if stop is not None:
+        raise stop
+    return table
 
 
-def _bad_size(table: np.ndarray) -> np.ndarray:
-    return (table[:, 4] <= 0) | (table[:, 5] <= 0)
+def _whole(k: int, name: str, bound: float = math.inf) -> _Rule:
+    """Field ``k`` is a whole number below ``bound`` in magnitude."""
+    return (lambda t: (t[:, k] != np.floor(t[:, k])) | (np.abs(t[:, k]) >= bound),
+            lambda parts, v: f"bad {name} {parts[k]}")
 
 
-def _check_size(path, lineno: int, v: list[float]) -> None:
-    if v[4] <= 0 or v[5] <= 0:
-        raise ParseError(path, lineno, "non-positive box size")
+def _beyond_coord(parts: list[str], v: list[float]) -> str:
+    field = next(p for p, x in zip(parts[2:6], v[2:6]) if abs(x) > MAX_COORD)
+    return f"box field {field} beyond {MAX_COORD:g} px"
 
 
-def _outside_unit(column: np.ndarray) -> np.ndarray:
-    return ~((column >= 0.0) & (column <= 1.0))
+def _degenerate(table: np.ndarray) -> np.ndarray:
+    """Boxes whose area or extent rounds to 0, or whose aspect ratio rounds to 0 or overflows."""
+    left, top, width, height = table[:, 2], table[:, 3], table[:, 4], table[:, 5]
+    with np.errstate(all="ignore"):
+        ratio = width / height
+        return ((width * height == 0) | ((left + width - left) * (top + height - top) == 0)
+                | (ratio == 0) | np.isinf(ratio))
+
+
+def _outside_unit(k: int, name: str) -> _Rule:
+    return lambda t: ~((t[:, k] >= 0.0) & (t[:, k] <= 1.0)), lambda parts, v: f"{name} {v[k]} outside [0, 1]"
 
 
 def _repeats(table: np.ndarray) -> np.ndarray:
@@ -176,18 +177,40 @@ def _repeats(table: np.ndarray) -> np.ndarray:
     return repeat
 
 
-def _bad_track_rows(table: np.ndarray) -> np.ndarray:
-    """Row mask of :func:`_check_track_line` for the rows a trajectory keeps."""
-    return _bad_size(table) | _repeats(table)
+def _active(table: np.ndarray) -> np.ndarray:
+    """Ground-truth rows with flag 1 and class 1."""
+    return (table[:, 6] == 1) & (table[:, 7] == 1)
 
 
-def _check_track_line(path, lineno: int, v: list[float], seen: set[tuple[int, int]]) -> None:
-    """A kept trajectory line has a positive size and a ``(frame, id)`` not in ``seen``."""
-    _check_size(path, lineno, v)
-    key = (int(v[0]), int(v[1]))
-    if key in seen:
-        raise ParseError(path, lineno, f"duplicate frame {key[0]} for id {key[1]}")
-    seen.add(key)
+def _if_active(rule: _Rule) -> _Rule:
+    """``rule`` applied to the active ground-truth rows only; its mask sees just those rows."""
+    mask, message = rule
+
+    def active_mask(table: np.ndarray) -> np.ndarray:
+        kept = _active(table)
+        bad = np.zeros(len(table), dtype=bool)
+        bad[kept] = mask(table[kept])
+        return bad
+    return active_mask, message
+
+
+# Each reader's rules in the order they are checked: a line that breaks several
+# gets the first one's message.
+_FINITE: _Rule = (lambda t: ~np.isfinite(t).all(axis=1), lambda parts, v: _field_error(parts))
+_WHOLE_FRAME, _WHOLE_ID = _whole(0, "frame index"), _whole(1, "id", _MAX_ID)
+_FRAME_RANGE: _Rule = (lambda t: (t[:, 0] < 1) | (t[:, 0] > _MAX_FRAME),
+                       lambda parts, v: f"bad frame index {parts[0]}")
+# A negative size is left to the size rule.
+_COORD: _Rule = (lambda t: (np.abs(t[:, 2:4]) > MAX_COORD).any(axis=1) | (t[:, 4:6] > MAX_COORD).any(axis=1),
+                 _beyond_coord)
+_SIZE: _Rule = (lambda t: (t[:, 4] <= 0) | (t[:, 5] <= 0), lambda parts, v: "non-positive box size")
+_DEGENERATE: _Rule = (_degenerate, lambda parts, v: "degenerate box")
+_DUPLICATE: _Rule = (_repeats, lambda parts, v: f"duplicate frame {int(v[0])} for id {int(v[1])}")
+
+_DETECTION_RULES = [_FINITE, _WHOLE_FRAME, _FRAME_RANGE, _COORD, _SIZE, _DEGENERATE, _outside_unit(6, "confidence")]
+_RESULT_RULES = [_FINITE, _WHOLE_FRAME, _WHOLE_ID, _FRAME_RANGE, _COORD, _SIZE, _DEGENERATE, _DUPLICATE]
+_GT_RULES = [_FINITE, _WHOLE_FRAME, _WHOLE_ID, _whole(6, "flag"), _whole(7, "class"), _FRAME_RANGE, _COORD,
+             _outside_unit(8, "visibility"), *map(_if_active, (_SIZE, _DEGENERATE, _DUPLICATE))]
 
 
 def _trajectories(table: np.ndarray, kept: np.ndarray | slice = slice(None)) -> TrajectorySet:
@@ -203,13 +226,7 @@ def parse_detections(path) -> list[FrameDetections]:
     its tracks over them; within a frame, detections keep their file order.
     The id column is ignored; confidences must lie in [0, 1].
     """
-    def check_line(lineno: int, v: list[float]) -> None:
-        _check_size(path, lineno, v)
-        if not 0.0 <= v[6] <= 1.0:
-            raise ParseError(path, lineno, f"confidence {v[6]} outside [0, 1]")
-
-    table = _table(path, 10, {0: "frame index"},
-                   lambda t: _bad_size(t) | _outside_unit(t[:, 6]), check_line)
+    table = _table(path, 10, _DETECTION_RULES)
     table = table[np.argsort(table[:, 0], kind="stable")]
     frames = table[:, 0].astype(np.int64)
     last = int(frames[-1]) if len(frames) else 0
@@ -220,9 +237,7 @@ def parse_detections(path) -> list[FrameDetections]:
 
 def parse_results(path) -> TrajectorySet:
     """Read a result file (same 10-field grammar, real ids) as trajectories."""
-    seen: set[tuple[int, int]] = set()
-    return _trajectories(_table(path, 10, {0: "frame index", 1: "id"}, _bad_track_rows,
-                                lambda lineno, v: _check_track_line(path, lineno, v, seen)))
+    return _trajectories(_table(path, 10, _RESULT_RULES))
 
 
 def parse_ground_truth(path) -> TrajectorySet:
@@ -230,25 +245,8 @@ def parse_ground_truth(path) -> TrajectorySet:
 
     The visibility column is validated but not used for filtering.
     """
-    def active(table: np.ndarray) -> np.ndarray:
-        return (table[:, 6] == 1) & (table[:, 7] == 1)
-
-    def bad_rows(table: np.ndarray) -> np.ndarray:
-        bad = _outside_unit(table[:, 8])
-        kept = active(table)
-        bad[kept] |= _bad_track_rows(table[kept])
-        return bad
-
-    seen: set[tuple[int, int]] = set()
-
-    def check_line(lineno: int, v: list[float]) -> None:
-        if not 0.0 <= v[8] <= 1.0:
-            raise ParseError(path, lineno, f"visibility {v[8]} outside [0, 1]")
-        if v[6] == 1 and v[7] == 1:
-            _check_track_line(path, lineno, v, seen)
-
-    table = _table(path, 9, {0: "frame index", 1: "id", 6: "flag", 7: "class"}, bad_rows, check_line)
-    return _trajectories(table, active(table))
+    table = _table(path, 9, _GT_RULES)
+    return _trajectories(table, _active(table))
 
 
 # One line per row: frame, id, the box at two decimals, then the format's tail.

@@ -700,6 +700,11 @@ def _ref_field_error(path, lineno: int, parts: list[str]) -> ParseError:
 def _ref_box(path, lineno: int, v: list[float]) -> BoundingBox:
     if v[4] <= 0 or v[5] <= 0:
         raise ParseError(path, lineno, "non-positive box size")
+    # An area, corner-to-corner extent or aspect ratio that rounds to 0 or
+    # overflows breaks IoU and the filter's aspect state.
+    if (v[4] * v[5] == 0 or (v[2] + v[4] - v[2]) * (v[3] + v[5] - v[3]) == 0
+            or v[4] / v[5] in (0.0, math.inf)):
+        raise ParseError(path, lineno, "degenerate box")
     return BoundingBox(v[2], v[3], v[4], v[5])
 
 

@@ -342,6 +342,39 @@ class TestAbsurdMagnitudes:
         assert not gt.exists()
 
 
+class TestDegenerateBoxes:
+    # Positive sizes whose area, extent or aspect ratio rounds to 0 or
+    # overflows once crashed the evaluator ("matrix contains invalid numeric
+    # entries") or the tracker ("non-finite box from the filter state").
+    def _run(self, argv):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(argv)
+        assert caught == []
+        return rc
+
+    @pytest.mark.parametrize("gt_box,res_box,bad", [
+        ("10,20,0.5,5e-324", "10,20,0.5,5e-324", "gt"),   # the area underflows
+        ("10,20,30,1e-320", "10,20,30,1e-320", "gt"),     # top + height rounds back to top
+        ("10,20,30,40", "0,0,0.5,5e-324", "res"),
+    ])
+    def test_eval(self, tmp_path, capsys, gt_box, res_box, bad):
+        files = {"gt": tmp_path / "gt.txt", "res": tmp_path / "res.txt"}
+        files["gt"].write_text(f"1,1,{gt_box},1,1,1.0\n")
+        files["res"].write_text(f"1,1,{res_box},0.9,-1,-1,-1\n")
+        assert self._run(["eval", "--gt", str(files["gt"]), "--res", str(files["res"])]) == 1
+        assert capsys.readouterr().err == f"error: {files[bad]}:1: degenerate box\n"
+
+    def test_track(self, tmp_path, capsys):
+        # The aspect ratio 30 / 1e-320 overflows in the filter state.
+        dets = tmp_path / "dets.txt"
+        dets.write_text("".join(f"{f},-1,10,20,30,1e-320,0.9,-1,-1,-1\n" for f in (1, 2, 3)))
+        res = tmp_path / "res.txt"
+        assert self._run(["track", "--dets", str(dets), "--out", str(res)]) == 1
+        assert capsys.readouterr().err == f"error: {dets}:1: degenerate box\n"
+        assert not res.exists()
+
+
 _REMOVED_KEYS = ["lm_region_rule", "vel_rollback", "freeze_size_velocity",
                  "mesh_refresh_interval", "lm_noise_scale"]
 

@@ -216,6 +216,23 @@ class TestParseGroundTruth:
         p.write_text("1,1,10,20,30,40,1,1,1.0\n1,2,10,20,0,0,0,1,1.0\n1,3,10,20,0,0,1,2,1.0\n")
         assert set(parse_ground_truth(p)) == {1}
 
+    def test_inactive_rows_skip_the_degenerate_and_duplicate_rules(self, tmp_path):
+        p = tmp_path / "gt.txt"
+        p.write_text(
+            "1,1,10,20,30,40,0,1,1.0\n"       # flag 0, the (1, 1) of the active row below
+            "1,1,10,20,30,40,1,1,1.0\n"
+            "1,3,10,20,30,1e-320,1,2,1.0\n"   # class 2, degenerate
+            "1,1,11,20,30,40,1,0,1.0\n"       # class 0, repeats (1, 1)
+        )
+        assert {tid: list(per) for tid, per in parse_ground_truth(p).items()} == {1: [1]}
+
+    def test_inactive_rows_keep_the_visibility_rule(self, tmp_path):
+        p = tmp_path / "gt.txt"
+        p.write_text("1,1,10,20,30,40,1,1,1.0\n1,2,10,20,0,40,0,1,1.5\n")
+        with pytest.raises(ParseError) as err:
+            parse_ground_truth(p)
+        assert str(err.value) == f"{p}:2: visibility 1.5 outside [0, 1]"
+
     def test_class_and_flag_filtering(self, tmp_path):
         p = tmp_path / "gt.txt"
         p.write_text(
@@ -347,6 +364,94 @@ class TestNumericPass:
         assert parse_ground_truth(tmp_path / "gt.txt")
         assert parse_detections(tmp_path / "dets.txt")
         assert parse_results(tmp_path / "res.txt")
+
+
+_GOOD_LINE = {
+    "dets": "{},-1,10,20,30,40,0.9,-1,-1,-1",
+    "res": "{},1,10,20,30,40,0.9,-1,-1,-1",
+    "gt": "{},1,10,20,30,40,1,1,1.0",
+}
+_READ = {"dets": parse_detections, "res": parse_results, "gt": parse_ground_truth}
+# Lines that each break one row rule after the line split, with the message.
+_VALUE_ERRORS = [
+    ("dets", "2,-1,10,20,30,40,1.5,-1,-1,-1", "confidence 1.5 outside [0, 1]"),
+    ("dets", "0,-1,10,20,30,40,0.9,-1,-1,-1", "bad frame index 0"),
+    ("res", "1,1,11,20,30,40,0.9,-1,-1,-1", "duplicate frame 1 for id 1"),
+    ("res", "2,1,10,20,30,0,0.9,-1,-1,-1", "non-positive box size"),
+    ("gt", "2,1,10,20,30,40,1,1,1.5", "visibility 1.5 outside [0, 1]"),
+    ("gt", "2,1,10,20,30,1e-320,1,1,1.0", "degenerate box"),
+]
+
+
+class TestRuleOrder:
+    """The earliest bad line wins, whichever check finds it."""
+
+    @pytest.mark.parametrize("kind,bad,message", _VALUE_ERRORS)
+    def test_value_error_before_field_count_error(self, tmp_path, kind, bad, message):
+        good = _GOOD_LINE[kind]
+        p = tmp_path / "f.txt"
+        p.write_text(f"{good.format(1)}\n{bad}\n{good.format(3)}\n{good.format(4).rsplit(',', 1)[0]}\n")
+        with pytest.raises(ParseError) as err:
+            _READ[kind](p)
+        assert str(err.value) == f"{p}:2: {message}"
+        assert err.value.lineno == 2
+
+    @pytest.mark.parametrize("kind,bad,message", _VALUE_ERRORS)
+    def test_field_count_error_before_value_error(self, tmp_path, kind, bad, message):
+        good = _GOOD_LINE[kind]
+        n = good.count(",") + 1
+        p = tmp_path / "f.txt"
+        p.write_text(f"{good.format(1)}\n{good.format(2)},7\n{good.format(3)}\n{bad}\n")
+        with pytest.raises(ParseError) as err:
+            _READ[kind](p)
+        assert str(err.value) == f"{p}:2: expected {n} fields, got {n + 1}"
+
+    @pytest.mark.parametrize("blank,walked", [("", False), ("  \t", True)])
+    @pytest.mark.parametrize("kind,bad,message", _VALUE_ERRORS)
+    def test_line_named_past_blank_and_crlf_lines(self, tmp_path, monkeypatch, kind, bad, message,
+                                                  blank, walked):
+        # Blank and CRLF lines leave the numeric pass clean; a whitespace-only
+        # line sends the file through the line walk. Either way the bad row's
+        # line is counted over every line of the file.
+        calls, rows = [], motfiles._rows
+
+        def spy(*args):
+            calls.append(args)
+            return rows(*args)
+
+        monkeypatch.setattr(motfiles, "_rows", spy)
+        good = _GOOD_LINE[kind]
+        p = tmp_path / "f.txt"
+        p.write_bytes(f"\r\n{good.format(1)}\r\n{blank}\n\n{good.format(3)}\r\n{bad}\r\n".encode())
+        with pytest.raises(ParseError) as err:
+            _READ[kind](p)
+        assert str(err.value) == f"{p}:6: {message}"
+        assert bool(calls) == walked
+
+
+class TestDegenerateBox:
+    # Each box breaks one clause of the rule alone.
+    @pytest.mark.parametrize("box", [
+        "0,1,1.4e-308,1.5e-16",   # width * height rounds to 0
+        "1e7,20,5e-10,5e-10",     # left + width rounds back to left
+        "0,0,1e7,1e-302",         # width / height overflows
+        "0,0,1e-320,1e7",         # width / height rounds to 0
+    ])
+    @pytest.mark.parametrize("kind", sorted(_GOOD_LINE))
+    def test_rejected(self, tmp_path, kind, box):
+        good = _GOOD_LINE[kind]
+        p = tmp_path / "f.txt"
+        p.write_text(good.format(1) + "\n" + good.format(2).replace("10,20,30,40", box) + "\n")
+        with pytest.raises(ParseError) as err:
+            _READ[kind](p)
+        assert str(err.value) == f"{p}:2: degenerate box"
+
+    @pytest.mark.parametrize("kind", sorted(_GOOD_LINE))
+    def test_small_boxes_accepted(self, tmp_path, kind):
+        p = tmp_path / "f.txt"
+        p.write_text("".join(_GOOD_LINE[kind].format(f).replace("10,20,30,40", box) + "\n"
+                             for f, box in ((1, "0,0,1e-9,1e-9"), (2, "0,0,1e7,1e-300"), (3, "-1e7,1e7,1e-3,1e-3"))))
+        assert len(_READ[kind](p)) == (3 if kind == "dets" else 1)
 
 
 records = st.lists(
