@@ -100,9 +100,10 @@ def assign(cost: np.ndarray, gate: float) -> AssignmentResult:
     free_rows[rr] = False
     free_cols = np.ones(cols, dtype=bool)
     free_cols[cc] = False
+    # linear_sum_assignment returns rows sorted, the gate filter keeps their
+    # order and the ties swap only columns, so matches come out sorted by row.
     matches = list(zip(rr.tolist(), cc.tolist()))
     _canonicalize_ties(cost, gate, matches)
-    matches.sort()
     return AssignmentResult(
         matches=matches,
         unmatched_rows=free_rows.nonzero()[0].tolist(),

@@ -19,7 +19,7 @@ from . import motfiles, synth
 from .config import TrackerConfig
 from .kalman import NumericsError
 from .metrics import MetricsError, evaluate
-from .pipeline import DuplicateTrackIdError, Tracker
+from .pipeline import Tracker
 
 
 def _load_tracker_config(path: str | None) -> TrackerConfig:
@@ -89,56 +89,46 @@ def _parse_grid(spec: str) -> list[dict]:
     return [dict(combo) for combo in itertools.product(*axes)]
 
 
-def run_ablation_cell(payload) -> dict:
-    """One grid cell: run the tracker over every input pair, pool the metrics."""
-    config_path, overrides, scene_paths, dets_path, gt_path, iou = payload
-    cfg = _load_tracker_config(config_path)
-    cfg = dataclasses.replace(cfg, **overrides)
-
+def _inputs(cfg: TrackerConfig, scene_paths, dets_path, gt_path=None) -> list:
+    """``(gt, detection frames, config)`` per scene, each with its frame size; else the parsed files."""
+    if not scene_paths:
+        gt = motfiles.parse_ground_truth(gt_path) if gt_path else None
+        return [(gt, motfiles.parse_detections(dets_path), cfg)]
     inputs = []
-    if scene_paths:
-        for sp in scene_paths:
-            scene = motfiles.load_scene(sp)
-            gt, dets = synth.generate(scene)
-            cfg_cell = dataclasses.replace(
-                cfg, frame_width=scene.frame_width, frame_height=scene.frame_height
-            )
-            inputs.append((gt, dets, cfg_cell))
-    else:
-        gt = motfiles.parse_ground_truth(gt_path)
-        dets = motfiles.parse_detections(dets_path)
-        inputs.append((gt, dets, cfg))
+    for scene in map(motfiles.load_scene, scene_paths):
+        gt, dets = synth.generate(scene)
+        inputs.append((gt, dets, dataclasses.replace(
+            cfg, frame_width=scene.frame_width, frame_height=scene.frame_height)))
+    return inputs
 
-    totals = {"FP": 0, "FN": 0, "IDSW": 0, "FM": 0, "MT": 0, "ML": 0, "GT": 0}
-    weighted = {"MOTA": 0.0, "IDF1": 0.0, "HOTA": 0.0}
+
+# Table column -> MetricsReport field. A cell sums the counts over its inputs
+# and weights the rates, the first three, by each input's GT boxes.
+_POOLED = {"MOTA": "mota", "IDF1": "idf1", "HOTA": "hota", "FP": "fp", "FN": "fn",
+           "IDSW": "idsw", "FM": "fm", "MT": "mt", "ML": "ml", "GT": "gt_total"}
+_RATES = ("MOTA", "IDF1", "HOTA")
+
+
+def run_ablation_cell(payload) -> dict:
+    """One grid cell: run the tracker over every input, pool the metrics."""
+    config_path, overrides, scene_paths, dets_path, gt_path, iou = payload
+    cfg = dataclasses.replace(_load_tracker_config(config_path), **overrides)
+    totals = dict.fromkeys(_POOLED, 0)
     frames_done = 0
     elapsed = 0.0
-    for gt, dets, cfg_cell in inputs:
+    for gt, dets, cfg_cell in _inputs(cfg, scene_paths, dets_path, gt_path):
         tracker = Tracker(cfg_cell)
         t0 = time.perf_counter()
         outputs = [tracker.step(fd) for fd in dets]
         elapsed += time.perf_counter() - t0
         frames_done += len(outputs)
         report = evaluate(gt, motfiles.outputs_to_trajectories(outputs), iou_thr=iou)
-        totals["FP"] += report.fp
-        totals["FN"] += report.fn
-        totals["IDSW"] += report.idsw
-        totals["FM"] += report.fm
-        totals["MT"] += report.mt
-        totals["ML"] += report.ml
-        totals["GT"] += report.gt_total
-        weighted["MOTA"] += report.mota * report.gt_total
-        weighted["IDF1"] += report.idf1 * report.gt_total
-        weighted["HOTA"] += report.hota * report.gt_total
+        for col, name in _POOLED.items():
+            totals[col] += getattr(report, name) * (report.gt_total if col in _RATES else 1)
     gt_total = max(totals["GT"], 1)
     row = dict(overrides)
-    row.update(
-        MOTA=weighted["MOTA"] / gt_total,
-        IDF1=weighted["IDF1"] / gt_total,
-        HOTA=weighted["HOTA"] / gt_total,
-        **totals,
-        FPS=(frames_done / elapsed) if elapsed > 0 else 0.0,
-    )
+    row.update({col: total / gt_total if col in _RATES else total for col, total in totals.items()})
+    row["FPS"] = (frames_done / elapsed) if elapsed > 0 else 0.0
     return row
 
 
@@ -176,15 +166,8 @@ def _cmd_ablate(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    if args.scene:
-        scene = motfiles.load_scene(args.scene)
-        _, dets = synth.generate(scene)
-        cfg = _load_tracker_config(args.config)
-        cfg.frame_width = scene.frame_width
-        cfg.frame_height = scene.frame_height
-    else:
-        dets = motfiles.parse_detections(args.dets)
-        cfg = _load_tracker_config(args.config)
+    scenes = [args.scene] if args.scene else []
+    [(_, dets, cfg)] = _inputs(_load_tracker_config(args.config), scenes, args.dets)
     tracker = Tracker(cfg)
     t0 = time.perf_counter()
     for fd in dets:
@@ -255,7 +238,7 @@ def main(argv=None) -> int:
         parser.error("bench needs --dets or --scene")
     try:
         return args.func(args)
-    except (OSError, ValueError, MetricsError, NumericsError, DuplicateTrackIdError) as exc:
+    except (OSError, ValueError, MetricsError, NumericsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -63,6 +63,15 @@ def check_box_range(box: BoundingBox) -> None:
         raise ValueError(f"box field beyond {MAX_COORD:g} px in {box!r}")
 
 
+def degenerate(boxes: np.ndarray) -> np.ndarray:
+    """Mask of (n, 4) ltwh boxes whose area or extent rounds to 0, or whose aspect ratio rounds to 0 or overflows."""
+    left, top, width, height = boxes.T
+    with np.errstate(all="ignore"):
+        ratio = width / height
+        return ((width * height == 0) | ((left + width - left) * (top + height - top) == 0)
+                | (ratio == 0) | np.isinf(ratio))
+
+
 def iou(a: BoundingBox, b: BoundingBox) -> float:
     """Intersection-over-union of two boxes; 0 when disjoint, 1 when identical."""
     ix = min(a.right, b.right) - max(a.left, b.left)

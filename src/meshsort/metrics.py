@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .geometry import BoundingBox, boxes_to_ltrb, iou_matrix, ltwh_to_ltrb
+from .geometry import MAX_COORD, BoundingBox, boxes_to_ltrb, degenerate, iou_matrix, ltwh_to_ltrb
 
 
 class TrajectorySet(Mapping):
@@ -198,16 +198,25 @@ def _check_threshold(iou_thr: float) -> None:
         raise MetricsError("iou threshold must lie in (0, 1)")
 
 
-def _flat_boxes(trajs: TrajectorySet) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarray]:
+def _flat_boxes(trajs, side: str) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarray]:
     """Sorted ids, and every box's frame, rank (position in the sorted ids) and ltrb row.
 
-    Boxes come out ordered by frame, then rank.
+    Boxes come out ordered by frame, then rank. The first box that the result
+    file reader would reject raises, naming ``side``, its id and its frame.
     """
+    trajs = TrajectorySet.of(trajs)
+    boxes = trajs.boxes
+    bad = ~(np.abs(boxes) <= MAX_COORD).all(axis=1) | (boxes[:, 2:] <= 0).any(axis=1) | degenerate(boxes)
+    if bad.any():
+        row = int(bad.argmax())
+        tid = trajs.ids[np.searchsorted(trajs.start, row, side="right") - 1]
+        raise MetricsError(f"{side} id {tid} at frame {trajs.frames[row]}: box {boxes[row].tolist()} must be "
+                           f"finite, within {MAX_COORD:g} px, of positive size and not degenerate")
     ids = np.sort(trajs.ids)
     ranks = np.repeat(np.searchsorted(ids, trajs.ids), np.diff(trajs.start))
     order = np.lexsort((ranks, trajs.frames))
     # ltwh_to_ltrb adds left to width and top to height, as BoundingBox.right/.bottom do.
-    return ids.tolist(), trajs.frames[order], ranks[order], ltwh_to_ltrb(trajs.boxes[order])
+    return ids.tolist(), trajs.frames[order], ranks[order], ltwh_to_ltrb(boxes[order])
 
 
 class _Sweep(NamedTuple):
@@ -243,10 +252,10 @@ class _Sweep(NamedTuple):
 
 
 def _sweep(gt, res) -> _Sweep:
-    gt_ids, g_frame, g_rank, g_ltrb = _flat_boxes(TrajectorySet.of(gt))
+    gt_ids, g_frame, g_rank, g_ltrb = _flat_boxes(gt, "ground truth")
     if not len(g_frame):
         raise MetricsError("ground truth is empty; metrics undefined")
-    res_ids, r_frame, r_rank, r_ltrb = _flat_boxes(TrajectorySet.of(res))
+    res_ids, r_frame, r_rank, r_ltrb = _flat_boxes(res, "result")
     frames = np.union1d(g_frame, r_frame)
     goff = np.concatenate(([0], np.searchsorted(g_frame, frames, side="right")))
     roff = np.concatenate(([0], np.searchsorted(r_frame, frames, side="right")))

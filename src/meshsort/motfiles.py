@@ -24,7 +24,6 @@ one ``%`` call, straight from those arrays.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import warnings
 from itertools import chain, islice
@@ -34,7 +33,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .config import TrackerConfig
-from .geometry import MAX_COORD
+from .geometry import MAX_COORD, degenerate
 from .metrics import TrajectorySet
 from .pipeline import Detections, FrameDetections, FrameOutput, Records
 from .synth import SceneConfig, parse_scene
@@ -155,15 +154,6 @@ def _beyond_coord(parts: list[str], v: list[float]) -> str:
     return f"box field {field} beyond {MAX_COORD:g} px"
 
 
-def _degenerate(table: np.ndarray) -> np.ndarray:
-    """Boxes whose area or extent rounds to 0, or whose aspect ratio rounds to 0 or overflows."""
-    left, top, width, height = table[:, 2], table[:, 3], table[:, 4], table[:, 5]
-    with np.errstate(all="ignore"):
-        ratio = width / height
-        return ((width * height == 0) | ((left + width - left) * (top + height - top) == 0)
-                | (ratio == 0) | np.isinf(ratio))
-
-
 def _outside_unit(k: int, name: str) -> _Rule:
     return lambda t: ~((t[:, k] >= 0.0) & (t[:, k] <= 1.0)), lambda parts, v: f"{name} {v[k]} outside [0, 1]"
 
@@ -204,7 +194,7 @@ _FRAME_RANGE: _Rule = (lambda t: (t[:, 0] < 1) | (t[:, 0] > _MAX_FRAME),
 _COORD: _Rule = (lambda t: (np.abs(t[:, 2:4]) > MAX_COORD).any(axis=1) | (t[:, 4:6] > MAX_COORD).any(axis=1),
                  _beyond_coord)
 _SIZE: _Rule = (lambda t: (t[:, 4] <= 0) | (t[:, 5] <= 0), lambda parts, v: "non-positive box size")
-_DEGENERATE: _Rule = (_degenerate, lambda parts, v: "degenerate box")
+_DEGENERATE: _Rule = (lambda t: degenerate(t[:, 2:6]), lambda parts, v: "degenerate box")
 _DUPLICATE: _Rule = (_repeats, lambda parts, v: f"duplicate frame {int(v[0])} for id {int(v[1])}")
 
 _DETECTION_RULES = [_FINITE, _WHOLE_FRAME, _FRAME_RANGE, _COORD, _SIZE, _DEGENERATE, _outside_unit(6, "confidence")]
@@ -300,9 +290,9 @@ class ConfigError(ValueError):
     pass
 
 
-def parse_config_text(text: str, base: TrackerConfig | None = None) -> TrackerConfig:
+def parse_config_text(text: str) -> TrackerConfig:
     """Flat ``key = value`` tracker configuration; unknown keys are rejected."""
-    cfg = dataclasses.replace(base) if base is not None else TrackerConfig()
+    cfg = TrackerConfig()
     types = TrackerConfig.field_types()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()

@@ -208,15 +208,10 @@ class FrameOutput:
 class TrackerStats:
     """Cheap per-run instrumentation used by the benchmark and ablation runs."""
 
-    frames: int = 0
     predicts: int = 0
     doomed_predicts: int = 0
     spawned: int = 0
     removed: int = 0
-
-
-class DuplicateTrackIdError(RuntimeError):
-    """Raised when one frame's output would carry the same track id twice."""
 
 
 class Tracker:
@@ -326,7 +321,6 @@ class Tracker:
         if cfg.enable_mesh:
             self.grid.identify(self.threshold, fd.index)
 
-        self._stats.frames += 1
         return FrameOutput(index=fd.index, records=self._records())
 
     def _records(self) -> Records:
@@ -334,13 +328,9 @@ class Tracker:
         shown = table.status == TRACKED
         if self.cfg.emit_virtual:
             shown |= table.status == LOST_MAINTAINED
+        # Rows keep creation order and ids count up, so the shown ids ascend.
         rows = shown.nonzero()[0]
-        rows = rows[np.argsort(table.ids[rows], kind="stable")]
-        ids = table.ids[rows]
-        repeated = ids[1:][ids[1:] == ids[:-1]]
-        if repeated.size:
-            raise DuplicateTrackIdError(f"track id {repeated[0]} appears twice in one frame output")
-        return Records(ids, table.last_box[rows], table.confidence[rows])
+        return Records(table.ids[rows], table.last_box[rows], table.confidence[rows])
 
 
 def run(cfg: TrackerConfig, frames: Iterable[FrameDetections]) -> list[FrameOutput]:

@@ -10,8 +10,8 @@ given (config, seed) holds across platforms.
 :func:`generate` computes every agent's boxes once, as (frames, agents)
 arrays, and returns ground truth as one :class:`~meshsort.metrics.TrajectorySet`
 table over them and detections as array-backed frames. Cover is found from
-those arrays: one strict-overlap test per block of frames lists, for each live
-agent, the later live agents whose box overlaps it, and only those plus the
+those arrays: one strict-overlap test per block of whole frames lists, for each
+live agent, the later live agents whose box overlaps it, and only those plus the
 occluders go to the union-area computation of :func:`covered_fraction`.
 """
 
@@ -27,6 +27,8 @@ from .metrics import TrajectorySet
 from .pipeline import Detections, FrameDetections
 
 _MASK64 = (1 << 64) - 1
+
+MIN_AGENT_SIZE = 0.01  # px: the MOT files' two decimals write a smaller size as 0.00
 
 
 def _splitmix64(state: int):
@@ -97,8 +99,8 @@ class AgentSpec:
             raise ValueError(f"bad spawn/despawn pair ({self.spawn}, {self.despawn})")
         if not (math.isfinite(self.width) and math.isfinite(self.height)):
             raise ValueError(f"non-finite agent box size {self.width}x{self.height}")
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError("agent box size must be positive")
+        if self.width < MIN_AGENT_SIZE or self.height < MIN_AGENT_SIZE:
+            raise ValueError(f"agent box size {self.width}x{self.height} below {MIN_AGENT_SIZE} px")
         if not self.waypoints:
             raise ValueError("agent needs at least one waypoint")
         times = [t for t, _, _ in self.waypoints]
@@ -290,24 +292,10 @@ def _agent_ltrb(cfg: SceneConfig) -> np.ndarray:
 
 
 # Cells of the (frames, agents, agents) overlap array held at once. Scenes are
-# cut into blocks of frames, or of agents within one frame, to stay under it,
-# so the array does not grow with the scene's length.
+# cut into blocks of whole frames to stay under it, so the array does not grow
+# with the scene's length. A frame of more than 1,024 agents is one block of
+# its own, about 2 * agents**2 bytes.
 _OVERLAP_CELLS = 1 << 20
-
-
-def _overlap_blocks(frames: int, agents: int):
-    """Yield ``(f0, f1, [(a0, a1), ...])``: frame ranges, each cut into agent ranges.
-
-    A block compares agents ``a0:a1`` with all agents of frames ``f0:f1``, so
-    it holds ``(f1 - f0) * (a1 - a0) * agents`` cells; that stays within
-    ``_OVERLAP_CELLS`` unless one agent alone exceeds it.
-    """
-    per_frame = max(agents * agents, 1)
-    step_f = max(1, _OVERLAP_CELLS // per_frame)
-    step_a = max(1, agents if per_frame <= _OVERLAP_CELLS else _OVERLAP_CELLS // agents)
-    for f0 in range(0, frames, step_f):
-        chunks = [(a0, min(a0 + step_a, agents)) for a0 in range(0, agents, step_a)]
-        yield f0, min(f0 + step_f, frames), chunks
 
 
 def _later_overlaps(ltrb: np.ndarray):
@@ -320,19 +308,19 @@ def _later_overlaps(ltrb: np.ndarray):
     """
     left, top, right, bottom = ltrb
     frames, agents = left.shape
-    order = np.arange(agents)
-    for f0, f1, chunks in _overlap_blocks(frames, agents):
-        block: list[dict[int, list[int]]] = [{} for _ in range(f0, f1)]
-        for a0, a1 in chunks:
-            own = np.s_[f0:f1, a0:a1, None]
-            other = np.s_[f0:f1, None, :]
-            hit = right[other] > left[own]
-            hit &= left[other] < right[own]
-            hit &= bottom[other] > top[own]
-            hit &= top[other] < bottom[own]
-            hit &= order > order[a0:a1, None]
-            for f, a, j in zip(*(ix.tolist() for ix in np.nonzero(hit))):
-                block[f].setdefault(a0 + a, []).append(j)
+    later = np.arange(agents) > np.arange(agents)[:, None]
+    step = max(1, _OVERLAP_CELLS // max(agents * agents, 1))
+    for f0 in range(0, frames, step):
+        own = np.s_[f0 : f0 + step, :, None]
+        other = np.s_[f0 : f0 + step, None, :]
+        hit = right[other] > left[own]
+        hit &= left[other] < right[own]
+        hit &= bottom[other] > top[own]
+        hit &= top[other] < bottom[own]
+        hit &= later
+        block: list[dict[int, list[int]]] = [{} for _ in range(len(hit))]
+        for f, a, j in zip(*(ix.tolist() for ix in np.nonzero(hit))):
+            block[f].setdefault(a, []).append(j)
         yield from block
 
 

@@ -2,7 +2,7 @@ import warnings
 
 import pytest
 
-from meshsort import kalman, pipeline, scenarios
+from meshsort import kalman, scenarios
 from meshsort.cli import main
 from meshsort.motfiles import parse_detections, parse_ground_truth
 from meshsort.synth import format_scene
@@ -134,6 +134,26 @@ class TestAblate:
         assert rc == 1
         assert "unknown grid key" in capsys.readouterr().err
 
+    def test_grid_over_two_scenes_is_pinned(self, tmp_path, capsys, monkeypatch):
+        # Every column but FPS, recorded before the scene inputs and the
+        # pooling moved into shared helpers.
+        monkeypatch.setenv("MESH_SORT_THREADS", "1")
+        scenes = []
+        for name, scene in (("a", scenarios.transient_occlusion_scene(1)), ("b", scenarios.exit_scene(2))):
+            scenes += ["--scene", str(tmp_path / f"{name}.txt")]
+            (tmp_path / f"{name}.txt").write_text(format_scene(scene))
+        table = tmp_path / "table.txt"
+        assert main(["ablate", "--grid", "enable_mesh=0,1;lost_maintain_frames=0,3", *scenes,
+                     "--out", str(table)]) == 0
+        rows = [line.split("\t")[:-1] for line in table.read_text().splitlines()]
+        assert rows == [
+            "enable_mesh lost_maintain_frames MOTA IDF1 HOTA FP FN IDSW FM MT ML".split(),
+            "False 0 0.9445 0.9714 0.9395 0 130 0 3 25 0".split(),
+            "False 3 0.9445 0.9714 0.9395 0 130 0 3 25 0".split(),
+            "True 0 0.9445 0.9714 0.9395 0 130 0 3 25 0".split(),
+            "True 3 0.9445 0.9714 0.9395 0 130 0 3 25 0".split(),
+        ]
+
     def test_dets_gt_input_pair(self, tmp_path, scene_file, monkeypatch):
         monkeypatch.setenv("MESH_SORT_THREADS", "1")
         gt, dets = _synth_files(tmp_path, scene_file)
@@ -182,21 +202,6 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "singular" in err
 
-    def test_track_duplicate_id_exits_one(self, tmp_path, scene_file, capsys, monkeypatch):
-        _, dets = _synth_files(tmp_path, scene_file)
-
-        def duplicate(self, fd):
-            raise pipeline.DuplicateTrackIdError("track id 3 appears twice in one frame output")
-
-        monkeypatch.setattr(pipeline.Tracker, "step", duplicate)
-        capsys.readouterr()
-        rc = main(["track", "--dets", str(dets), "--out", str(tmp_path / "res.txt")])
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "appears twice" in err
-        assert "Traceback" not in err
-
-
     def test_synth_agent_outliving_scene_names_its_line(self, tmp_path, capsys):
         scene = tmp_path / "scene.txt"
         scene.write_text(
@@ -211,6 +216,18 @@ class TestErrors:
         assert err.startswith("error: scene line 2: agent outlives the scene (despawn 20 > frames 10)")
         assert "Traceback" not in err
         assert not (tmp_path / "gt.txt").exists()
+
+    def test_synth_agent_below_file_resolution_names_its_line(self, tmp_path, capsys):
+        # Such an agent was once written with width 0.00, which track and eval reject.
+        scene = tmp_path / "scene.txt"
+        scene.write_text("frames = 5\nagent = spawn:1 despawn:5 size:0.004x40 path:100,300@1 120,300@5\n")
+        rc = main(["synth", "--scene", str(scene), "--out-gt", str(tmp_path / "gt.txt"),
+                   "--out-dets", str(tmp_path / "dets.txt")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: scene line 2: agent box size 0.004x40.0 below 0.01 px")
+        assert "Traceback" not in err
+        assert not (tmp_path / "gt.txt").exists() and not (tmp_path / "dets.txt").exists()
 
 
 _DET_LINE = "1,-1,10.00,20.00,30.00,60.00,0.90,-1,-1,-1\n"

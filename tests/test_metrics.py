@@ -1,11 +1,14 @@
 import math
+import warnings
 
+import numpy as np
 import pytest
 
 from meshsort.geometry import BoundingBox
 from meshsort.metrics import (
     HOTA_ALPHAS,
     MetricsError,
+    TrajectorySet,
     clear_mot,
     evaluate,
     hota,
@@ -211,6 +214,29 @@ class TestEvaluate:
         assert a.idf1 == pytest.approx(b.idf1)
         assert a.hota == pytest.approx(b.hota)
         assert (a.fp, a.fn, a.idsw, a.fm) == (b.fp, b.fn, b.idsw, b.fm)
+
+
+class TestBadInMemoryBoxes:
+    """The evaluator rejects a box that the result file reader would reject, naming its side, id and frame."""
+
+    @staticmethod
+    def _set(width, height):
+        return TrajectorySet.from_rows(np.array([1, 1]), np.array([1, 2]),
+                                       np.array([[10, 20, width, height], [50, 60, 10, 10]], dtype=np.float64))
+
+    @pytest.mark.parametrize("width,height", [(0.5, 5e-324), (math.nan, 10), (-3, 10)],
+                             ids=["degenerate", "nan", "negative"])
+    def test_ground_truth(self, width, height):
+        # These once warned and failed inside the IoU and assignment code, or scored MOTA 0.
+        ts = self._set(width, height)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MetricsError, match=r"^ground truth id 1 at frame 1: box \[10.0, 20.0, "):
+                evaluate(ts, ts)
+
+    def test_result(self):
+        with pytest.raises(MetricsError, match=r"^result id 1 at frame 1: .* within 1e\+07 px"):
+            evaluate(self._set(10, 10), self._set(10, 2e7))
 
 
 class TestThresholdValidation:

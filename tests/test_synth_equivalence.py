@@ -54,23 +54,11 @@ def test_dense_scene_matches_reference():
 
 @pytest.mark.parametrize("cells", (1, 40, 500))
 def test_overlap_blocks_do_not_change_output(cells, monkeypatch):
-    # 1 and 40 cut one frame's 15 agents into chunks; 500 packs two frames per block.
+    # 1 and 40 make each frame one block; 500 packs two frames of the exit scene's
+    # 15 agents, or four of the transient scene's 11, into one block.
     monkeypatch.setattr(synth, "_OVERLAP_CELLS", cells)
     _assert_same(scenarios.exit_scene(2))
     _assert_same(scenarios.transient_occlusion_scene(4))
-
-
-@pytest.mark.parametrize("frames,agents", [(1, 1), (7, 0), (5000, 3), (9, 100), (3, 1100), (2, 5000)])
-def test_overlap_blocks_tile_scene_within_budget(frames, agents):
-    seen = []
-    for f0, f1, chunks in synth._overlap_blocks(frames, agents):
-        assert f0 < f1
-        for a0, a1 in chunks:
-            assert (f1 - f0) * (a1 - a0) * agents <= synth._OVERLAP_CELLS
-            seen.extend((f, a) for f in range(f0, f1) for a in range(a0, a1))
-        if not agents:
-            assert chunks == []
-    assert sorted(seen) == [(f, a) for f in range(frames) for a in range(agents)]
 
 
 # A small frame and few positions, so that boxes often overlap, touch edge to
