@@ -222,8 +222,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="report tracking frames per second")
     p.add_argument("--config")
-    p.add_argument("--dets")
-    p.add_argument("--scene")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--dets")
+    source.add_argument("--scene")
     p.set_defaults(func=_cmd_bench)
 
     return parser
@@ -232,10 +233,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "ablate" and args.scene and (args.dets or args.gt):
+        parser.error("ablate takes --scene or --dets with --gt, not both")
     if args.command == "ablate" and not args.scene and not (args.dets and args.gt):
         parser.error("ablate needs --scene or both --dets and --gt")
-    if args.command == "bench" and not (args.dets or args.scene):
-        parser.error("bench needs --dets or --scene")
     try:
         return args.func(args)
     except (OSError, ValueError, MetricsError, NumericsError) as exc:

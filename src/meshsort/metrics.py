@@ -12,8 +12,10 @@ counts meaningful.
 All three metrics read one sweep of the sequence: each frame's overlaps are
 computed once and kept sparse, as the nonzero (gt, result) entries. The sweep
 is built from the tables' arrays: one sort by (frame, id) lays the boxes out
-frame by frame. HOTA runs an assignment only over the boxes that eligible
-pairs share, one block per frame.
+frame by frame. CLEAR reads each frame's entries for the carried pairs and
+runs an assignment only over the boxes the carry leaves free, when one of
+their entries clears the threshold. HOTA runs an assignment only over the
+boxes that eligible pairs share, one block per frame.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .geometry import MAX_COORD, BoundingBox, boxes_to_ltrb, degenerate, iou_matrix, ltwh_to_ltrb
+from .geometry import MAX_COORD, BoundingBox, degenerate, iou_matrix, ltwh_to_ltrb
 
 
 class TrajectorySet(Mapping):
@@ -242,14 +244,6 @@ class _Sweep(NamedTuple):
     r_box: np.ndarray
     val: np.ndarray
 
-    def overlaps(self, f: int) -> np.ndarray:
-        """Frame ``f``'s dense overlap matrix; disjoint boxes overlap by exactly 0.0."""
-        g0, r0 = self.goff[f], self.roff[f]
-        s = slice(self.eoff[f], self.eoff[f + 1])
-        dense = np.zeros((self.goff[f + 1] - g0, self.roff[f + 1] - r0))
-        dense[self.g_box[s] - g0, self.r_box[s] - r0] = self.val[s]
-        return dense
-
 
 def _sweep(gt, res) -> _Sweep:
     gt_ids, g_frame, g_rank, g_ltrb = _flat_boxes(gt, "ground truth")
@@ -276,89 +270,75 @@ def _sweep(gt, res) -> _Sweep:
     return _Sweep(gt_ids, res_ids, g_rank, r_rank, goff, roff, eoff, g_box, r_box, val)
 
 
-def match_frame(
-    gt_boxes: list[BoundingBox],
-    res_boxes: list[BoundingBox],
-    iou_thr: float,
-    carry: dict[int, int] | None = None,
-) -> list[tuple[int, int]]:
-    """Index pairs (gt, res) matched at one frame.
-
-    ``carry`` maps gt indices to res indices from the previous frame; those
-    pairs are kept whenever they still clear the threshold, and the remainder
-    is matched by maximum-overlap assignment.
-    """
-    _check_threshold(iou_thr)
-    if not gt_boxes or not res_boxes:
-        return []
-    return _match(iou_matrix(boxes_to_ltrb(gt_boxes), boxes_to_ltrb(res_boxes)), iou_thr, carry)
-
-
-def _match(overlaps: np.ndarray, iou_thr: float, carry: dict[int, int] | None) -> list[tuple[int, int]]:
-    """:func:`match_frame` on a precomputed (gt, res) overlap matrix."""
-    n_g, n_r = overlaps.shape
-    pairs: list[tuple[int, int]] = []
-    used_g, used_r = set(), set()
-    if carry:
-        for g, r in sorted(carry.items()):
-            if g < n_g and r < n_r and overlaps[g, r] >= iou_thr:
-                pairs.append((g, r))
-                used_g.add(g)
-                used_r.add(r)
-    free_g = [g for g in range(n_g) if g not in used_g]
-    free_r = [r for r in range(n_r) if r not in used_r]
-    if free_g and free_r:
-        sub = overlaps[np.ix_(free_g, free_r)]
-        rows, cols = linear_sum_assignment(1.0 - sub)
-        for r, c in zip(rows, cols):
-            if sub[r, c] >= iou_thr:
-                pairs.append((free_g[r], free_r[c]))
-    return sorted(pairs)
-
-
 def clear_mot(gt: TrajectorySet, res: TrajectorySet, iou_thr: float = 0.5, *, sweep: _Sweep | None = None):
     """(MOTA, FP, FN, IDSW, FM, MT, ML, gt_total) under CLEAR conventions.
 
+    Frame by frame, a gt id keeps the result id it was paired with in the
+    previous frame while their overlap clears the threshold (the carry). The
+    boxes the carry leaves free are matched by maximum-overlap assignment,
+    and pairs below the threshold are dropped. A switch is a gt id matched to
+    a result id other than the one it was last matched to.
     Fragmentations count interruptions of a ground-truth trajectory's covered
     stretches; mostly-tracked/lost use the 80% / 20% coverage cutoffs.
     ``sweep`` is the pair's overlap sweep; ``None`` builds it.
     """
     _check_threshold(iou_thr)
     sw = _sweep(gt, res) if sweep is None else sweep
-    fp = fn = idsw = gt_total = 0
-    last_match: dict[int, int] = {}
-    prev_pairs: dict[int, int] = {}
+    n_g = len(sw.gt_ids)
+    # Per gt rank, a result rank or -1: the previous frame's partner, and the last match.
+    partner = np.full(n_g, -1, dtype=np.intp)
+    last = np.full(n_g, -1, dtype=np.intp)
+    paired = np.zeros(0, dtype=np.intp)  # gt ranks paired in the previous frame
+    idsw = 0
+    matched = np.zeros(len(sw.val), dtype=bool)  # per entry
+    # Per entry: its id ranks, its result rank where it clears the threshold
+    # (else -2, never a partner), and its boxes numbered within its frame.
+    hit = sw.val >= iou_thr
+    g_id, r_id = sw.g_rank[sw.g_box], sw.r_rank[sw.r_box]
+    hit_r = np.where(hit, r_id, -2)
+    g_loc = sw.g_box - np.repeat(sw.goff[:-1], np.diff(sw.eoff))
+    r_loc = sw.r_box - np.repeat(sw.roff[:-1], np.diff(sw.eoff))
+    hits = np.concatenate(([0], np.cumsum(hit)))[sw.eoff].tolist()
+    eoff, n_gf, n_rf = sw.eoff.tolist(), np.diff(sw.goff).tolist(), np.diff(sw.roff).tolist()
+    for f, (lo, hi) in enumerate(zip(eoff, eoff[1:])):
+        carried = np.flatnonzero(partner[g_id[lo:hi]] == hit_r[lo:hi]) + lo
+        partner[paired] = -1  # only once the carry is read
+        # A carried pair was matched in the previous frame, so it is its gt id's
+        # last match: it switches nothing.
+        paired = g_id[carried]
+        partner[paired] = r_id[carried]
+        matched[carried] = True
+        if len(carried) == hits[f + 1] - hits[f]:
+            continue  # every entry that clears the threshold is carried
+        g_free, r_free = np.ones(n_gf[f], dtype=bool), np.ones(n_rf[f], dtype=bool)
+        g_free[g_loc[carried]] = r_free[r_loc[carried]] = False
+        e = np.flatnonzero(g_free[g_loc[lo:hi]] & r_free[r_loc[lo:hi]]) + lo
+        if not hit[e].any():
+            continue  # no assignment pair could clear the threshold
+        # The free boxes' overlap block, in frame order, zero where boxes are disjoint.
+        rows, cols = np.flatnonzero(g_free), np.flatnonzero(r_free)
+        bi, bj = np.searchsorted(rows, g_loc[e]), np.searchsorted(cols, r_loc[e])
+        block = np.zeros((len(rows), len(cols)))
+        block[bi, bj] = sw.val[e]
+        a, b = linear_sum_assignment(1.0 - block)
+        col_of = np.full(len(rows), -1, dtype=np.intp)
+        col_of[a] = b
+        new = e[(col_of[bi] == bj) & hit[e]]
+        g_k, r_k = g_id[new], r_id[new]
+        was = last[g_k]
+        idsw += int(((was >= 0) & (was != r_k)).sum())
+        last[g_k] = partner[g_k] = r_k
+        paired = np.concatenate((paired, g_k))
+        matched[new] = True
     covered = np.zeros(len(sw.g_rank), dtype=bool)  # per gt box
-    for f, g0 in enumerate(sw.goff[:-1].tolist()):
-        g = sw.g_rank[g0 : sw.goff[f + 1]].tolist()
-        r = sw.r_rank[sw.roff[f] : sw.roff[f + 1]].tolist()
-        gt_total += len(g)
-        pairs: list[tuple[int, int]] = []
-        if g and r:
-            col_of = {rk: c for c, rk in enumerate(r)}
-            carry = {}
-            for row, gk in enumerate(g):
-                want = prev_pairs.get(gk)
-                if want in col_of:
-                    carry[row] = col_of[want]
-            pairs = _match(sw.overlaps(f), iou_thr, carry)
-        fn += len(g) - len(pairs)
-        fp += len(r) - len(pairs)
-        frame_pairs: dict[int, int] = {}
-        for row, col in pairs:
-            gk, rk = g[row], r[col]
-            frame_pairs[gk] = rk
-            if gk in last_match and last_match[gk] != rk:
-                idsw += 1
-            last_match[gk] = rk
-            covered[g0 + row] = True
-        prev_pairs = frame_pairs
+    covered[sw.g_box[matched]] = True
+    gt_total, n_matched = len(sw.g_rank), int(matched.sum())
+    fn, fp = gt_total - n_matched, len(sw.r_rank) - n_matched
 
     # Each gt id's boxes, frames ascending: the sweep lists boxes frame by frame.
     order = np.argsort(sw.g_rank, kind="stable")
     rank, cov = sw.g_rank[order], covered[order]
     run_starts = cov & np.concatenate(([True], ~cov[:-1] | (rank[1:] != rank[:-1])))
-    n_g = len(sw.gt_ids)
     fm = int(np.maximum(np.bincount(rank[run_starts], minlength=n_g) - 1, 0).sum())
     boxes = np.bincount(rank, minlength=n_g)
     ratio = np.divide(np.bincount(rank, weights=cov, minlength=n_g), boxes, out=np.zeros(n_g), where=boxes > 0)

@@ -237,7 +237,8 @@ def semi_occlusion_noise(
 
     Fully visible measurements pass through unchanged; position slots are
     never touched. The multiplicative disturbance scales with how much of the
-    box is hidden.
+    box is hidden. A width or height that falls below :data:`MIN_AGENT_SIZE`
+    is raised to it.
     """
     if not 0.0 <= visibility <= 1.0:
         raise ValueError("visibility must lie in [0, 1]")
@@ -249,6 +250,13 @@ def semi_occlusion_noise(
     eps_ratio = rng.normal() * sigma_ratio
     out[2] = out[2] * max(1.0 + eps_area * hidden, 1e-3)
     out[3] = out[3] * max(1.0 + eps_ratio * hidden, 1e-3)
+    width, height = math.sqrt(out[2] * out[3]), math.sqrt(out[2] / out[3])
+    if min(width, height) < MIN_AGENT_SIZE:
+        # A hair above the bound, so that the sizes decoded from area and
+        # aspect again do not round below it.
+        floor = MIN_AGENT_SIZE * (1.0 + 1e-9)
+        width, height = max(width, floor), max(height, floor)
+        out[2], out[3] = width * height, width / height
     return out
 
 

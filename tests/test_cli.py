@@ -128,6 +128,17 @@ class TestAblate:
             main(["ablate", "--grid", "mesh_cols=4", "--out", str(tmp_path / "t.txt")])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("files", [("--dets",), ("--gt",), ("--dets", "--gt")])
+    def test_scene_and_files_are_exclusive(self, tmp_path, scene_file, capsys, files):
+        # The files were once ignored without a word when a scene was given.
+        paths = [arg for flag in files for arg in (flag, str(tmp_path / f"absent{flag}.txt"))]
+        with pytest.raises(SystemExit) as exc:
+            main(["ablate", "--grid", "mesh_cols=4", "--scene", str(scene_file), *paths,
+                  "--out", str(tmp_path / "t.txt")])
+        assert exc.value.code == 2
+        assert "not both" in capsys.readouterr().err
+        assert not (tmp_path / "t.txt").exists()
+
     def test_unknown_grid_key_fails(self, tmp_path, scene_file, capsys):
         rc = main(["ablate", "--grid", "bogus=1,2", "--scene", str(scene_file),
                    "--out", str(tmp_path / "t.txt")])
@@ -176,6 +187,13 @@ class TestBench:
             main(["bench"])
         assert exc.value.code == 2
 
+    def test_bench_scene_and_dets_are_exclusive(self, tmp_path, scene_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--scene", str(scene_file), "--dets", str(tmp_path / "absent.txt")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "not allowed with argument" in err and "Traceback" not in err
+
 
 class TestErrors:
     def test_eval_rejects_threshold(self, tmp_path, scene_file, capsys):
@@ -216,6 +234,18 @@ class TestErrors:
         assert err.startswith("error: scene line 2: agent outlives the scene (despawn 20 > frames 10)")
         assert "Traceback" not in err
         assert not (tmp_path / "gt.txt").exists()
+
+    def test_synth_noise_keeps_detections_readable(self, tmp_path, capsys):
+        # Size noise once shrank this partly covered agent's width to 0.00 in
+        # the detection file, which track then rejected.
+        scene = tmp_path / "scene.txt"
+        scene.write_text("frames = 20\nsigma_area = 100\nsigma_ratio = 100\noccluder = 100,280,10,20\n"
+                         "agent = spawn:1 despawn:20 size:4x40 path:100,300@1 100,300@20\n")
+        dets = tmp_path / "dets.txt"
+        assert main(["synth", "--scene", str(scene), "--out-gt", str(tmp_path / "gt.txt"),
+                     "--out-dets", str(dets)]) == 0
+        assert ",0.01," in dets.read_text()  # the noise reached the bound
+        assert main(["track", "--dets", str(dets), "--out", str(tmp_path / "res.txt")]) == 0
 
     def test_synth_agent_below_file_resolution_names_its_line(self, tmp_path, capsys):
         # Such an agent was once written with width 0.00, which track and eval reject.

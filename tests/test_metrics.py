@@ -13,7 +13,6 @@ from meshsort.metrics import (
     evaluate,
     hota,
     idf1,
-    match_frame,
 )
 
 from oracles import brute_force_idf1, enumerate_hota_alpha
@@ -32,29 +31,32 @@ def straight(id_, start, end, x0=100.0, step=0.0, y=100.0):
 
 
 class TestMatchFrame:
+    """CLEAR's per-frame matching, read through :func:`clear_mot`'s counts."""
+
     def test_identical_sets_all_match(self):
-        g = [box(0), box(100)]
-        r = [box(0), box(100)]
-        assert match_frame(g, r, 0.5) == [(0, 0), (1, 1)]
+        gt = {1: {1: box(0)}, 2: {1: box(100)}}
+        res = {7: {1: box(0)}, 8: {1: box(100)}}
+        assert clear_mot(gt, res) == (1.0, 0, 0, 0, 0, 2, 0, 2)
 
     def test_empty_result_no_pairs(self):
-        assert match_frame([box(0)], [], 0.5) == []
+        _, fp, fn, _, _, _, _, total = clear_mot({1: {1: box(0)}}, {})
+        assert (fp, fn, total) == (0, 1, 1)
 
     def test_two_results_on_one_gt_gives_single_pair(self):
-        pairs = match_frame([box(0)], [box(1), box(2)], 0.5)
-        assert len(pairs) == 1
+        _, fp, fn, _, _, _, _, _ = clear_mot({1: {1: box(0)}}, {1: {1: box(1)}, 2: {1: box(2)}})
+        assert (fp, fn) == (1, 0)
 
     def test_carry_keeps_previous_pair(self):
-        g = [box(0), box(6)]
-        r = [box(3), box(4)]
-        free = match_frame(g, r, 0.3)
-        carried = match_frame(g, r, 0.3, carry={0: 1, 1: 0})
-        assert carried == [(0, 1), (1, 0)]
-        assert free != carried
-
-    def test_threshold_validated(self):
-        with pytest.raises(MetricsError):
-            match_frame([box(0)], [box(0)], 1.5)
+        # Frame 1 pairs gt 1 with result 2 and gt 2 with result 1. At frame 2
+        # both pairs still clear 0.3, but the assignment alone would pair gt 1
+        # with result 1 (IoU 17/23) and gt 2 with result 2 (18/22).
+        gt = {1: {1: box(0), 2: box(0)}, 2: {1: box(100), 2: box(6)}}
+        res = {1: {1: box(100), 2: box(3)}, 2: {1: box(0), 2: box(4)}}
+        assert clear_mot(gt, res, 0.3)[1:4] == (0, 0, 0)  # fp, fn, idsw
+        # A frame without results in between drops the carry: both ids switch.
+        gt = {1: {1: box(0), 2: box(0), 3: box(0)}, 2: {1: box(100), 2: box(6), 3: box(6)}}
+        res = {1: {1: box(100), 3: box(3)}, 2: {1: box(0), 3: box(4)}}
+        assert clear_mot(gt, res, 0.3)[1:4] == (0, 2, 2)
 
 
 class TestClearMot:

@@ -83,6 +83,12 @@ _B = BoundingBox(4.0, 0.0, 10.0, 10.0)
     res={4: {0: _A, 1: _A, 3: _A}, 30: {0: _A, 1: _A, 2: _A, 3: _A}, 31: {}},
     iou_thr=0.25,
 )
+# _A and _B overlap by 3/7.
+@example(gt={1: {0: _A, 1: _A}}, res={1: {0: _A, 1: _B}, 2: {1: _A}}, iou_thr=0.5)  # carried pair falls below
+@example(  # frame 1's only free overlap is below the threshold: no assignment
+    gt={1: {0: _A, 1: _A}, 2: {1: _B}}, res={1: {0: _A, 1: _A}, 2: {1: _A}}, iou_thr=0.5,
+)
+@example(gt={1: {0: _A, 1: _A, 2: _A}}, res={1: {0: _A, 2: _B}, 2: {2: _A}}, iou_thr=0.25)  # partner absent: carry resets
 def test_random_sets_match_reference(gt, res, iou_thr):
     assert evaluate(gt, res, iou_thr) == reference_evaluate(gt, res, iou_thr)
 

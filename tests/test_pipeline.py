@@ -1,4 +1,5 @@
 import functools
+import warnings
 from collections import defaultdict
 
 import numpy as np
@@ -11,6 +12,7 @@ from meshsort.geometry import BoundingBox, bottom_middle, iou
 from meshsort.mesh import MeshGrid
 from meshsort.pipeline import (
     Detection,
+    Detections,
     FrameDetections,
     SequencingError,
     Tracker,
@@ -87,6 +89,16 @@ class TestStepBasics:
         # Such a box once overflowed the filter and failed a frame later.
         with pytest.raises(ValueError, match="beyond 1e\\+07 px"):
             make_frame(1, [det])
+
+    def test_degenerate_box_rejected(self):
+        # Such a box once passed, overflowed the filter's aspect ratio and
+        # raised NumericsError a frame later.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="degenerate box"):
+                Detections(np.array([[10.0, 20.0, 0.5, 5e-324]]), np.array([0.9]))
+            with pytest.raises(ValueError, match="degenerate box"):
+                FrameDetections(1, (Detection(BoundingBox(10.0, 20.0, 0.5, 5e-324), 0.9),))
 
 
 class TestRunDeterminism:

@@ -8,6 +8,7 @@ from meshsort.config import TrackerConfig
 from meshsort.geometry import BoundingBox
 from meshsort.pipeline import Tracker
 from meshsort.synth import (
+    MIN_AGENT_SIZE,
     AgentSpec,
     SceneConfig,
     Xoshiro256StarStar,
@@ -128,6 +129,21 @@ class TestSemiOcclusionNoise:
             z = np.array([123.0, 456.0, 800.0, 0.5])
             out = semi_occlusion_noise(z, 0.3, 0.8, 0.8, rng)
             assert out[0] == 123.0 and out[1] == 456.0
+
+    def test_sizes_never_below_file_resolution(self):
+        # A 4 x 40 box under heavy noise: the factors' own 1e-3 floor would
+        # leave it 0.004 px wide, which the files write as 0.00.
+        rng, twin = Xoshiro256StarStar(5), Xoshiro256StarStar(5)
+        raised = 0
+        for _ in range(500):
+            out = semi_occlusion_noise(np.array([100.0, 300.0, 160.0, 0.1]), 0.1, 100.0, 100.0, rng)
+            width, height = math.sqrt(out[2] * out[3]), math.sqrt(out[2] / out[3])
+            assert min(width, height) >= MIN_AGENT_SIZE
+            raised += min(width, height) < 1.001 * MIN_AGENT_SIZE
+            twin.normal()
+            twin.normal()
+        assert raised > 50
+        assert rng.next_u64() == twin.next_u64()  # two draws a call, no more
 
     def test_sample_std_matches_model(self):
         # At visibility 0.5 and sigma 0.2 the area multiplier has std 0.1.
