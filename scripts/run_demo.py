@@ -2,7 +2,7 @@
 """End-to-end demo: build a scene, track it, score it, dump the loss grid.
 
 Writes scene/gt/dets/result files into ./demo_out (or a given directory) and
-prints the metric table plus the final frequent-loss snapshot.
+prints the metric table plus the final loss grid and its frequent cells.
 """
 
 import sys
@@ -39,7 +39,7 @@ def main() -> int:
 
     report = evaluate(gt, outputs_to_trajectories(outputs))
     print(report.to_table())
-    print(tracker.grid.snapshot(scene.frames).to_text())
+    print(tracker.grid.to_text(scene.frames))
     print(f"files in {out_dir}/")
     return 0
 

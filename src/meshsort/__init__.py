@@ -2,7 +2,7 @@
 
 from .config import TrackerConfig
 from .geometry import BoundingBox, Point2, bottom_middle, iou
-from .mesh import LossThreshold, MeshGrid, MeshSnapshot
+from .mesh import LossThreshold, MeshGrid
 from .metrics import MetricsReport, evaluate
 from .pipeline import Detection, FrameDetections, FrameOutput, SequencingError, Tracker, run
 from .synth import SceneConfig, generate, parse_scene
@@ -16,7 +16,6 @@ __all__ = [
     "FrameOutput",
     "LossThreshold",
     "MeshGrid",
-    "MeshSnapshot",
     "MetricsReport",
     "Point2",
     "SceneConfig",

@@ -39,7 +39,7 @@ def _cmd_track(args) -> int:
     if args.mesh_out:
         last = frames[-1].index if frames else 0
         with open(args.mesh_out, "w", encoding="ascii") as fh:
-            fh.write(tracker.grid.snapshot(last).to_text())
+            fh.write(tracker.grid.to_text(last))
     print(f"tracked {len(frames)} frames -> {args.out}")
     return 0
 
@@ -64,8 +64,11 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _parse_grid(spec: str) -> list[dict]:
-    """`key=v1,v2;key2=w1,w2` -> cartesian product of override dicts."""
+def _parse_grid(spec: str, scenes: bool) -> list[dict]:
+    """`key=v1,v2;key2=w1,w2` -> cartesian product of override dicts.
+
+    With ``scenes``, each scene sets the frame size, so the grid may not.
+    """
     types = TrackerConfig.field_types()
     axes = []
     for part in spec.split(";"):
@@ -76,6 +79,11 @@ def _parse_grid(spec: str) -> list[dict]:
         key = key.strip()
         if key not in types:
             raise motfiles.ConfigError(f"unknown grid key {key!r}")
+        if any(axis[0][0] == key for axis in axes):
+            raise motfiles.ConfigError(f"grid key {key!r} given twice")
+        if scenes and key in ("frame_width", "frame_height"):
+            raise motfiles.ConfigError(
+                f"grid key {key!r} cannot vary with --scene: each scene sets its frame size")
         axis = [
             (key, motfiles.coerce_value(types[key], v.strip()))
             for v in values.split(",")
@@ -133,7 +141,7 @@ def run_ablation_cell(payload) -> dict:
 
 
 def _cmd_ablate(args) -> int:
-    cells = _parse_grid(args.grid)
+    cells = _parse_grid(args.grid, bool(args.scene))
     payloads = [
         (args.config, overrides, tuple(args.scene or ()), args.dets, args.gt, args.iou)
         for overrides in cells
@@ -194,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="result file to write")
     p.add_argument("--emit-virtual", action="store_true",
                    help="also emit maintained (virtual) boxes")
-    p.add_argument("--mesh-out", help="write the final loss-grid snapshot here")
+    p.add_argument("--mesh-out", help="write the final loss-grid counts and frequent cells here")
     p.set_defaults(func=_cmd_track)
 
     p = sub.add_parser("eval", help="score a result file against ground truth")

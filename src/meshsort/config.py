@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 
@@ -47,14 +48,25 @@ class TrackerConfig:
     emit_virtual: bool = False
 
     def validate(self) -> None:
+        """Raise :class:`ValueError`, naming the field, for the first value out of range.
+
+        A NaN fails every range test, so it is rejected too.
+        """
         if self.lost_maintain_frames < 0:
             raise ValueError("lost_maintain_frames must be >= 0")
         if not 0 <= self.location_age_reduction < self.max_age:
             raise ValueError("location_age_reduction must lie in [0, max_age)")
         if self.min_hits < 1:
             raise ValueError("min_hits must be >= 1")
-        if self.frame_width <= 0 or self.frame_height <= 0:
-            raise ValueError("frame size must be positive")
+        for name in ("occlusion_iou", "conf_low", "conf_high", "init_conf", "gate_first", "gate_second"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must lie in [0, 1]")
+        for name in ("buffer_scale", "mesh_threshold_slope"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0")
+        for name in ("frame_width", "frame_height", "pos_std_weight", "vel_std_weight"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and > 0")
         if self.mesh_cols < 1 or self.mesh_rows < 1:
             raise ValueError("mesh must have at least one cell per axis")
         if not self.conf_low < self.conf_high:

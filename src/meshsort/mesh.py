@@ -34,30 +34,11 @@ class LossThreshold:
 
 
 @dataclass
-class MeshSnapshot:
-    """Immutable copy of grid counts for export or inspection."""
-
-    cols: int
-    rows: int
-    frame: int
-    counts: np.ndarray
-    frequent: frozenset[CellId]
-
-    def to_text(self) -> str:
-        lines = [f"mesh {self.cols} {self.rows} frame {self.frame}"]
-        for j in range(self.rows):
-            lines.append(" ".join(str(int(self.counts[i, j])) for i in range(self.cols)))
-        cells = " ".join(f"({i},{j})" for i, j in sorted(self.frequent))
-        lines.append(f"frequent: {cells}".rstrip())
-        return "\n".join(lines) + "\n"
-
-
-@dataclass
 class MeshGrid:
     """m x n equal subdivision of the frame with per-cell loss bookkeeping.
 
     Mutated only by the single frame-processing thread of one tracker;
-    :meth:`snapshot` hands out independent copies.
+    :meth:`to_text` writes its state out.
     """
 
     cols: int
@@ -119,11 +100,11 @@ class MeshGrid:
         self.state = self.counts > limits
         return self.frequent
 
-    def snapshot(self, frame: int = 0) -> MeshSnapshot:
-        return MeshSnapshot(
-            cols=self.cols,
-            rows=self.rows,
-            frame=frame,
-            counts=self.counts.copy(),
-            frequent=self.frequent,
-        )
+    def to_text(self, frame: int = 0) -> str:
+        """The counts, one line per grid row, and the frequent cells, under a ``frame`` header."""
+        lines = [f"mesh {self.cols} {self.rows} frame {frame}"]
+        for j in range(self.rows):
+            lines.append(" ".join(str(int(self.counts[i, j])) for i in range(self.cols)))
+        cells = " ".join(f"({i},{j})" for i, j in sorted(self.frequent))
+        lines.append(f"frequent: {cells}".rstrip())
+        return "\n".join(lines) + "\n"

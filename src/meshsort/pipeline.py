@@ -232,7 +232,7 @@ class Tracker:
             cfg.mesh_cols, cfg.mesh_rows, (cfg.frame_width, cfg.frame_height)
         )
         self.threshold = LossThreshold(cfg.mesh_threshold_slope)
-        self.table = TrackTable.empty(cfg.vel_buffer_len)
+        self.table = TrackTable.blank(0, cfg.vel_buffer_len)
         self._next_id = 1
         self._last_frame = 0
         self._stats = TrackerStats()
@@ -241,10 +241,6 @@ class Tracker:
     def tracks(self) -> list[TrackView]:
         """Read-only views of the live tracks, in creation order."""
         return [self.table.view(row) for row in range(len(self.table))]
-
-    @property
-    def frequent_cells(self):
-        return self.grid.frequent
 
     def stats(self) -> TrackerStats:
         """Snapshot of run counters; pending lost work of live tracks included."""
@@ -266,7 +262,6 @@ class Tracker:
         live = len(table)
         if live:
             table.set_state(slice(None), kalman.predict(table.state(slice(None)), self.model))
-            table.predicts_since_match += 1
             self._stats.predicts += live
         predicted_ltwh = _tracks.state_box(table.mean)
         predicted = ltwh_to_ltrb(predicted_ltwh)

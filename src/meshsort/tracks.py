@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, fields
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,10 +26,9 @@ from . import kalman
 from .config import TrackerConfig
 from .geometry import BoundingBox, Point2, iou_matrix, ltwh_to_measurement, measurement_to_ltwh
 from .geometry import iou  # noqa: F401  -- perfbench's tracer wraps tracks.iou by name
-from .mesh import CellId, MeshGrid
+from .mesh import MeshGrid
 
 _MIN_BOX_SIZE = 1e-3
-_NO_CELL = -1
 # Measurement-noise inflation of a maintained track's pseudo-observation.
 _LM_NOISE_SCALE = 10.0
 
@@ -79,7 +78,6 @@ class TrackView(NamedTuple):
     hits: int
     lm_count: int
     lost_count: int
-    lost_cell: Optional[CellId]
     last_box: BoundingBox
     confidence: float
     predicts_since_match: int
@@ -89,20 +87,20 @@ class TrackView(NamedTuple):
 class TrackTable:
     """Per-track state as arrays, one row per live track in creation order.
 
-    ``lost_cell`` holds -1 in both columns while a track has no loss cell.
-    ``cov`` holds the covariance blocks (see :class:`kalman.KalmanState`).
-    ``vel_ring``/``vel_count`` are the velocity rings (see
-    :class:`kalman.VelocityBuffer`). ``last_box`` is the box the track
-    reports, as [left, top, width, height].
+    ``predicts_since_match`` counts the frames missed since the last match,
+    of which the first ``lm_count`` were maintained; the rest were spent
+    lost. ``cov`` holds the covariance blocks (see
+    :class:`kalman.KalmanState`). ``vel_ring``/``vel_count`` are the
+    velocity rings (see :class:`kalman.VelocityBuffer`). ``last_box`` is the
+    box the track reports, as [left, top, width, height]; a lost track's
+    ``last_box`` is where it was lost, since only a match writes it again.
     """
 
     ids: np.ndarray
     status: np.ndarray
     hits: np.ndarray
     lm_count: np.ndarray
-    lost_count: np.ndarray
     predicts_since_match: np.ndarray
-    lost_cell: np.ndarray
     mean: np.ndarray
     cov: np.ndarray
     vel_ring: np.ndarray
@@ -111,21 +109,15 @@ class TrackTable:
     confidence: np.ndarray
 
     @classmethod
-    def empty(cls, vel_len: int) -> "TrackTable":
-        return cls.blank(0, vel_len)
-
-    @classmethod
     def blank(cls, n: int, vel_len: int) -> "TrackTable":
-        """``n`` zeroed rows with no loss cell."""
+        """``n`` zeroed rows with velocity rings of length ``vel_len``."""
         ints = (n,), np.int64
         return cls(
             ids=np.zeros(*ints),
             status=np.zeros(n, dtype=np.int8),
             hits=np.zeros(*ints),
             lm_count=np.zeros(*ints),
-            lost_count=np.zeros(*ints),
             predicts_since_match=np.zeros(*ints),
-            lost_cell=np.full((n, 2), _NO_CELL, dtype=np.int64),
             mean=np.zeros((n, kalman.STATE_DIM)),
             cov=np.zeros((n, 3, kalman.MEAS_DIM)),
             vel_ring=np.zeros((n, vel_len, kalman.MEAS_DIM)),
@@ -158,18 +150,17 @@ class TrackTable:
         return kalman.VelocityBuffer(ring=self.vel_ring, count=self.vel_count)
 
     def view(self, row: int) -> TrackView:
-        cell = self.lost_cell[row]
+        lm_count, missed = int(self.lm_count[row]), int(self.predicts_since_match[row])
         return TrackView(
             track_id=int(self.ids[row]),
             status=TrackStatus(int(self.status[row])),
             kf=kalman.KalmanState(self.mean[row].copy(), self.cov[row].copy()),
             hits=int(self.hits[row]),
-            lm_count=int(self.lm_count[row]),
-            lost_count=int(self.lost_count[row]),
-            lost_cell=None if cell[0] == _NO_CELL else (int(cell[0]), int(cell[1])),
+            lm_count=lm_count,
+            lost_count=missed - lm_count,
             last_box=BoundingBox(*self.last_box[row].tolist()),
             confidence=float(self.confidence[row]),
-            predicts_since_match=int(self.predicts_since_match[row]),
+            predicts_since_match=missed,
         )
 
 
@@ -213,26 +204,25 @@ def on_matched(
     hits = table.hits[rows] + tentative
     table.hits[rows] = hits
     table.status[rows] = np.where(tentative & (hits < cfg.min_hits), TENTATIVE, TRACKED)
-    table.lost_count[rows] = 0
     table.lm_count[rows] = 0
-    table.lost_cell[rows] = _NO_CELL
     table.predicts_since_match[rows] = 0
     table.confidence[rows] = det_confs
     table.last_box[rows] = state_box(post.mean)
 
 
-def lost_maintain_step(table: TrackTable, rows: np.ndarray, cfg: TrackerConfig,
-                       model: kalman.MotionModel) -> None:
+def lost_maintain_step(table: TrackTable, rows: np.ndarray, boxes: np.ndarray,
+                       cfg: TrackerConfig, model: kalman.MotionModel) -> None:
     """Feed each maintained row its own projected prediction as a weak pseudo-observation.
 
     The zero innovation keeps the mean on its constant-velocity course while
     the inflated-noise update keeps the covariance from ballooning, so the
-    virtual proposal stays matchable.
+    virtual proposal stays matchable. The mean's position is left as it was,
+    so the rows report ``boxes``, their predicted [left, top, width, height]
+    boxes.
     """
     prior = table.state(rows)
-    post = kalman.update(prior, prior.projected(), model, noise_scale=_LM_NOISE_SCALE)
-    table.set_state(rows, post)
-    table.last_box[rows] = state_box(post.mean)
+    table.set_state(rows, kalman.update(prior, prior.projected(), model, noise_scale=_LM_NOISE_SCALE))
+    table.last_box[rows] = boxes
 
 
 def on_missed(
@@ -249,9 +239,11 @@ def on_missed(
     :func:`state_box` of their means). The frequent-loss cells are read from
     ``grid.state``. The cell lookups work whether or not the mesh feature is
     on; loss events reach ``grid`` only when it is, one per row entering the
-    lost pool, in row order.
+    lost pool, in row order. A lost row's removal age is reduced when the
+    cell of its ``last_box``, where it was lost, is frequent.
     """
     frequent = grid.state
+    table.predicts_since_match[rows] += 1
     status = table.status[rows]
     tentative = status == TENTATIVE
     table.status[rows[tentative]] = REMOVED
@@ -269,30 +261,27 @@ def on_missed(
     if len(kept):
         table.status[kept] = LOST_MAINTAINED
         table.lm_count[kept] += 1
-        lost_maintain_step(table, kept, cfg, model)
+        lost_maintain_step(table, kept, boxes[maintain], cfg, model)
 
-    # First frame in the lost pool: remember where it happened, roll the
-    # velocity back past any pre-occlusion detector noise, and count the loss
-    # in its cell.
+    # First frame in the lost pool: roll the velocity back past any
+    # pre-occlusion detector noise, and count the loss in its cell.
     lost = rows[~maintain]
     entering = lost[status[~maintain] != LOST]
     if len(entering):
-        x, y = _bottom_middle(table.last_box[entering])
-        table.lost_cell[entering] = np.stack(grid.cells_of(x, y), axis=1)
         if cfg.enable_mesh:
-            for point in _points(x, y):
+            for point in _points(*_bottom_middle(table.last_box[entering])):
                 grid.record_lost(point)
         if cfg.enable_velocity_rollback:
             rolled, _ = kalman.rollback_velocity(table.state(entering), table.velocities[entering])
             table.mean[entering] = rolled.mean
         table.status[entering] = LOST
 
-    lost_count = table.lost_count[lost] + 1
-    table.lost_count[lost] = lost_count
+    # A lost row is never maintained again before a match, so its maintained
+    # frames all come first.
+    lost_count = table.predicts_since_match[lost] - table.lm_count[lost]
     effective_age = np.full(len(lost), cfg.max_age)
     if cfg.enable_location_ages:
-        i, j = table.lost_cell[lost].T
-        reduced = (i != _NO_CELL) & frequent[i, j]
+        reduced = frequent[grid.cells_of(*_bottom_middle(table.last_box[lost]))]
         effective_age[reduced] -= cfg.location_age_reduction
     table.status[lost[lost_count >= effective_age]] = REMOVED
 

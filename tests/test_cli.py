@@ -75,6 +75,25 @@ class TestEndToEnd:
         mota = float(dict(l.split("=") for l in lines)["MOTA"])
         assert 0.5 < mota <= 1.0
 
+    @pytest.mark.parametrize("config, text", [
+        (None, "0 1 0 0\n0 2 0 0\n0 0 0 0\n0 0 0 0\nfrequent: (1,1)\n"),
+        ("frame_width = 960\nframe_height = 540\n",
+         "0 0 1 0\n0 0 0 0\n0 0 0 1\n0 0 1 0\nfrequent: (2,3)\n"),
+    ])
+    def test_mesh_out_of_the_demo_scene(self, tmp_path, config, text):
+        # The demo scene of scripts/run_demo.py, at the default frame size and
+        # at the scene's own.
+        scene = tmp_path / "scene.txt"
+        scene.write_text(format_scene(scenarios.transient_occlusion_scene(seed=1)))
+        _, dets = _synth_files(tmp_path, scene)
+        argv = ["track", "--dets", str(dets), "--out", str(tmp_path / "res.txt"),
+                "--mesh-out", str(tmp_path / "mesh.txt")]
+        if config:
+            (tmp_path / "cfg.txt").write_text(config)
+            argv += ["--config", str(tmp_path / "cfg.txt")]
+        assert main(argv) == 0
+        assert (tmp_path / "mesh.txt").read_text() == "mesh 4 4 frame 110\n" + text
+
     def test_track_emit_virtual_adds_boxes(self, tmp_path, scene_file):
         gt, dets = _synth_files(tmp_path, scene_file)
         cfg = tmp_path / "cfg.txt"
@@ -145,6 +164,24 @@ class TestAblate:
         assert rc == 1
         assert "unknown grid key" in capsys.readouterr().err
 
+    def test_repeated_grid_key_fails(self, tmp_path, scene_file, capsys):
+        # The last value once won without a word, giving one row.
+        rc = main(["ablate", "--grid", "max_age=10;max_age=40", "--scene", str(scene_file),
+                   "--out", str(tmp_path / "t.txt")])
+        assert rc == 1
+        assert "grid key 'max_age' given twice" in capsys.readouterr().err
+        assert not (tmp_path / "t.txt").exists()
+
+    @pytest.mark.parametrize("key", ["frame_width", "frame_height"])
+    def test_frame_size_grid_key_with_scene_fails(self, tmp_path, scene_file, capsys, key):
+        # Each scene's own frame size once replaced the grid's values, so the
+        # rows were labelled with sizes that never ran.
+        rc = main(["ablate", "--grid", f"{key}=200,960", "--scene", str(scene_file),
+                   "--out", str(tmp_path / "t.txt")])
+        assert rc == 1
+        assert f"grid key {key!r} cannot vary with --scene" in capsys.readouterr().err
+        assert not (tmp_path / "t.txt").exists()
+
     def test_grid_over_two_scenes_is_pinned(self, tmp_path, capsys, monkeypatch):
         # Every column but FPS, recorded before the scene inputs and the
         # pooling moved into shared helpers.
@@ -206,6 +243,32 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "iou threshold" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("line, message", [
+        ("init_conf = 2", "init_conf must lie in [0, 1]"),
+        ("gate_first = nan", "gate_first must lie in [0, 1]"),
+        ("occlusion_iou = nan", "occlusion_iou must lie in [0, 1]"),
+        ("conf_high = inf", "conf_high must lie in [0, 1]"),
+        ("frame_width = inf", "frame_width must be finite and > 0"),
+        ("mesh_threshold_slope = nan", "mesh_threshold_slope must be finite and >= 0"),
+    ])
+    def test_track_config_out_of_range_exits_one(self, tmp_path, scene_file, capsys, line, message):
+        # Each value once ran, giving an empty or a different result file.
+        _, dets = _synth_files(tmp_path, scene_file)
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(line + "\n")
+        res = tmp_path / "res.txt"
+        rc = main(["track", "--config", str(cfg), "--dets", str(dets), "--out", str(res)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not res.exists()
+
+    def test_ablate_grid_out_of_range_exits_one(self, tmp_path, scene_file, capsys, monkeypatch):
+        monkeypatch.setenv("MESH_SORT_THREADS", "1")
+        rc = main(["ablate", "--grid", "init_conf=0.7,2", "--scene", str(scene_file),
+                   "--out", str(tmp_path / "t.txt")])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: init_conf must lie in [0, 1]\n"
 
     def test_track_numerics_error_exits_one(self, tmp_path, scene_file, capsys, monkeypatch):
         _, dets = _synth_files(tmp_path, scene_file)

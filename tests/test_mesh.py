@@ -170,10 +170,10 @@ class TestIdentify:
 
 
 class TestSnapshot:
+    """The grid's text snapshot, ``MeshGrid.to_text``."""
+
     def test_fresh_grid_all_zero(self):
-        snap = grid44().snapshot(1)
-        assert snap.counts.sum() == 0
-        assert snap.frequent == frozenset()
+        assert grid44().to_text(1) == "mesh 4 4 frame 1\n" + "0 0 0 0\n" * 4 + "frequent:\n"
 
     def test_scenario_counts(self):
         g = grid44()
@@ -182,22 +182,14 @@ class TestSnapshot:
             g.record_lost(p)
         for _ in range(2):
             g.record_refound(p)
-        snap = g.snapshot(42)
-        assert snap.counts[0, 0] == 3
-        assert snap.counts.sum() == 3
+        assert g.to_text(42) == "mesh 4 4 frame 42\n3 0 0 0\n" + "0 0 0 0\n" * 3 + "frequent:\n"
 
     def test_text_layout(self):
         g = MeshGrid(3, 2, (300.0, 200.0))
-        g.record_lost(Point2(250, 150))  # cell (2, 1)
-        text = g.snapshot(7).to_text()
-        lines = text.splitlines()
-        assert lines[0] == "mesh 3 2 frame 7"
-        assert lines[1] == "0 0 0"
-        assert lines[2] == "0 0 1"
-        assert lines[3] == "frequent:"
-
-    def test_snapshot_is_independent_copy(self):
-        g = grid44()
-        snap = g.snapshot(1)
-        g.record_lost(Point2(10, 10))
-        assert snap.counts[0, 0] == 0
+        for _ in range(5):
+            g.record_lost(Point2(250, 150))  # cell (2, 1)
+        for _ in range(2):
+            g.record_refound(Point2(250, 150))
+        g.record_lost(Point2(10, 10))  # cell (0, 0)
+        g.identify(LossThreshold(0.0), 1)
+        assert g.to_text(7) == "mesh 3 2 frame 7\n1 0 0\n0 0 3\nfrequent: (0,0) (2,1)\n"

@@ -241,7 +241,26 @@ class TestConfigEdges:
                               enable_lost_maintain=False, mesh_threshold_slope=0.0))
         for fd in frames:
             tracker.step(fd)
-        assert tracker.frequent_cells
+        assert tracker.grid.frequent
+
+    @pytest.mark.parametrize("key, value, rule", [
+        ("init_conf", 2.0, "lie in [0, 1]"),
+        ("occlusion_iou", float("nan"), "lie in [0, 1]"),
+        ("conf_low", -0.1, "lie in [0, 1]"),
+        ("conf_high", float("inf"), "lie in [0, 1]"),
+        ("gate_first", float("nan"), "lie in [0, 1]"),
+        ("gate_second", 1.5, "lie in [0, 1]"),
+        ("buffer_scale", float("inf"), "be finite and >= 0"),
+        ("mesh_threshold_slope", float("nan"), "be finite and >= 0"),
+        ("frame_width", float("inf"), "be finite and > 0"),
+        ("frame_height", 0.0, "be finite and > 0"),
+        ("pos_std_weight", 0.0, "be finite and > 0"),
+        ("vel_std_weight", float("nan"), "be finite and > 0"),
+    ])
+    def test_out_of_range_value_is_named(self, key, value, rule):
+        with pytest.raises(ValueError) as exc:
+            Tracker(cfg(**{key: value}))
+        assert str(exc.value) == f"{key} must {rule}"
 
     def test_init_threshold_never_undercuts_conf_low(self):
         tracker = Tracker(cfg(min_hits=1, init_conf=0.02, conf_low=0.1))
@@ -262,6 +281,19 @@ class TestStats:
         assert stats.removed == 1
         assert stats.doomed_predicts == 5
         assert stats.predicts == 5
+
+    @pytest.mark.parametrize("kw, frames", [
+        (dict(min_hits=3), 2),  # a tentative track missed once
+        (dict(min_hits=1, lost_maintain_frames=2), 8),  # maintained twice, then lost five frames
+    ])
+    def test_every_predict_of_a_removed_track_is_doomed(self, kw, frames):
+        tracker = Tracker(cfg(max_age=5, location_age_reduction=0, **kw))
+        tracker.step(make_frame(1, [(box(100), 0.9)]))
+        for f in range(2, frames + 1):
+            assert tracker.stats().removed == 0
+            tracker.step(make_frame(f, []))
+        stats = tracker.stats()
+        assert (stats.removed, stats.predicts, stats.doomed_predicts) == (1, frames - 1, frames - 1)
 
 
 # --- metamorphic properties --------------------------------------------------

@@ -42,7 +42,7 @@ def ltwh(*boxes):
 
 
 def spawn(tid, b, c, model):
-    t = TrackTable.empty(c.vel_buffer_len)
+    t = TrackTable.blank(0, c.vel_buffer_len)
     new_track(t, [tid], ltwh(b), [0.9], c, model)
     return t
 
@@ -92,7 +92,7 @@ class TestOnMatched:
         t, model = make_tracked(c)
         g = grid()
         t.status[0] = TrackStatus.LOST
-        t.lost_count[0] = 4
+        t.predicts_since_match[0] = 4
         match(t, box(102), 0.8, c, model, g)
         assert t.view(0).status is TrackStatus.TRACKED
         assert [kind for kind, _ in g.events] == ["refound"]
@@ -151,7 +151,7 @@ class TestOnMissed:
         miss(t, c, model, g, frequent)
         assert t.view(0).status is TrackStatus.LOST
         assert [kind for kind, _ in g.events] == ["lost"]
-        assert t.view(0).lost_cell in frequent
+        assert g.cell_of(bottom_middle(t.view(0).last_box)) in frequent
 
     def test_budget_exhaustion_transitions_to_lost(self):
         c = cfg(lost_maintain_frames=2)
@@ -184,6 +184,36 @@ class TestOnMissed:
             assert t.view(0).status is TrackStatus.LOST
         miss(t, c, model, g, frozenset())
         assert t.view(0).status is TrackStatus.REMOVED
+
+    @pytest.mark.parametrize("lost_in_frequent, age", [(True, 22), (False, 30)])
+    def test_age_follows_the_loss_cell_not_the_prediction(self, lost_in_frequent, age):
+        # The prediction runs 100 px a frame along the top row of cells, out
+        # of the cell the track was lost in; only that cell sets the age.
+        c = cfg(lost_maintain_frames=0, enable_lost_maintain=False,
+                enable_velocity_rollback=False, max_age=30, location_age_reduction=8)
+        t, model = make_tracked(c)
+        g = grid()
+        loss_cell = g.cell_of(bottom_middle(t.view(0).last_box))
+        top_row = {(i, loss_cell[1]) for i in range(g.cols)}
+        frequent = {loss_cell} if lost_in_frequent else top_row - {loss_cell}
+        set_velocity(t, [100.0, 0, 0, 0])
+        for misses in range(1, 31):
+            predict(t, model)
+            miss(t, c, model, g, frequent)
+            if t.view(0).status is TrackStatus.REMOVED:
+                break
+        assert misses == age
+        assert g.cell_of(bottom_middle(predicted_box(t))) != loss_cell
+
+    def test_lost_count_is_the_misses_after_maintaining(self):
+        c = cfg(lost_maintain_frames=2)
+        t, model = make_tracked(c)
+        g = grid()
+        for _ in range(5):
+            miss(t, c, model, g, frozenset())
+        view = t.view(0)
+        assert view.status is TrackStatus.LOST
+        assert (view.lm_count, view.lost_count, view.predicts_since_match) == (2, 3, 5)
 
     def test_zero_budget_skips_maintain(self):
         c = cfg(lost_maintain_frames=0)
@@ -265,7 +295,7 @@ def _mk(status, b, tid):
 def occluded(rows, occlusion_iou):
     """Ids that infer_occlusion flags in one table of (status, box, id) rows."""
     c = cfg()
-    t = TrackTable.empty(c.vel_buffer_len)
+    t = TrackTable.blank(0, c.vel_buffer_len)
     new_track(t, [tid for _, _, tid in rows], ltwh(*[b for _, b, _ in rows]),
               [0.9] * len(rows), c, K.MotionModel())
     t.status[:] = [status for status, _, _ in rows]
