@@ -2,12 +2,14 @@
 
 Assignment maximizes the number of admissible (within-gate) matches first and
 minimizes total cost among those, which is what masking forbidden entries with
-a large sentinel achieves under the Hungarian solver.
+a large sentinel achieves under the Hungarian solver. Matches are ``(n, 2)``
+integer arrays of (row, column) pairs in row order; the cascade takes the
+candidates' boxes once and picks each stage's rows and detections by mask.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -20,9 +22,7 @@ _FORBIDDEN = 1e6
 
 @dataclass
 class AssignmentResult:
-    matches: list[tuple[int, int]]
-    unmatched_rows: list[int]
-    unmatched_cols: list[int]
+    matches: np.ndarray  # (n, 2) integer (row, col) pairs in row order
 
 
 def iou_cost(tracks: np.ndarray, dets: np.ndarray) -> np.ndarray:
@@ -37,7 +37,7 @@ def biou_cost(tracks: np.ndarray, dets: np.ndarray, buffer_scale: float) -> np.n
     return 1.0 - iou_matrix(expand_ltrb(tracks, buffer_scale), expand_ltrb(dets, buffer_scale))
 
 
-def _canonicalize_ties(cost: np.ndarray, gate: float, matches: list[tuple[int, int]]) -> None:
+def _canonicalize_ties(cost: np.ndarray, gate: float, matches: np.ndarray) -> None:
     # Among cost-preserving 2-swaps, give the lower row index the lower column
     # index, so equal-cost optima come out in a stable documented order.
     n = len(matches)
@@ -47,7 +47,7 @@ def _canonicalize_ties(cost: np.ndarray, gate: float, matches: list[tuple[int, i
         return
     # One vectorised test for a swap that the first pass below would make;
     # without one the pass changes nothing. pair[a, b] is cost[ra, cb].
-    rows, cols = np.array(matches).T
+    rows, cols = matches.T  # views: a swap writes the column in place
     pair = cost[rows[:, None], cols]
     own = pair.diagonal()
     order = np.arange(n)
@@ -63,18 +63,16 @@ def _canonicalize_ties(cost: np.ndarray, gate: float, matches: list[tuple[int, i
     changed = True
     while changed:
         changed = False
-        for a in range(len(matches)):
-            ra, ca = matches[a]
-            for b in range(a + 1, len(matches)):
-                rb, cb = matches[b]
+        for a in range(n):
+            ra = rows[a]
+            for b in range(a + 1, n):
+                rb, ca, cb = rows[b], cols[a], cols[b]
                 if cb >= ca:
                     continue
                 if cost[ra, cb] > gate or cost[rb, ca] > gate:
                     continue
                 if cost[ra, cb] + cost[rb, ca] == cost[ra, ca] + cost[rb, cb]:
-                    matches[a] = (ra, cb)
-                    matches[b] = (rb, ca)
-                    ca, cb = cb, ca
+                    cols[a], cols[b] = cb, ca
                     changed = True
 
 
@@ -85,44 +83,32 @@ def assign(cost: np.ndarray, gate: float) -> AssignmentResult:
     of admissible matches, then minimizes their total cost; ties resolve with
     the lowest row taking the lowest column.
     """
-    rows, cols = cost.shape
-    if rows == 0 or cols == 0:
-        return AssignmentResult([], list(range(rows)), list(range(cols)))
+    if cost.size == 0:
+        return AssignmentResult(np.empty((0, 2), dtype=np.intp))
     if not np.all(np.isfinite(cost)):
         raise ValueError("cost matrix must be finite")
     masked = np.where(cost > gate, _FORBIDDEN, cost)
     rr, cc = linear_sum_assignment(masked)
     kept = cost[rr, cc] <= gate
-    rr, cc = rr[kept], cc[kept]
-    # Tie canonicalization swaps columns between matched rows, so the matched
-    # row and column sets are final here.
-    free_rows = np.ones(rows, dtype=bool)
-    free_rows[rr] = False
-    free_cols = np.ones(cols, dtype=bool)
-    free_cols[cc] = False
     # linear_sum_assignment returns rows sorted, the gate filter keeps their
     # order and the ties swap only columns, so matches come out sorted by row.
-    matches = list(zip(rr.tolist(), cc.tolist()))
+    matches = np.stack([rr[kept], cc[kept]], axis=1)
     _canonicalize_ties(cost, gate, matches)
-    return AssignmentResult(
-        matches=matches,
-        unmatched_rows=free_rows.nonzero()[0].tolist(),
-        unmatched_cols=free_cols.nonzero()[0].tolist(),
-    )
+    return AssignmentResult(matches)
 
 
 @dataclass
 class TwoStageResult:
-    """Matches index into the concatenation of full-pool then lost-pool tracks."""
+    """(n, 2) integer (candidate row, detection) pairs, each array in row order."""
 
-    matches: list[tuple[int, int]]
-    stage_one_matches: list[tuple[int, int]] = field(default_factory=list)
-    stage_two_matches: list[tuple[int, int]] = field(default_factory=list)
+    matches: np.ndarray
+    stage_one_matches: np.ndarray
+    stage_two_matches: np.ndarray
 
 
 def two_stage_associate(
-    track_boxes: np.ndarray,
-    lost_boxes: np.ndarray,
+    boxes: np.ndarray,
+    n_active: int,
     det_boxes: np.ndarray,
     det_scores: Sequence[float],
     *,
@@ -134,38 +120,35 @@ def two_stage_associate(
 ) -> TwoStageResult:
     """Two-stage confidence cascade over one frame's detections.
 
-    Boxes are (N, 4) ltrb arrays. Stage one matches high-confidence
-    detections against the union of active tracks and lost proposals by
-    plain IoU. Stage two matches the still unmatched *active* tracks (lost
-    proposals only get the first stage) against mid-confidence detections
-    plus stage-one leftovers using buffered IoU. Detections below
+    Boxes are (N, 4) ltrb arrays; the candidates' first ``n_active`` rows are
+    active tracks and the rest lost proposals. Stage one matches
+    high-confidence detections against every candidate by plain IoU. Stage
+    two matches the still unmatched *active* rows (lost proposals only get
+    the first stage) against the still unmatched detections of at least
+    ``conf_low`` confidence using buffered IoU. Detections below
     ``conf_low`` are ignored entirely.
     """
     if not conf_low < conf_high:
         raise ValueError("conf_low must be below conf_high")
-    n_tracks = len(track_boxes)
-    candidates = np.concatenate([track_boxes, lost_boxes])
     scores = np.asarray(det_scores, dtype=np.float64)
 
-    high_idx = (scores >= conf_high).nonzero()[0]
-    mid_idx = ((scores >= conf_low) & (scores < conf_high)).nonzero()[0]
+    high = (scores >= conf_high).nonzero()[0]
+    stage_one = assign(iou_cost(boxes, det_boxes[high]), gate_first).matches
+    stage_one[:, 1] = high[stage_one[:, 1]]
 
-    stage_one = assign(iou_cost(candidates, det_boxes[high_idx]), gate_first)
-    matches = [(r, int(high_idx[c])) for r, c in stage_one.matches]
-    leftovers_high = high_idx[stage_one.unmatched_cols]
+    free_rows = np.arange(len(boxes)) < n_active
+    free_rows[stage_one[:, 0]] = False
+    free_dets = scores >= conf_low
+    free_dets[stage_one[:, 1]] = False
+    rows, dets = free_rows.nonzero()[0], free_dets.nonzero()[0]
+    stage_two = np.empty((0, 2), dtype=np.intp)
+    if len(rows) and len(dets):
+        local = assign(biou_cost(boxes[rows], det_boxes[dets], buffer_scale), gate_second).matches
+        stage_two = np.stack([rows[local[:, 0]], dets[local[:, 1]]], axis=1)
 
-    second_tracks = [r for r in stage_one.unmatched_rows if r < n_tracks]
-    second_dets = np.sort(np.concatenate([mid_idx, leftovers_high]))
-    matches_two = []
-    if second_tracks and len(second_dets):
-        stage_two = assign(
-            biou_cost(candidates[second_tracks], det_boxes[second_dets], buffer_scale),
-            gate_second,
-        )
-        matches_two = [(second_tracks[r], int(second_dets[c])) for r, c in stage_two.matches]
-
+    matches = np.concatenate([stage_one, stage_two])
     return TwoStageResult(
-        matches=sorted(matches + matches_two),
-        stage_one_matches=matches,
-        stage_two_matches=matches_two,
+        matches=matches[np.argsort(matches[:, 0])],
+        stage_one_matches=stage_one,
+        stage_two_matches=stage_two,
     )

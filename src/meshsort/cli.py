@@ -70,31 +70,31 @@ def _parse_grid(spec: str, scenes: bool) -> list[dict]:
     With ``scenes``, each scene sets the frame size, so the grid may not.
     """
     types = TrackerConfig.field_types()
-    axes = []
+    axes = {}
     for part in spec.split(";"):
         part = part.strip()
         if not part:
             continue
         key, _, values = part.partition("=")
         key = key.strip()
+        where = f"grid key {key!r}"
         if key not in types:
-            raise motfiles.ConfigError(f"unknown grid key {key!r}")
-        if any(axis[0][0] == key for axis in axes):
-            raise motfiles.ConfigError(f"grid key {key!r} given twice")
+            raise motfiles.ConfigError(f"unknown {where}")
+        if key in axes:
+            raise motfiles.ConfigError(f"{where} given twice")
         if scenes and key in ("frame_width", "frame_height"):
             raise motfiles.ConfigError(
-                f"grid key {key!r} cannot vary with --scene: each scene sets its frame size")
-        axis = [
-            (key, motfiles.coerce_value(types[key], v.strip()))
-            for v in values.split(",")
-            if v.strip()
-        ]
+                f"{where} cannot vary with --scene: each scene sets its frame size")
+        axis = [motfiles.coerce_value(types[key], v.strip(), where) for v in values.split(",") if v.strip()]
         if not axis:
-            raise motfiles.ConfigError(f"grid key {key!r} has no values")
-        axes.append(axis)
+            raise motfiles.ConfigError(f"{where} has no values")
+        for i, value in enumerate(axis):
+            if value in axis[:i]:
+                raise motfiles.ConfigError(f"{where}: value {value!r} given twice")
+        axes[key] = axis
     if not axes:
         raise motfiles.ConfigError("empty grid spec")
-    return [dict(combo) for combo in itertools.product(*axes)]
+    return [dict(zip(axes, combo)) for combo in itertools.product(*axes.values())]
 
 
 def _inputs(cfg: TrackerConfig, scene_paths, dets_path, gt_path=None) -> list:
@@ -119,8 +119,7 @@ _RATES = ("MOTA", "IDF1", "HOTA")
 
 def run_ablation_cell(payload) -> dict:
     """One grid cell: run the tracker over every input, pool the metrics."""
-    config_path, overrides, scene_paths, dets_path, gt_path, iou = payload
-    cfg = dataclasses.replace(_load_tracker_config(config_path), **overrides)
+    cfg, overrides, scene_paths, dets_path, gt_path, iou = payload
     totals = dict.fromkeys(_POOLED, 0)
     frames_done = 0
     elapsed = 0.0
@@ -142,9 +141,14 @@ def run_ablation_cell(payload) -> dict:
 
 def _cmd_ablate(args) -> int:
     cells = _parse_grid(args.grid, bool(args.scene))
+    base = _load_tracker_config(args.config)
+    configs = [dataclasses.replace(base, **overrides) for overrides in cells]
+    # Every cell is checked before any runs, so a bad late cell fails at once.
+    for cfg in configs:
+        cfg.validate()
     payloads = [
-        (args.config, overrides, tuple(args.scene or ()), args.dets, args.gt, args.iou)
-        for overrides in cells
+        (cfg, overrides, tuple(args.scene or ()), args.dets, args.gt, args.iou)
+        for cfg, overrides in zip(configs, cells)
     ]
     env_cap = os.environ.get("MESH_SORT_THREADS")
     workers = min(len(payloads), os.cpu_count() or 1)

@@ -303,23 +303,24 @@ def parse_config_text(text: str) -> TrackerConfig:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in types:
             raise ConfigError(f"config line {lineno}: unknown key {key!r}")
-        setattr(cfg, key, coerce_value(types[key], value, lineno))
+        setattr(cfg, key, coerce_value(types[key], value, f"config line {lineno}"))
     cfg.validate()
     return cfg
 
 
-def coerce_value(kind: type, value: str, lineno: int = 0):
+def coerce_value(kind: type, value: str, where: str):
+    """``value`` as ``kind``; a bad value raises :class:`ConfigError` prefixed by ``where``."""
     if kind is bool:
         lowered = value.lower()
         if lowered in ("true", "1", "yes", "on"):
             return True
         if lowered in ("false", "0", "no", "off"):
             return False
-        raise ConfigError(f"config line {lineno}: bad boolean {value!r}")
+        raise ConfigError(f"{where}: bad boolean {value!r}")
     try:
         return kind(value)
     except ValueError:
-        raise ConfigError(f"config line {lineno}: bad {kind.__name__} {value!r}") from None
+        raise ConfigError(f"{where}: bad {kind.__name__} {value!r}") from None
 
 
 def load_config(path) -> TrackerConfig:

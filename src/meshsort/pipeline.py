@@ -9,7 +9,8 @@ The per-frame flow is:
 1. advance every live track's filter one frame (one batched predict)
 2. build the predicted boxes as one ltrb array and flag lost/maintained
    tracks whose spot is covered by a tracked box
-3. run the two-stage confidence cascade (lost proposals join stage one)
+3. run the two-stage confidence cascade on the candidates' boxes, active rows
+   first (lost proposals join stage one only); matches come back as index arrays
 4. update the matched rows (one batched update); refind events, row order
 5. spawn tentative tracks from leftover confident detections
 6. apply the missed-row lifecycle (one batched update for maintained rows,
@@ -278,8 +279,8 @@ class Tracker:
 
         det_boxes, scores = fd.detections.boxes, fd.detections.scores
         result = two_stage_associate(
-            predicted[full_rows],
-            predicted[lost_rows],
+            predicted[candidates],
+            len(full_rows),
             ltwh_to_ltrb(det_boxes),
             scores,
             conf_high=cfg.conf_high,
@@ -289,8 +290,7 @@ class Tracker:
             buffer_scale=cfg.buffer_scale,
         )
 
-        pairs = np.array(result.matches, dtype=np.int64).reshape(-1, 2)
-        matched, matched_dets = candidates[pairs[:, 0]], pairs[:, 1]
+        matched, matched_dets = candidates[result.matches[:, 0]], result.matches[:, 1]
         if len(matched):
             _tracks.on_matched(table, matched, det_boxes[matched_dets],
                                scores[matched_dets], cfg, self.model, self.grid)

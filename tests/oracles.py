@@ -15,7 +15,9 @@ per-slot block filter replaced; it shares the motion model's noise variances
 and the height clamp with the library. The reference MOT readers and writers
 are the per-line ones the whole-file readers and writers replaced, kept as
 they were; they share ``ParseError``, ``MAX_COORD`` and the public frame and
-box types with the library.
+box types with the library. The reference cascade is the list-based
+assignment and two-stage cascade the index-array ones replaced, kept as they
+were; it shares the cost matrices and the solver with the library.
 """
 
 from __future__ import annotations
@@ -24,11 +26,12 @@ import itertools
 import math
 from collections import defaultdict
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
+from meshsort.association import biou_cost, iou_cost
 from meshsort.geometry import MAX_COORD, BoundingBox, boxes_to_ltrb, iou_matrix
 from meshsort.kalman import _measurement_height
 from meshsort.metrics import (
@@ -789,3 +792,124 @@ def reference_write_ground_truth(path, trajs: TrajectorySet) -> None:
     _ref_write(path, sorted(
         (frame, tid, box, "1,1,1.00") for tid, per_frame in trajs.items() for frame, box in per_frame.items()
     ))
+
+
+def _ref_canonicalize_ties(cost: np.ndarray, gate: float, matches: list[tuple[int, int]]) -> None:
+    # Among cost-preserving 2-swaps, give the lower row index the lower column
+    # index, so equal-cost optima come out in a stable documented order.
+    n = len(matches)
+    # A swap moves two matches onto two other entries within the gate; with
+    # no such entries beyond the matches themselves there is none to make.
+    if n < 2 or np.count_nonzero(cost <= gate) == n:
+        return
+    # One vectorised test for a swap that the first pass below would make;
+    # without one the pass changes nothing. pair[a, b] is cost[ra, cb].
+    rows, cols = np.array(matches).T
+    pair = cost[rows[:, None], cols]
+    own = pair.diagonal()
+    order = np.arange(n)
+    swappable = (
+        (order[:, None] < order)
+        & (cols < cols[:, None])
+        & (pair <= gate)
+        & (pair.T <= gate)
+        & (pair + pair.T == own[:, None] + own)
+    )
+    if not swappable.any():
+        return
+    changed = True
+    while changed:
+        changed = False
+        for a in range(len(matches)):
+            ra, ca = matches[a]
+            for b in range(a + 1, len(matches)):
+                rb, cb = matches[b]
+                if cb >= ca:
+                    continue
+                if cost[ra, cb] > gate or cost[rb, ca] > gate:
+                    continue
+                if cost[ra, cb] + cost[rb, ca] == cost[ra, ca] + cost[rb, cb]:
+                    matches[a] = (ra, cb)
+                    matches[b] = (rb, ca)
+                    ca, cb = cb, ca
+                    changed = True
+
+
+def reference_assign(cost: np.ndarray, gate: float):
+    """Gated minimum-cost assignment: ``(matches, unmatched_rows, unmatched_cols)`` lists.
+
+    Entries above ``gate`` are never matched. The result maximizes the number
+    of admissible matches, then minimizes their total cost; ties resolve with
+    the lowest row taking the lowest column.
+    """
+    rows, cols = cost.shape
+    if rows == 0 or cols == 0:
+        return [], list(range(rows)), list(range(cols))
+    if not np.all(np.isfinite(cost)):
+        raise ValueError("cost matrix must be finite")
+    masked = np.where(cost > gate, 1e6, cost)
+    rr, cc = linear_sum_assignment(masked)
+    kept = cost[rr, cc] <= gate
+    rr, cc = rr[kept], cc[kept]
+    # Tie canonicalization swaps columns between matched rows, so the matched
+    # row and column sets are final here.
+    free_rows = np.ones(rows, dtype=bool)
+    free_rows[rr] = False
+    free_cols = np.ones(cols, dtype=bool)
+    free_cols[cc] = False
+    # linear_sum_assignment returns rows sorted, the gate filter keeps their
+    # order and the ties swap only columns, so matches come out sorted by row.
+    matches = list(zip(rr.tolist(), cc.tolist()))
+    _ref_canonicalize_ties(cost, gate, matches)
+    return matches, free_rows.nonzero()[0].tolist(), free_cols.nonzero()[0].tolist()
+
+
+def reference_two_stage_associate(
+    track_boxes: np.ndarray,
+    lost_boxes: np.ndarray,
+    det_boxes: np.ndarray,
+    det_scores: Sequence[float],
+    *,
+    conf_high: float = 0.6,
+    conf_low: float = 0.1,
+    gate_first: float = 0.8,
+    gate_second: float = 0.5,
+    buffer_scale: float = 0.3,
+):
+    """Two-stage confidence cascade over one frame's detections.
+
+    Boxes are (N, 4) ltrb arrays. Stage one matches high-confidence
+    detections against the union of active tracks and lost proposals by
+    plain IoU. Stage two matches the still unmatched *active* tracks (lost
+    proposals only get the first stage) against mid-confidence detections
+    plus stage-one leftovers using buffered IoU. Detections below
+    ``conf_low`` are ignored entirely. Returns ``(matches, stage one
+    matches, stage two matches)`` as lists of ``(row, detection)`` tuples,
+    rows indexing the full pool followed by the lost pool.
+    """
+    if not conf_low < conf_high:
+        raise ValueError("conf_low must be below conf_high")
+    n_tracks = len(track_boxes)
+    candidates = np.concatenate([track_boxes, lost_boxes])
+    scores = np.asarray(det_scores, dtype=np.float64)
+
+    high_idx = (scores >= conf_high).nonzero()[0]
+    high_idx = (scores >= conf_high).nonzero()[0]
+    mid_idx = ((scores >= conf_low) & (scores < conf_high)).nonzero()[0]
+
+    stage_one_matches, unmatched_rows, unmatched_cols = reference_assign(
+        iou_cost(candidates, det_boxes[high_idx]), gate_first)
+    matches = [(r, int(high_idx[c])) for r, c in stage_one_matches]
+    leftovers_high = high_idx[unmatched_cols]
+
+    second_tracks = [r for r in unmatched_rows if r < n_tracks]
+    second_dets = np.sort(np.concatenate([mid_idx, leftovers_high]))
+    matches_two = []
+    if second_tracks and len(second_dets):
+        stage_two_matches, _, _ = reference_assign(
+            biou_cost(candidates[second_tracks], det_boxes[second_dets], buffer_scale),
+            gate_second,
+        )
+        matches_two = [(second_tracks[r], int(second_dets[c])) for r, c in stage_two_matches]
+
+    return sorted(matches + matches_two), matches, matches_two

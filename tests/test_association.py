@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from meshsort import association
 from meshsort.association import assign, biou_cost, iou_cost, two_stage_associate
 from meshsort.geometry import BoundingBox, boxes_to_ltrb
 
-from oracles import brute_force_assignment
+from oracles import brute_force_assignment, reference_assign, reference_two_stage_associate
 
 
 def box(l, t, w, h):
@@ -13,6 +15,18 @@ def box(l, t, w, h):
 
 def ltrb(boxes):
     return boxes_to_ltrb(boxes)
+
+
+def cascade(tracks, lost, dets, scores, **kw):
+    """The cascade over active ``tracks`` then ``lost`` proposals, as the tracker stacks them."""
+    return two_stage_associate(ltrb(tracks + lost), len(tracks), ltrb(dets), scores, **kw)
+
+
+def pairs(matches):
+    """An ``(n, 2)`` integer match array as a list of ``(row, col)`` tuples."""
+    assert matches.ndim == 2 and matches.shape[1] == 2
+    assert np.issubdtype(matches.dtype, np.integer)
+    return [tuple(p) for p in matches.tolist()]
 
 
 class TestCostMatrices:
@@ -44,32 +58,28 @@ class TestCostMatrices:
 class TestAssign:
     def test_diagonal_preferred(self):
         res = assign(np.array([[0.1, 0.9], [0.9, 0.1]]), gate=0.8)
-        assert res.matches == [(0, 0), (1, 1)]
-        assert res.unmatched_rows == [] and res.unmatched_cols == []
+        assert pairs(res.matches) == [(0, 0), (1, 1)]
 
     def test_single_cell(self):
         res = assign(np.array([[0.2]]), gate=0.8)
-        assert res.matches == [(0, 0)]
+        assert pairs(res.matches) == [(0, 0)]
 
     def test_everything_gated_out(self):
         res = assign(np.full((2, 3), 0.95), gate=0.8)
-        assert res.matches == []
-        assert res.unmatched_rows == [0, 1]
-        assert res.unmatched_cols == [0, 1, 2]
+        assert pairs(res.matches) == []
 
     def test_empty_matrix(self):
-        res = assign(np.zeros((0, 3)), gate=0.5)
-        assert res.matches == [] and res.unmatched_cols == [0, 1, 2]
+        for shape in ((0, 3), (3, 0), (0, 0)):
+            assert pairs(assign(np.zeros(shape), gate=0.5).matches) == []
 
     def test_rectangular_prefers_cheaper_row(self):
         res = assign(np.array([[0.3], [0.25]]), gate=0.8)
-        assert res.matches == [(1, 0)]
-        assert res.unmatched_rows == [0]
+        assert pairs(res.matches) == [(1, 0)]
 
     def test_tie_break_lowest_row_lowest_col(self):
         cost = np.array([[0.2, 0.2], [0.2, 0.2]])
         res = assign(cost, gate=0.8)
-        assert res.matches == [(0, 0), (1, 1)]
+        assert pairs(res.matches) == [(0, 0), (1, 1)]
 
     def test_oracle_equivalence_random(self):
         rng = np.random.default_rng(2024)
@@ -103,55 +113,53 @@ class TestAssign:
 
 class TestTwoStage:
     def test_high_conf_matches_stage_one(self):
-        res = two_stage_associate(
-            ltrb([box(0, 0, 10, 10)]), ltrb([]), ltrb([box(1, 0, 10, 10)]), [0.9]
-        )
-        assert res.matches == [(0, 0)]
-        assert res.stage_one_matches == [(0, 0)]
-        assert res.stage_two_matches == []
+        res = cascade([box(0, 0, 10, 10)], [], [box(1, 0, 10, 10)], [0.9])
+        assert pairs(res.matches) == [(0, 0)]
+        assert pairs(res.stage_one_matches) == [(0, 0)]
+        assert pairs(res.stage_two_matches) == []
 
     def test_mid_conf_matches_stage_two_only(self):
-        res = two_stage_associate(
-            ltrb([box(0, 0, 10, 10)]), ltrb([]), ltrb([box(1, 0, 10, 10)]), [0.4]
-        )
-        assert res.matches == [(0, 0)]
-        assert res.stage_one_matches == []
-        assert res.stage_two_matches == [(0, 0)]
+        res = cascade([box(0, 0, 10, 10)], [], [box(1, 0, 10, 10)], [0.4])
+        assert pairs(res.matches) == [(0, 0)]
+        assert pairs(res.stage_one_matches) == []
+        assert pairs(res.stage_two_matches) == [(0, 0)]
 
     def test_below_low_conf_ignored(self):
-        res = two_stage_associate(
-            ltrb([box(0, 0, 10, 10)]), ltrb([]), ltrb([box(1, 0, 10, 10)]), [0.05]
-        )
-        assert res.matches == []
+        res = cascade([box(0, 0, 10, 10)], [], [box(1, 0, 10, 10)], [0.05])
+        assert pairs(res.matches) == []
         # The same detection at conf_low matches: only its confidence kept it out.
-        res = two_stage_associate(
-            ltrb([box(0, 0, 10, 10)]), ltrb([]), ltrb([box(1, 0, 10, 10)]), [0.1]
-        )
-        assert res.matches == [(0, 0)]
+        res = cascade([box(0, 0, 10, 10)], [], [box(1, 0, 10, 10)], [0.1])
+        assert pairs(res.matches) == [(0, 0)]
 
     def test_lost_pool_excluded_from_stage_two(self):
         # The lost proposal overlaps the mid-confidence detection, but only
         # stage one is open to it.
-        res = two_stage_associate(
-            ltrb([]), ltrb([box(0, 0, 10, 10)]), ltrb([box(1, 0, 10, 10)]), [0.4]
-        )
-        assert res.matches == []
-        assert res.stage_one_matches == [] and res.stage_two_matches == []
+        res = cascade([], [box(0, 0, 10, 10)], [box(1, 0, 10, 10)], [0.4])
+        assert pairs(res.matches) == []
+        assert pairs(res.stage_one_matches) == [] and pairs(res.stage_two_matches) == []
 
     def test_lost_pool_matches_high_conf(self):
-        res = two_stage_associate(
-            ltrb([]), ltrb([box(0, 0, 10, 10)]), ltrb([box(1, 0, 10, 10)]), [0.9]
-        )
-        assert res.matches == [(0, 0)]
+        res = cascade([], [box(0, 0, 10, 10)], [box(1, 0, 10, 10)], [0.9])
+        assert pairs(res.matches) == [(0, 0)]
 
     def test_stage_one_leftover_reaches_stage_two(self):
         # Two high-conf detections on one track: the leftover may still be
         # claimed by the other (stage-one-unmatched) track via buffered IoU.
         tracks = [box(0, 0, 10, 10), box(13, 0, 10, 10)]
         dets = [box(0, 0, 10, 10), box(12, 0, 10, 10)]
-        res = two_stage_associate(ltrb(tracks), ltrb([]), ltrb(dets), [0.9, 0.9])
-        assert (0, 0) in res.matches
-        assert (1, 1) in res.matches
+        res = cascade(tracks, [], dets, [0.9, 0.9])
+        assert (0, 0) in pairs(res.matches)
+        assert (1, 1) in pairs(res.matches)
+
+    def test_matches_in_row_order_across_stages(self):
+        # Row 1 matches in stage one, row 0 only in stage two; the merged
+        # array still lists row 0 first.
+        tracks = [box(0, 0, 10, 10), box(100, 0, 10, 10)]
+        dets = [box(100, 0, 10, 10), box(1, 0, 10, 10)]
+        res = cascade(tracks, [], dets, [0.9, 0.4])
+        assert pairs(res.stage_one_matches) == [(1, 0)]
+        assert pairs(res.stage_two_matches) == [(0, 1)]
+        assert pairs(res.matches) == [(0, 1), (1, 0)]
 
     def test_no_double_matching(self):
         rng = np.random.default_rng(77)
@@ -169,15 +177,95 @@ class TestTwoStage:
                 for _ in range(rng.integers(0, 6))
             ]
             scores = [float(rng.uniform(0, 1)) for _ in dets]
-            res = two_stage_associate(ltrb(tracks), ltrb(lost), ltrb(dets), scores)
-            rows = [r for r, _ in res.matches]
-            cols = [c for _, c in res.matches]
+            res = cascade(tracks, lost, dets, scores)
+            rows = [r for r, _ in pairs(res.matches)]
+            cols = [c for _, c in pairs(res.matches)]
             assert len(rows) == len(set(rows))
             assert len(cols) == len(set(cols))
             assert all(0 <= r < len(tracks) + len(lost) for r in rows)
             assert all(scores[c] >= 0.1 for c in cols)
-            assert all(r < len(tracks) for r, _ in res.stage_two_matches)
+            assert all(r < len(tracks) for r, _ in pairs(res.stage_two_matches))
 
     def test_rejects_bad_thresholds(self):
         with pytest.raises(ValueError):
-            two_stage_associate(ltrb([]), ltrb([]), ltrb([]), [], conf_high=0.1, conf_low=0.5)
+            cascade([], [], [], [], conf_high=0.1, conf_low=0.5)
+
+
+_B0, _B1, _FAR = box(0, 0, 10, 10), box(1, 0, 10, 10), box(100, 0, 10, 10)
+
+
+@pytest.mark.parametrize("tracks, lost, dets, scores, shapes", [
+    # The only active row matches in stage one; a mid detection is left.
+    ([_B0], [box(200, 0, 10, 10)], [_B0, _FAR], [0.9, 0.4], [(2, 1)]),
+    ([], [_B0], [_B1], [0.4], [(1, 0)]),
+    # The only detection matches row 0 in stage one; row 1 is left.
+    ([_B0, _FAR], [], [_B0], [0.9], [(2, 1)]),
+    ([_B0], [], [_B0], [0.05], [(1, 0)]),
+    ([_B0, _FAR], [], [_B0, box(101, 0, 10, 10)], [0.9, 0.4], [(2, 1), (1, 1)]),
+], ids=["no-free-active-row", "no-active-row", "no-free-detection",
+        "no-detection-above-conf-low", "both-left"])
+def test_stage_two_runs_only_with_rows_and_detections_left(monkeypatch, tracks, lost, dets,
+                                                           scores, shapes):
+    seen = []
+
+    def counting(cost, gate):
+        seen.append(cost.shape)
+        return assign(cost, gate)
+
+    monkeypatch.setattr(association, "assign", counting)
+    cascade(tracks, lost, dets, scores)
+    assert seen == shapes
+
+
+# Boxes on a 5 px grid with three sizes, so identical boxes and exact cost ties
+# occur; scores include the default conf_low (0.1) and conf_high (0.6) exactly.
+_grid_box = st.builds(
+    lambda l, t, w, h: (5.0 * l, 5.0 * t, w, h),
+    st.integers(0, 8), st.integers(0, 8),
+    st.sampled_from([10.0, 15.0, 20.0]), st.sampled_from([10.0, 20.0]),
+)
+_score = st.one_of(st.sampled_from([0.0, 0.05, 0.1, 0.3, 0.6, 0.9, 1.0]),
+                   st.floats(0.0, 1.0, allow_nan=False))
+
+
+def _ltrb(boxes):
+    return np.array([(l, t, l + w, t + h) for l, t, w, h in boxes], dtype=np.float64).reshape(-1, 4)
+
+
+class TestMatchesReference:
+    """The array cascade against the list-based one it replaced, pair for pair."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        active=st.lists(_grid_box, max_size=8),
+        lost=st.lists(_grid_box, max_size=4),
+        dets=st.lists(st.tuples(_grid_box, _score), max_size=8),
+        buffer_scale=st.sampled_from([0.0, 0.3, 1.0]),
+    )
+    def test_cascade(self, active, lost, dets, buffer_scale):
+        det_boxes = _ltrb([b for b, _ in dets])
+        scores = [s for _, s in dets]
+        res = two_stage_associate(_ltrb(active + lost), len(active), det_boxes, scores,
+                                  buffer_scale=buffer_scale)
+        ref_all, ref_one, ref_two = reference_two_stage_associate(
+            _ltrb(active), _ltrb(lost), det_boxes, scores, buffer_scale=buffer_scale)
+        assert pairs(res.stage_one_matches) == ref_one
+        assert pairs(res.stage_two_matches) == ref_two
+        assert pairs(res.matches) == ref_all
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rows=st.integers(0, 6), cols=st.integers(0, 6),
+        levels=st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.75, 0.9, 1.0]), min_size=36, max_size=36),
+        gate=st.sampled_from([0.5, 0.8, 1.0]),
+    )
+    def test_assign(self, rows, cols, levels, gate):
+        # Costs from a few levels, so equal-cost optima are common.
+        cost = np.array(levels[:rows * cols], dtype=np.float64).reshape(rows, cols)
+        matches = pairs(assign(cost, gate).matches)
+        ref_matches, ref_rows, ref_cols = reference_assign(cost, gate)
+        assert matches == ref_matches
+        # The leftovers the list-based result named are the rows and columns
+        # the array leaves out.
+        assert [r for r in range(rows) if r not in {m[0] for m in matches}] == ref_rows
+        assert [c for c in range(cols) if c not in {m[1] for m in matches}] == ref_cols

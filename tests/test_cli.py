@@ -2,10 +2,10 @@ import warnings
 
 import pytest
 
-from meshsort import kalman, scenarios
+from meshsort import kalman, scenarios, synth
 from meshsort.cli import main
 from meshsort.motfiles import parse_detections, parse_ground_truth
-from meshsort.synth import format_scene
+from meshsort.synth import format_scene, generate
 
 
 @pytest.fixture
@@ -180,6 +180,52 @@ class TestAblate:
                    "--out", str(tmp_path / "t.txt")])
         assert rc == 1
         assert f"grid key {key!r} cannot vary with --scene" in capsys.readouterr().err
+        assert not (tmp_path / "t.txt").exists()
+
+    def test_bad_late_cell_fails_before_any_cell_runs(self, tmp_path, scene_file, capsys,
+                                                        monkeypatch):
+        # The last cell's config was once checked only when its Tracker was
+        # built, after the earlier cells had generated and tracked every scene.
+        monkeypatch.setenv("MESH_SORT_THREADS", "1")
+        generated = []
+
+        def counting(scene):
+            generated.append(scene)
+            return generate(scene)
+
+        monkeypatch.setattr(synth, "generate", counting)
+        rc = main(["ablate", "--grid", "init_conf=0.7,0.75,0.8,0.85,2",
+                   *["--scene", str(scene_file)] * 3, "--out", str(tmp_path / "t.txt")])
+        assert rc == 1
+        assert "error: init_conf must lie in [0, 1]" in capsys.readouterr().err
+        assert generated == []
+        assert not (tmp_path / "t.txt").exists()
+
+    @pytest.mark.parametrize("grid, message", [
+        ("max_age=10,10.0", "grid key 'max_age': bad int '10.0'"),
+        ("enable_mesh=maybe", "grid key 'enable_mesh': bad boolean 'maybe'"),
+        ("conf_high=0.5;max_age=x", "grid key 'max_age': bad int 'x'"),
+    ])
+    def test_bad_grid_value_names_its_key(self, tmp_path, scene_file, capsys, grid, message):
+        # These were once reported as "config line 0: ...".
+        rc = main(["ablate", "--grid", grid, "--scene", str(scene_file),
+                   "--out", str(tmp_path / "t.txt")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"error: {message}\n" == err
+        assert not (tmp_path / "t.txt").exists()
+
+    @pytest.mark.parametrize("grid, message", [
+        ("max_age=10,10", "grid key 'max_age': value 10 given twice"),
+        ("conf_high=0.5,0.7,0.50", "grid key 'conf_high': value 0.5 given twice"),
+        ("enable_mesh=1,true", "grid key 'enable_mesh': value True given twice"),
+    ])
+    def test_repeated_grid_value_fails(self, tmp_path, scene_file, capsys, grid, message):
+        # A repeated value once gave two identical rows.
+        rc = main(["ablate", "--grid", grid, "--scene", str(scene_file),
+                   "--out", str(tmp_path / "t.txt")])
+        assert rc == 1
+        assert f"error: {message}\n" == capsys.readouterr().err
         assert not (tmp_path / "t.txt").exists()
 
     def test_grid_over_two_scenes_is_pinned(self, tmp_path, capsys, monkeypatch):

@@ -574,10 +574,12 @@ class TestConfig:
             parse_config_text(f"{key} = 1")
 
     def test_bad_value_rejected(self):
-        with pytest.raises(ConfigError):
+        # A bad value names its config line, as it did before grid values
+        # got their own wording.
+        with pytest.raises(ConfigError, match=r"^config line 1: bad int 'many'$"):
             parse_config_text("lost_maintain_frames = many")
-        with pytest.raises(ConfigError):
-            parse_config_text("enable_mesh = perhaps")
+        with pytest.raises(ConfigError, match=r"^config line 2: bad boolean 'perhaps'$"):
+            parse_config_text("# toggles\nenable_mesh = perhaps")
 
     def test_validation_applies(self):
         with pytest.raises(ValueError):
