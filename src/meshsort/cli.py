@@ -2,7 +2,8 @@
 
 This is the only module that touches the filesystem; everything else works
 on in-memory values. ``ablate`` may fan grid cells out over processes; the
-``MESH_SORT_THREADS`` environment variable caps that parallelism.
+``MESH_SORT_THREADS`` environment variable, a positive integer, caps that
+parallelism.
 """
 
 from __future__ import annotations
@@ -97,16 +98,15 @@ def _parse_grid(spec: str, scenes: bool) -> list[dict]:
     return [dict(zip(axes, combo)) for combo in itertools.product(*axes.values())]
 
 
-def _inputs(cfg: TrackerConfig, scene_paths, dets_path, gt_path=None) -> list:
-    """``(gt, detection frames, config)`` per scene, each with its frame size; else the parsed files."""
+def _inputs(scene_paths, dets_path, gt_path=None) -> list:
+    """``(gt, detection frames, frame-size overrides)`` per scene; else the parsed files and no overrides."""
     if not scene_paths:
         gt = motfiles.parse_ground_truth(gt_path) if gt_path else None
-        return [(gt, motfiles.parse_detections(dets_path), cfg)]
+        return [(gt, motfiles.parse_detections(dets_path), {})]
     inputs = []
     for scene in map(motfiles.load_scene, scene_paths):
         gt, dets = synth.generate(scene)
-        inputs.append((gt, dets, dataclasses.replace(
-            cfg, frame_width=scene.frame_width, frame_height=scene.frame_height)))
+        inputs.append((gt, dets, {"frame_width": scene.frame_width, "frame_height": scene.frame_height}))
     return inputs
 
 
@@ -118,13 +118,13 @@ _RATES = ("MOTA", "IDF1", "HOTA")
 
 
 def run_ablation_cell(payload) -> dict:
-    """One grid cell: run the tracker over every input, pool the metrics."""
-    cfg, overrides, scene_paths, dets_path, gt_path, iou = payload
+    """One grid cell: run the tracker over every built input, pool the metrics."""
+    cfg, overrides, inputs, iou = payload
     totals = dict.fromkeys(_POOLED, 0)
     frames_done = 0
     elapsed = 0.0
-    for gt, dets, cfg_cell in _inputs(cfg, scene_paths, dets_path, gt_path):
-        tracker = Tracker(cfg_cell)
+    for gt, dets, size in inputs:
+        tracker = Tracker(dataclasses.replace(cfg, **size))
         t0 = time.perf_counter()
         outputs = [tracker.step(fd) for fd in dets]
         elapsed += time.perf_counter() - t0
@@ -143,17 +143,18 @@ def _cmd_ablate(args) -> int:
     cells = _parse_grid(args.grid, bool(args.scene))
     base = _load_tracker_config(args.config)
     configs = [dataclasses.replace(base, **overrides) for overrides in cells]
-    # Every cell is checked before any runs, so a bad late cell fails at once.
+    # Every cell and the worker cap are checked before any input is built, so
+    # a bad late cell fails at once.
     for cfg in configs:
         cfg.validate()
-    payloads = [
-        (cfg, overrides, tuple(args.scene or ()), args.dets, args.gt, args.iou)
-        for cfg, overrides in zip(configs, cells)
-    ]
-    env_cap = os.environ.get("MESH_SORT_THREADS")
-    workers = min(len(payloads), os.cpu_count() or 1)
-    if env_cap:
-        workers = max(1, min(workers, int(env_cap)))
+    workers = min(len(configs), os.cpu_count() or 1)
+    cap = os.environ.get("MESH_SORT_THREADS")
+    if cap:
+        if not (cap.isdecimal() and int(cap) > 0):
+            raise ValueError(f"MESH_SORT_THREADS must be a positive integer, got {cap!r}")
+        workers = min(workers, int(cap))
+    inputs = _inputs(args.scene, args.dets, args.gt)
+    payloads = [(cfg, overrides, inputs, args.iou) for cfg, overrides in zip(configs, cells)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(run_ablation_cell, payloads))
@@ -179,8 +180,9 @@ def _cmd_ablate(args) -> int:
 
 def _cmd_bench(args) -> int:
     scenes = [args.scene] if args.scene else []
-    [(_, dets, cfg)] = _inputs(_load_tracker_config(args.config), scenes, args.dets)
-    tracker = Tracker(cfg)
+    cfg = _load_tracker_config(args.config)
+    [(_, dets, size)] = _inputs(scenes, args.dets)
+    tracker = Tracker(dataclasses.replace(cfg, **size))
     t0 = time.perf_counter()
     for fd in dets:
         tracker.step(fd)

@@ -72,6 +72,11 @@ def degenerate(boxes: np.ndarray) -> np.ndarray:
                 | (ratio == 0) | np.isinf(ratio))
 
 
+def valid_boxes(boxes: np.ndarray) -> np.ndarray:
+    """Mask of (n, 4) ltwh boxes of positive size, with every field within :data:`MAX_COORD` px, not :func:`degenerate`."""
+    return (boxes[:, 2:] > 0.0).all(axis=1) & (np.abs(boxes) <= MAX_COORD).all(axis=1) & ~degenerate(boxes)
+
+
 def iou(a: BoundingBox, b: BoundingBox) -> float:
     """Intersection-over-union of two boxes; 0 when disjoint, 1 when identical."""
     ix = min(a.right, b.right) - max(a.left, b.left)

@@ -22,6 +22,12 @@ order, as the dense 8×8 algebra with ``S⁻¹`` taken from a Cholesky factor
 
 Every function works on a stack of beliefs; one call filters every belief in
 the stack. A single belief is the stack with no leading axis.
+
+Velocity rollback reads rings that the caller keeps: ``(n, L, 4)``
+velocities and an ``(n,)`` count of records per ring. Only this module knows
+their layout. :func:`record_velocity` writes one slot per row and
+:func:`rollback_velocity` reads one; both take the rows they touch, so a
+tracker can keep the rings as columns of its own table.
 """
 
 from __future__ import annotations
@@ -229,82 +235,31 @@ def update(
     return KalmanState(mean=mean, blocks=blocks)
 
 
-class VelocityBuffer:
-    """Rings of the last ``capacity`` velocity 4-vectors recorded per belief.
+def record_velocity(ring: np.ndarray, count: np.ndarray, rows: np.ndarray, mean: np.ndarray) -> None:
+    """Store the velocity of each belief in ``mean`` in the ring of its entry of ``rows``.
 
-    ``ring`` is ``(n, capacity, 4)`` and ``count`` ``(n,)`` holds how many
-    velocities each belief has recorded; record ``k`` sits in slot
-    ``k % capacity``. ``VelocityBuffer(capacity)`` is the ring of one belief
-    (n = 1). A buffer built from existing arrays writes into them, so a
-    tracker can keep its rings as columns of its own state.
+    ``ring`` is ``(n, L, 4)`` and ``count`` ``(n,)`` holds how many
+    velocities each ring has recorded; record ``k`` sits in slot ``k % L``,
+    so a full ring overwrites its oldest entry.
     """
-
-    def __init__(self, capacity: int = 5, ring: np.ndarray | None = None,
-                 count: np.ndarray | None = None):
-        if ring is None:
-            if capacity < 1:
-                raise ValueError("velocity buffer capacity must be >= 1")
-            ring = np.zeros((1, capacity, MEAS_DIM))
-            count = np.zeros(1, dtype=np.int64)
-        self.ring = ring
-        self.count = count
-
-    @property
-    def capacity(self) -> int:
-        return self.ring.shape[-2]
-
-    def __getitem__(self, rows) -> "VelocityBuffer":
-        """Copy of the rings of ``rows``."""
-        return VelocityBuffer(ring=self.ring[rows], count=self.count[rows])
-
-    def __len__(self) -> int:
-        """Entries held by a one-belief buffer."""
-        (held,) = np.minimum(self.count, self.capacity)
-        return int(held)
-
-    def _oldest_first(self) -> np.ndarray:
-        """``(n, capacity, 4)``: each ring's slots reordered from the oldest entry."""
-        cap = self.capacity
-        start = np.where(self.count >= cap, self.count % cap, 0)
-        slots = (start[:, None] + np.arange(cap)) % cap
-        return np.take_along_axis(self.ring, slots[..., None], axis=1)
-
-    def entries(self) -> list[np.ndarray]:
-        """Held velocities of a one-belief buffer, oldest first."""
-        return list(self._oldest_first()[0, : len(self)].copy())
-
-    def record(self, state: KalmanState, rows=None) -> None:
-        """Store each belief's current velocity in the ring of its row.
-
-        ``state`` holds one belief per entry of ``rows`` (all rows when
-        None); a full ring evicts its oldest entry.
-        """
-        if rows is None:
-            rows = np.arange(len(self.count))
-        velocity = state.mean.reshape(-1, STATE_DIM)[:, MEAS_DIM:]
-        self.ring[rows, self.count[rows] % self.capacity] = velocity
-        self.count[rows] += 1
-
-    def recall(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per ring, the oldest held velocity, and whether any is held."""
-        return self._oldest_first()[:, 0], self.count > 0
+    ring[rows, count[rows] % ring.shape[-2]] = mean.reshape(-1, STATE_DIM)[:, MEAS_DIM:]
+    count[rows] += 1
 
 
-def rollback_velocity(state: KalmanState, buffer: VelocityBuffer) -> tuple[KalmanState, np.ndarray]:
-    """Replace each mean's velocity components with its oldest buffered entry.
+def rollback_velocity(state: KalmanState, ring: np.ndarray, count: np.ndarray,
+                      rows: np.ndarray) -> KalmanState:
+    """Replace each mean's velocity components with the oldest entry held in its ring.
 
     The oldest entry predates any detector noise just before the loss.
-    ``buffer`` holds one ring per belief of ``state``. Position, size, and
-    covariance are left untouched. Returns the new state plus, per belief, a
-    flag telling whether any history was available; a belief with an empty
-    ring keeps its velocity, and a stack without any history is returned
-    as is.
+    ``state`` holds one belief per entry of ``rows``, which index the rings
+    of :func:`record_velocity`. A ring holds its oldest entry in slot 0 until
+    it is full, then in the slot the next record overwrites. A belief whose
+    ring is empty keeps its velocity. Position, size and covariance are left
+    untouched.
     """
-    recalled, held = buffer.recall()
-    flags = held.reshape(state.mean.shape[:-1])
-    if not held.any():
-        return state, flags
+    n = count[rows]
+    held = n > 0
+    rows, n, cap = rows[held], n[held], ring.shape[-2]
     mean = state.mean.copy()
-    velocity = mean.reshape(-1, STATE_DIM)[:, MEAS_DIM:]
-    velocity[held] = recalled[held]
-    return KalmanState(mean=mean, blocks=state.blocks), flags
+    mean.reshape(-1, STATE_DIM)[held, MEAS_DIM:] = ring[rows, np.where(n >= cap, n % cap, 0)]
+    return KalmanState(mean=mean, blocks=state.blocks)

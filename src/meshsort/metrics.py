@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .geometry import MAX_COORD, BoundingBox, degenerate, iou_matrix, ltwh_to_ltrb
+from .geometry import MAX_COORD, BoundingBox, iou_matrix, ltwh_to_ltrb, valid_boxes
 
 
 class TrajectorySet(Mapping):
@@ -208,7 +208,7 @@ def _flat_boxes(trajs, side: str) -> tuple[list[int], np.ndarray, np.ndarray, np
     """
     trajs = TrajectorySet.of(trajs)
     boxes = trajs.boxes
-    bad = ~(np.abs(boxes) <= MAX_COORD).all(axis=1) | (boxes[:, 2:] <= 0).any(axis=1) | degenerate(boxes)
+    bad = ~valid_boxes(boxes)
     if bad.any():
         row = int(bad.argmax())
         tid = trajs.ids[np.searchsorted(trajs.start, row, side="right") - 1]

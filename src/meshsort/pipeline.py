@@ -37,7 +37,7 @@ import numpy as np
 from . import kalman, tracks as _tracks
 from .association import two_stage_associate
 from .config import TrackerConfig
-from .geometry import MAX_COORD, BoundingBox, check_box_range, degenerate, ltwh_to_ltrb
+from .geometry import BoundingBox, check_box_range, degenerate, ltwh_to_ltrb, valid_boxes
 from .mesh import LossThreshold, MeshGrid
 from .tracks import LOST, LOST_MAINTAINED, REMOVED, TENTATIVE, TRACKED, TrackTable, TrackView
 
@@ -136,8 +136,8 @@ def _check_detection(det: Detection) -> None:
 class Detections(_Records):
     """Detections as ``boxes`` ``(n, 4)`` ltwh and ``scores`` ``(n,)``, read as :class:`Detection`.
 
-    Each box must be valid, within :data:`MAX_COORD` and not
-    :func:`~meshsort.geometry.degenerate`, and each score in [0, 1].
+    Each box must pass :func:`~meshsort.geometry.valid_boxes`, and each
+    score lie in [0, 1].
     """
 
     __slots__ = ("boxes", "scores")
@@ -164,7 +164,7 @@ class Detections(_Records):
         """Raise, for the first bad row, what :func:`_check_detection` raises for that row of ``given``."""
         boxes, scores = self.boxes, self.scores
         ok = (scores >= 0.0) & (scores <= 1.0)
-        ok &= (boxes[:, 2:] > 0.0).all(axis=1) & (np.abs(boxes) <= MAX_COORD).all(axis=1) & ~degenerate(boxes)
+        ok &= valid_boxes(boxes)
         if not ok.all():
             _check_detection(given[int(ok.argmin())])
 

@@ -91,7 +91,7 @@ class TrackTable:
     of which the first ``lm_count`` were maintained; the rest were spent
     lost. ``cov`` holds the covariance blocks (see
     :class:`kalman.KalmanState`). ``vel_ring``/``vel_count`` are the
-    velocity rings (see :class:`kalman.VelocityBuffer`). ``last_box`` is the
+    velocity rings (see :func:`kalman.record_velocity`). ``last_box`` is the
     box the track reports, as [left, top, width, height]; a lost track's
     ``last_box`` is where it was lost, since only a match writes it again.
     """
@@ -144,11 +144,6 @@ class TrackTable:
         self.mean[rows] = state.mean
         self.cov[rows] = state.blocks
 
-    @property
-    def velocities(self) -> kalman.VelocityBuffer:
-        """Every row's velocity ring, writing into this table."""
-        return kalman.VelocityBuffer(ring=self.vel_ring, count=self.vel_count)
-
     def view(self, row: int) -> TrackView:
         lm_count, missed = int(self.lm_count[row]), int(self.predicts_since_match[row])
         return TrackView(
@@ -194,7 +189,7 @@ def on_matched(
     status = table.status[rows]
     post = kalman.update(table.state(rows), ltwh_to_measurement(det_boxes), model)
     table.set_state(rows, post)
-    table.velocities.record(post, rows)
+    kalman.record_velocity(table.vel_ring, table.vel_count, rows, post.mean)
     if cfg.enable_mesh:
         # Refinds decrement at the refound location; a track lost in one cell
         # and refound in another leaves both counts shifted, which is allowed.
@@ -272,7 +267,7 @@ def on_missed(
             for point in _points(*_bottom_middle(table.last_box[entering])):
                 grid.record_lost(point)
         if cfg.enable_velocity_rollback:
-            rolled, _ = kalman.rollback_velocity(table.state(entering), table.velocities[entering])
+            rolled = kalman.rollback_velocity(table.state(entering), table.vel_ring, table.vel_count, entering)
             table.mean[entering] = rolled.mean
         table.status[entering] = LOST
 

@@ -17,7 +17,10 @@ are the per-line ones the whole-file readers and writers replaced, kept as
 they were; they share ``ParseError``, ``MAX_COORD`` and the public frame and
 box types with the library. The reference cascade is the list-based
 assignment and two-stage cascade the index-array ones replaced, kept as they
-were; it shares the cost matrices and the solver with the library.
+were; it shares the cost matrices and the solver with the library. The
+reference velocity ring is the ``VelocityBuffer`` class and its rollback that
+the two ring functions of ``meshsort.kalman`` replaced, kept as they were; it
+shares ``KalmanState`` and the state layout with the library.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from scipy.optimize import linear_sum_assignment
 
 from meshsort.association import biou_cost, iou_cost
 from meshsort.geometry import MAX_COORD, BoundingBox, boxes_to_ltrb, iou_matrix
-from meshsort.kalman import _measurement_height
+from meshsort.kalman import MEAS_DIM, STATE_DIM, KalmanState, _measurement_height
 from meshsort.metrics import (
     HOTA_ALPHAS,
     HotaBreakdown,
@@ -913,3 +916,82 @@ def reference_two_stage_associate(
         matches_two = [(second_tracks[r], int(second_dets[c])) for r, c in stage_two_matches]
 
     return sorted(matches + matches_two), matches, matches_two
+
+
+class ReferenceVelocityBuffer:
+    """Rings of the last ``capacity`` velocity 4-vectors recorded per belief.
+
+    ``ring`` is ``(n, capacity, 4)`` and ``count`` ``(n,)`` holds how many
+    velocities each belief has recorded; record ``k`` sits in slot
+    ``k % capacity``. ``ReferenceVelocityBuffer(capacity)`` is the ring of one
+    belief (n = 1). A buffer built from existing arrays writes into them.
+    """
+
+    def __init__(self, capacity: int = 5, ring: np.ndarray | None = None,
+                 count: np.ndarray | None = None):
+        if ring is None:
+            if capacity < 1:
+                raise ValueError("velocity buffer capacity must be >= 1")
+            ring = np.zeros((1, capacity, MEAS_DIM))
+            count = np.zeros(1, dtype=np.int64)
+        self.ring = ring
+        self.count = count
+
+    @property
+    def capacity(self) -> int:
+        return self.ring.shape[-2]
+
+    def __getitem__(self, rows) -> "ReferenceVelocityBuffer":
+        """Copy of the rings of ``rows``."""
+        return ReferenceVelocityBuffer(ring=self.ring[rows], count=self.count[rows])
+
+    def __len__(self) -> int:
+        """Entries held by a one-belief buffer."""
+        (held,) = np.minimum(self.count, self.capacity)
+        return int(held)
+
+    def _oldest_first(self) -> np.ndarray:
+        """``(n, capacity, 4)``: each ring's slots reordered from the oldest entry."""
+        cap = self.capacity
+        start = np.where(self.count >= cap, self.count % cap, 0)
+        slots = (start[:, None] + np.arange(cap)) % cap
+        return np.take_along_axis(self.ring, slots[..., None], axis=1)
+
+    def entries(self) -> list[np.ndarray]:
+        """Held velocities of a one-belief buffer, oldest first."""
+        return list(self._oldest_first()[0, : len(self)].copy())
+
+    def record(self, state: KalmanState, rows=None) -> None:
+        """Store each belief's current velocity in the ring of its row.
+
+        ``state`` holds one belief per entry of ``rows`` (all rows when
+        None); a full ring evicts its oldest entry.
+        """
+        if rows is None:
+            rows = np.arange(len(self.count))
+        velocity = state.mean.reshape(-1, STATE_DIM)[:, MEAS_DIM:]
+        self.ring[rows, self.count[rows] % self.capacity] = velocity
+        self.count[rows] += 1
+
+    def recall(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per ring, the oldest held velocity, and whether any is held."""
+        return self._oldest_first()[:, 0], self.count > 0
+
+
+def reference_rollback_velocity(state: KalmanState,
+                                buffer: ReferenceVelocityBuffer) -> tuple[KalmanState, np.ndarray]:
+    """Replace each mean's velocity components with its oldest buffered entry.
+
+    ``buffer`` holds one ring per belief of ``state``. Returns the new state
+    plus, per belief, whether any history was available; a belief with an
+    empty ring keeps its velocity, and a stack without any history is
+    returned as is.
+    """
+    recalled, held = buffer.recall()
+    flags = held.reshape(state.mean.shape[:-1])
+    if not held.any():
+        return state, flags
+    mean = state.mean.copy()
+    velocity = mean.reshape(-1, STATE_DIM)[:, MEAS_DIM:]
+    velocity[held] = recalled[held]
+    return KalmanState(mean=mean, blocks=state.blocks), flags

@@ -2,7 +2,7 @@ import warnings
 
 import pytest
 
-from meshsort import kalman, scenarios, synth
+from meshsort import kalman, motfiles, scenarios, synth
 from meshsort.cli import main
 from meshsort.motfiles import parse_detections, parse_ground_truth
 from meshsort.synth import format_scene, generate
@@ -256,6 +256,44 @@ class TestAblate:
                    "--dets", str(dets), "--gt", str(gt), "--out", str(table)])
         assert rc == 0
         assert len(table.read_text().strip().splitlines()) == 3
+
+    @pytest.mark.parametrize("value", ["two", "0", "-3"])
+    def test_bad_thread_cap_fails_before_any_scene(self, tmp_path, scene_file, capsys, monkeypatch,
+                                                   value):
+        # "two" once failed with int()'s own message, and "0" and "-3" ran one
+        # worker without a word.
+        monkeypatch.setenv("MESH_SORT_THREADS", value)
+        generated = []
+        monkeypatch.setattr(synth, "generate", lambda scene: generated.append(scene) or generate(scene))
+        rc = main(["ablate", "--grid", "max_age=10,20", "--scene", str(scene_file),
+                   "--out", str(tmp_path / "t.txt")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: MESH_SORT_THREADS must be a positive integer, got {value!r}\n"
+        assert generated == []
+        assert not (tmp_path / "t.txt").exists()
+
+    def test_each_scene_is_generated_once(self, tmp_path, scene_file, monkeypatch):
+        # Every grid cell once generated every scene again: 6 calls here.
+        monkeypatch.setenv("MESH_SORT_THREADS", "1")
+        generated = []
+        monkeypatch.setattr(synth, "generate", lambda scene: generated.append(scene) or generate(scene))
+        other = tmp_path / "other.txt"
+        other.write_text(format_scene(scenarios.exit_scene(2)))
+        assert main(["ablate", "--grid", "max_age=10,20,30", "--scene", str(scene_file),
+                     "--scene", str(other), "--out", str(tmp_path / "t.txt")]) == 0
+        assert len(generated) == 2
+
+    def test_input_files_are_parsed_once(self, tmp_path, scene_file, monkeypatch):
+        # Every grid cell once parsed both files again: 3 calls each here.
+        monkeypatch.setenv("MESH_SORT_THREADS", "1")
+        gt, dets = _synth_files(tmp_path, scene_file)
+        calls = []
+        for name in ("parse_detections", "parse_ground_truth"):
+            parse = getattr(motfiles, name)
+            monkeypatch.setattr(motfiles, name, lambda path, name=name, parse=parse: calls.append(name) or parse(path))
+        assert main(["ablate", "--grid", "conf_high=0.5,0.6,0.7", "--dets", str(dets), "--gt", str(gt),
+                     "--out", str(tmp_path / "t.txt")]) == 0
+        assert sorted(calls) == ["parse_detections", "parse_ground_truth"]
 
 
 class TestBench:

@@ -143,51 +143,58 @@ class TestNoiseMagnification:
         assert clean.mean[1] == noisy.mean[1]
 
 
+# One belief's ring: a one-row ring and count, addressed as row 0.
+ROW = np.array([0])
+
+
+def one_ring(capacity):
+    return np.zeros((1, capacity, 4)), np.zeros(1, dtype=np.int64)
+
+
 class TestVelocityBuffer:
     def make_state(self, vel):
         mean = np.array([0.0, 0, 100, 1, *vel])
         return K.KalmanState.from_dense(mean, np.eye(8))
 
     def test_record_and_capacity(self):
-        buf = K.VelocityBuffer(capacity=3)
+        ring, count = one_ring(3)
         for i in range(4):
-            buf.record(self.make_state([i, 0, 0, 0]))
-        assert len(buf) == 3
-        assert buf.entries()[0][0] == 1  # first entry evicted
+            K.record_velocity(ring, count, ROW, self.make_state([i, 0, 0, 0]).mean)
+        assert count.tolist() == [4]
+        out = K.rollback_velocity(self.make_state([9, 9, 9, 9]), ring, count, ROW)
+        np.testing.assert_array_equal(out.mean[4:], [1, 0, 0, 0])  # first entry evicted
 
     def test_entries_match_recorded_velocities(self):
-        buf = K.VelocityBuffer(capacity=5)
+        # Record k sits in slot k % L.
+        ring, count = one_ring(5)
         vels = [[1, 2, 3, 4], [5, 6, 7, 8]]
         for v in vels:
-            buf.record(self.make_state(v))
-        got = [list(e) for e in buf.entries()]
-        assert got == vels
+            K.record_velocity(ring, count, ROW, self.make_state(v).mean)
+        np.testing.assert_array_equal(ring[0, :2], vels)
+        assert not ring[0, 2:].any()
 
     def test_rollback_oldest(self):
-        buf = K.VelocityBuffer(capacity=5)
-        buf.record(self.make_state([1, 1, 1, 1]))
-        buf.record(self.make_state([9, 9, 9, 9]))
+        ring, count = one_ring(5)
+        K.record_velocity(ring, count, ROW, self.make_state([1, 1, 1, 1]).mean)
+        K.record_velocity(ring, count, ROW, self.make_state([9, 9, 9, 9]).mean)
         state = self.make_state([9, 9, 9, 9])
-        out, ok = K.rollback_velocity(state, buf)
-        assert ok
+        out = K.rollback_velocity(state, ring, count, ROW)
         np.testing.assert_array_equal(out.mean[4:], [1, 1, 1, 1])
         np.testing.assert_array_equal(out.mean[:4], state.mean[:4])
         assert out.blocks is state.blocks
 
     def test_rollback_idempotent_when_equal(self):
-        buf = K.VelocityBuffer(capacity=5)
-        buf.record(self.make_state([3, 3, 3, 3]))
+        ring, count = one_ring(5)
+        K.record_velocity(ring, count, ROW, self.make_state([3, 3, 3, 3]).mean)
         state = self.make_state([3, 3, 3, 3])
-        out, ok = K.rollback_velocity(state, buf)
-        assert ok
+        out = K.rollback_velocity(state, ring, count, ROW)
         np.testing.assert_array_equal(out.mean, state.mean)
 
     def test_empty_buffer_signals_no_history(self):
+        # An empty ring keeps the belief's own velocity.
         state = self.make_state([1, 2, 3, 4])
-        out, ok = K.rollback_velocity(state, K.VelocityBuffer(capacity=5))
-        assert not ok
-        assert out is state
-
+        out = K.rollback_velocity(state, *one_ring(5), ROW)
+        np.testing.assert_array_equal(out.mean, state.mean)
 
 
 class TestRollbackScenario:
@@ -203,7 +210,7 @@ class TestRollbackScenario:
         model = K.MotionModel()
         rng = np.random.default_rng(11)
         width, height = 30.0, 60.0
-        buf = K.VelocityBuffer(capacity=5)
+        ring, count = one_ring(5)
         s = None
         for t in range(20):
             cx, cy = 50 + vx * t, 300.0
@@ -213,17 +220,16 @@ class TestRollbackScenario:
             else:
                 s = K.predict(s, model)
                 s = K.update(s, z, model)
-            buf.record(s)
+            K.record_velocity(ring, count, ROW, s.mean)
         t_last = 20
         z = np.array([50 + vx * t_last, 300.0, width * height, width / height])
         z[2] *= 1 + rng.normal(0, 0.4)
         z[3] *= 1 + rng.normal(0, 0.25)
         s = K.predict(s, model)
         s = K.update(s, z, model)
-        buf.record(s)
+        K.record_velocity(ring, count, ROW, s.mean)
 
-        rolled, ok = K.rollback_velocity(s, buf)
-        assert ok
+        rolled = K.rollback_velocity(s, ring, count, ROW)
         plain = s
         for _ in range(10):
             rolled = K.predict(rolled, model)

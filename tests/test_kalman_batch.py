@@ -13,7 +13,13 @@ from hypothesis.extra.numpy import arrays
 
 from meshsort import kalman as K
 
-from oracles import reference_kalman_gain, reference_kalman_predict, reference_kalman_update
+from oracles import (
+    ReferenceVelocityBuffer,
+    reference_kalman_gain,
+    reference_kalman_predict,
+    reference_kalman_update,
+    reference_rollback_velocity,
+)
 
 MODEL = K.MotionModel()
 EYE_BLOCKS = K.KalmanState.from_dense(np.zeros(8), np.eye(8)).blocks
@@ -108,20 +114,20 @@ def test_any_step_sequence_keeps_symmetric_blocks(data, n, ops):
     mean = _means(data.draw, n)
     state = K.initiate(mean[:, :4], MODEL)
     dense = (state.mean, state.covariance)
-    buffer = K.VelocityBuffer(ring=np.zeros((n, 3, 4)), count=np.zeros(n, dtype=np.int64))
+    rows, ring, count = np.arange(n), np.zeros((n, 3, 4)), np.zeros(n, dtype=np.int64)
     for op in ops:
         if op == "predict":
             state = K.predict(state, MODEL)
             dense = reference_kalman_predict(*dense, MODEL)
         elif op == "rollback":
-            state, _ = K.rollback_velocity(state, buffer)
+            state = K.rollback_velocity(state, ring, count, rows)
             dense = (state.mean, dense[1])
         else:
             z = _measurements(data.draw, state.mean) if op == "update" else state.projected()
             scale = 1.0 if op == "update" else 10.0
             state = K.update(state, z, MODEL, noise_scale=scale)
             dense = reference_kalman_update(*dense, z, MODEL, scale)
-        buffer.record(state)
+        K.record_velocity(ring, count, rows, state.mean)
         cov = state.covariance
         assert np.array_equal(cov, np.swapaxes(cov, -1, -2))
         assert not cov[:, ~IN_BLOCKS].any()
@@ -155,17 +161,56 @@ def test_one_singular_row_raises():
     capacity=st.integers(1, 4),
 )
 def test_stacked_rings_equal_single_rings(records, capacity):
-    # Three rings filled row by row in a stack against three one-belief
-    # buffers fed the same velocities, then rolled back together.
-    stack = K.VelocityBuffer(ring=np.zeros((3, capacity, 4)), count=np.zeros(3, dtype=np.int64))
-    singles = [K.VelocityBuffer(capacity) for _ in range(3)]
+    # Three rings filled row by row in a stack against three one-row rings
+    # fed the same velocities, then rolled back together and one by one.
+    stack, stack_count = np.zeros((3, capacity, 4)), np.zeros(3, dtype=np.int64)
+    singles = [(np.zeros((1, capacity, 4)), np.zeros(1, dtype=np.int64)) for _ in range(3)]
+    one = np.array([0])
     for k, row in enumerate(records):
         mean = np.r_[np.zeros(4), np.arange(4) + 10.0 * k + row]
-        stack.record(K.KalmanState(mean[None], EYE_BLOCKS[None]), np.array([row]))
-        singles[row].record(K.KalmanState(mean, EYE_BLOCKS))
+        K.record_velocity(stack, stack_count, np.array([row]), mean[None])
+        K.record_velocity(*singles[row], one, mean)
     state = K.KalmanState(np.tile(np.r_[1.0, 2, 3, 4, 9, 9, 9, 9], (3, 1)), np.tile(EYE_BLOCKS, (3, 1, 1)))
-    rolled, held = K.rollback_velocity(state, stack)
-    for row, single in enumerate(singles):
-        one, ok = K.rollback_velocity(K.KalmanState(state.mean[row], state.blocks[row]), single)
-        assert bool(held[row]) == bool(ok) == (len(single) > 0)
-        np.testing.assert_array_equal(rolled.mean[row], one.mean)
+    rolled = K.rollback_velocity(state, stack, stack_count, np.arange(3))
+    for row, (ring, count) in enumerate(singles):
+        single = K.rollback_velocity(K.KalmanState(state.mean[row], state.blocks[row]), ring, count, one)
+        np.testing.assert_array_equal(rolled.mean[row], single.mean)
+        if row not in records:
+            np.testing.assert_array_equal(single.mean, state.mean[row])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    capacity=st.integers(1, 5),
+    n=st.integers(1, 4),
+    ops=st.lists(
+        st.tuples(st.booleans(), st.lists(st.integers(0, 3), unique=True, max_size=4),
+                  st.floats(-50.0, 50.0, allow_nan=False)),
+        max_size=30,
+    ),
+)
+def test_ring_functions_equal_the_reference_buffer(capacity, n, ops):
+    # Random interleavings of records and rollbacks on row subsets. Every row
+    # starts with its own nonzero velocity, so a rolled-back row that was
+    # never recorded shows whether it kept it.
+    mean = np.zeros((n, 8))
+    mean[:, 4:] = 100.0 + np.arange(4 * n).reshape(n, 4)
+    blocks = np.tile(EYE_BLOCKS, (n, 1, 1))
+    ring, count = np.zeros((n, capacity, 4)), np.zeros(n, dtype=np.int64)
+    reference = ReferenceVelocityBuffer(ring=np.zeros((n, capacity, 4)), count=np.zeros(n, dtype=np.int64))
+    for is_record, subset, velocity in ops:
+        rows = np.array([r for r in subset if r < n], dtype=np.int64)
+        if is_record:
+            mean[rows, 4:] = velocity + np.arange(len(rows))[:, None] + np.arange(4) / 8.0
+            K.record_velocity(ring, count, rows, mean[rows])
+            reference.record(K.KalmanState(mean[rows], blocks[rows]), rows)
+        else:
+            state = K.KalmanState(mean[rows], blocks[rows])
+            rolled = K.rollback_velocity(state, ring, count, rows)
+            expected, _ = reference_rollback_velocity(state, reference[rows])
+            assert rolled.mean.tobytes() == expected.mean.tobytes()
+            for i, row in enumerate(rows):
+                single = K.rollback_velocity(K.KalmanState(mean[row], blocks[row]), ring, count, rows[i:i + 1])
+                assert single.mean.tobytes() == expected.mean[i].tobytes()
+            mean[rows] = rolled.mean
+    np.testing.assert_array_equal(count, reference.count)

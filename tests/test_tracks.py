@@ -130,9 +130,9 @@ class TestOnMatched:
     def test_velocity_recorded_on_real_update(self):
         c = cfg()
         t, model = make_tracked(c)
-        assert len(t.velocities[ROW]) == 0
+        assert t.vel_count.tolist() == [0]
         match(t, box(104), 0.9, c, model, grid())
-        assert len(t.velocities[ROW]) == 1
+        assert t.vel_count.tolist() == [1]
 
 
 class TestOnMissed:
@@ -232,7 +232,7 @@ class TestOnMissed:
         t, model = make_tracked(c)
         # Seed the buffer with a distinctive old velocity, then change it.
         set_velocity(t, [7.0, 0, 0, 0])
-        t.velocities.record(t.state(ROW), ROW)
+        K.record_velocity(t.vel_ring, t.vel_count, ROW, t.mean[ROW])
         set_velocity(t, [99.0, 0, 0, 0])
         miss(t, c, model, grid(), frozenset())
         assert t.view(0).kf.mean[4] == 7.0
@@ -241,10 +241,22 @@ class TestOnMissed:
         c = cfg(lost_maintain_frames=0, enable_lost_maintain=False,
                 enable_velocity_rollback=False)
         t, model = make_tracked(c)
-        t.velocities.record(t.state(ROW), ROW)
+        K.record_velocity(t.vel_ring, t.vel_count, ROW, t.mean[ROW])
         set_velocity(t, [99.0, 0, 0, 0])
         miss(t, c, model, grid(), frozenset())
         assert t.view(0).kf.mean[4] == 99.0
+
+    def test_track_lost_before_any_match_keeps_its_velocity(self):
+        # With min_hits = 1 a track is confirmed at birth, so it can be lost
+        # before a match has recorded any velocity.
+        c = cfg(min_hits=1, enable_lost_maintain=False)
+        model = K.MotionModel()
+        t = spawn(1, box(), c, model)
+        set_velocity(t, [3.0, -2.0, 0, 0])
+        miss(t, c, model, grid(), frozenset())
+        assert t.view(0).status is TrackStatus.LOST
+        assert t.vel_count.tolist() == [0]
+        np.testing.assert_array_equal(t.view(0).kf.mean[4:], [3.0, -2.0, 0, 0])
 
 
 class TestLostMaintainStep:
