@@ -14,6 +14,7 @@ from meshsort import scenarios, synth
 from meshsort.config import TrackerConfig
 from meshsort.metrics import evaluate
 from meshsort.motfiles import (
+    format_scene,
     outputs_to_trajectories,
     write_detections,
     write_ground_truth,
@@ -27,7 +28,7 @@ def main() -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     scene = scenarios.transient_occlusion_scene(seed=1)
-    (out_dir / "scene.txt").write_text(synth.format_scene(scene))
+    (out_dir / "scene.txt").write_text(format_scene(scene))
     gt, dets = synth.generate(scene)
     write_ground_truth(out_dir / "gt.txt", gt)
     write_detections(out_dir / "dets.txt", dets)

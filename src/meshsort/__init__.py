@@ -5,7 +5,8 @@ from .geometry import BoundingBox, Point2, bottom_middle, iou
 from .mesh import LossThreshold, MeshGrid
 from .metrics import MetricsReport, evaluate
 from .pipeline import Detection, FrameDetections, FrameOutput, SequencingError, Tracker, run
-from .synth import SceneConfig, generate, parse_scene
+from .motfiles import parse_scene
+from .synth import SceneConfig, generate
 
 __version__ = "0.1.0"
 

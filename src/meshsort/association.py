@@ -45,35 +45,27 @@ def _canonicalize_ties(cost: np.ndarray, gate: float, matches: np.ndarray) -> No
     # no such entries beyond the matches themselves there is none to make.
     if n < 2 or np.count_nonzero(cost <= gate) == n:
         return
-    # One vectorised test for a swap that the first pass below would make;
-    # without one the pass changes nothing. pair[a, b] is cost[ra, cb].
+    # Passes over the pairs a < b of matches in row-major order swap each pair
+    # that passes the test, until a pass swaps none. Columns change only at a
+    # swap, so after one the test runs once over all pairs, and the first hit
+    # at or after the cursor (flat index a * n + b) is the pair the pass meets next.
     rows, cols = matches.T  # views: a swap writes the column in place
-    pair = cost[rows[:, None], cols]
-    own = pair.diagonal()
-    order = np.arange(n)
-    swappable = (
-        (order[:, None] < order)
-        & (cols < cols[:, None])
-        & (pair <= gate)
-        & (pair.T <= gate)
-        & (pair + pair.T == own[:, None] + own)
-    )
-    if not swappable.any():
-        return
-    changed = True
-    while changed:
-        changed = False
-        for a in range(n):
-            ra = rows[a]
-            for b in range(a + 1, n):
-                rb, ca, cb = rows[b], cols[a], cols[b]
-                if cb >= ca:
-                    continue
-                if cost[ra, cb] > gate or cost[rb, ca] > gate:
-                    continue
-                if cost[ra, cb] + cost[rb, ca] == cost[ra, ca] + cost[rb, cb]:
-                    cols[a], cols[b] = cb, ca
-                    changed = True
+    later = np.arange(n)[:, None] < np.arange(n)
+    cursor, swapped = 0, False
+    while True:
+        pair = cost[rows[:, None], cols]  # pair[a, b] is cost[ra, cb]
+        own = pair.diagonal()
+        swappable = later & (cols < cols[:, None]) & (pair <= gate) & (pair.T <= gate)
+        swappable &= pair + pair.T == own[:, None] + own
+        hits = np.flatnonzero(swappable.ravel()[cursor:])
+        if hits.size:
+            a, b = divmod(cursor + int(hits[0]), n)
+            cols[a], cols[b] = cols[b], cols[a]
+            cursor, swapped = a * n + b + 1, True
+        elif swapped:
+            cursor, swapped = 0, False
+        else:
+            return
 
 
 def assign(cost: np.ndarray, gate: float) -> AssignmentResult:

@@ -1,7 +1,8 @@
 """Command-line surface: track, eval, synth, ablate, bench.
 
-This is the only module that touches the filesystem; everything else works
-on in-memory values. ``ablate`` may fan grid cells out over processes; the
+This module and :mod:`meshsort.motfiles`, which reads and writes the text
+files, are the only ones that touch the filesystem; everything else works on
+in-memory values. ``ablate`` may fan grid cells out over processes; the
 ``MESH_SORT_THREADS`` environment variable, a positive integer, caps that
 parallelism.
 """
@@ -17,20 +18,14 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 
 from . import motfiles, synth
-from .config import TrackerConfig
+from .config import TrackerConfig, field_types
 from .kalman import NumericsError
 from .metrics import MetricsError, evaluate
 from .pipeline import Tracker
 
 
-def _load_tracker_config(path: str | None) -> TrackerConfig:
-    if path is None:
-        return TrackerConfig()
-    return motfiles.load_config(path)
-
-
 def _cmd_track(args) -> int:
-    cfg = _load_tracker_config(args.config)
+    cfg = motfiles.load_config(args.config)
     if args.emit_virtual:
         cfg.emit_virtual = True
     frames = motfiles.parse_detections(args.dets)
@@ -70,7 +65,7 @@ def _parse_grid(spec: str, scenes: bool) -> list[dict]:
 
     With ``scenes``, each scene sets the frame size, so the grid may not.
     """
-    types = TrackerConfig.field_types()
+    types = field_types(TrackerConfig)
     axes = {}
     for part in spec.split(";"):
         part = part.strip()
@@ -141,7 +136,7 @@ def run_ablation_cell(payload) -> dict:
 
 def _cmd_ablate(args) -> int:
     cells = _parse_grid(args.grid, bool(args.scene))
-    base = _load_tracker_config(args.config)
+    base = motfiles.load_config(args.config)
     configs = [dataclasses.replace(base, **overrides) for overrides in cells]
     # Every cell and the worker cap are checked before any input is built, so
     # a bad late cell fails at once.
@@ -180,7 +175,7 @@ def _cmd_ablate(args) -> int:
 
 def _cmd_bench(args) -> int:
     scenes = [args.scene] if args.scene else []
-    cfg = _load_tracker_config(args.config)
+    cfg = motfiles.load_config(args.config)
     [(_, dets, size)] = _inputs(scenes, args.dets)
     tracker = Tracker(dataclasses.replace(cfg, **size))
     t0 = time.perf_counter()

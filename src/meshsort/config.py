@@ -86,7 +86,8 @@ class TrackerConfig:
         base.update(overrides)
         return cls(**base)
 
-    @classmethod
-    def field_types(cls) -> dict[str, type]:
-        defaults = cls()
-        return {f.name: type(getattr(defaults, f.name)) for f in fields(cls)}
+
+def field_types(cls) -> dict[str, type]:
+    """Each field of a config dataclass and the type of its default, in field order; list fields are left out."""
+    defaults = vars(cls())
+    return {f.name: type(defaults[f.name]) for f in fields(cls) if not isinstance(defaults[f.name], list)}

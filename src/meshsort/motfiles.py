@@ -1,4 +1,4 @@
-"""MOT-convention text files: detections, ground truth, results, flat configs.
+"""MOT-convention text files: detections, ground truth, results; flat tracker configs and scenes.
 
 Detection and result lines carry ten comma-separated fields::
 
@@ -20,6 +20,10 @@ Readers return arrays: one :class:`~meshsort.pipeline.Detections` view per
 frame over the file's box and score columns, or one
 :class:`~meshsort.metrics.TrajectorySet`. A writer formats the whole file in
 one ``%`` call, straight from those arrays.
+
+Tracker configs and scenes share one flat ``key = value`` grammar, whose
+scalar keys and types are the fields of their dataclasses. A key given twice,
+and a scene's unknown, repeated or malformed agent field, fail with the line.
 """
 
 from __future__ import annotations
@@ -32,11 +36,11 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .config import TrackerConfig
-from .geometry import MAX_COORD, degenerate
+from .config import TrackerConfig, field_types
+from .geometry import MAX_COORD, BoundingBox, check_box_range, degenerate
 from .metrics import TrajectorySet
 from .pipeline import Detections, FrameDetections, FrameOutput, Records
-from .synth import SceneConfig, parse_scene
+from .synth import AgentSpec, SceneConfig
 
 
 class ParseError(ValueError):
@@ -290,20 +294,35 @@ class ConfigError(ValueError):
     pass
 
 
-def parse_config_text(text: str) -> TrackerConfig:
-    """Flat ``key = value`` tracker configuration; unknown keys are rejected."""
-    cfg = TrackerConfig()
-    types = TrackerConfig.field_types()
+def _key_values(text: str, kind: str):
+    """``(where, key, value)`` per ``key = value`` line, ``where`` as ``scene line 3``; ``#`` starts a comment."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        where = f"{kind} line {lineno}"
         if "=" not in line:
-            raise ConfigError(f"config line {lineno}: expected 'key = value'")
+            raise ConfigError(f"{where}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in types:
-            raise ConfigError(f"config line {lineno}: unknown key {key!r}")
-        setattr(cfg, key, coerce_value(types[key], value, f"config line {lineno}"))
+        yield where, key, value
+
+
+def _set_field(cfg, seen: set, where: str, key: str, value: str, unknown: str = "key") -> None:
+    """Set the scalar field ``key`` of ``cfg`` from its text, once per file; ``seen`` holds the keys set so far."""
+    types = field_types(type(cfg))
+    if key not in types:
+        raise ConfigError(f"{where}: unknown {unknown} {key!r}")
+    if key in seen:
+        raise ConfigError(f"{where}: key {key!r} given twice")
+    seen.add(key)
+    setattr(cfg, key, coerce_value(types[key], value, where))
+
+
+def parse_config_text(text: str) -> TrackerConfig:
+    """Flat ``key = value`` tracker configuration; unknown and repeated keys are rejected."""
+    cfg, seen = TrackerConfig(), set()
+    for where, key, value in _key_values(text, "config"):
+        _set_field(cfg, seen, where, key, value)
     cfg.validate()
     return cfg
 
@@ -323,8 +342,97 @@ def coerce_value(kind: type, value: str, where: str):
         raise ConfigError(f"{where}: bad {kind.__name__} {value!r}") from None
 
 
+def _at(where: str, call: Callable, *args):
+    """``call(*args)``; a :class:`ValueError` it raises is raised again prefixed by ``where``."""
+    try:
+        return call(*args)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+def _floats(text: str, sep: str, count: int, where: str, what: str) -> list[float]:
+    """``text`` cut at ``sep`` into ``count`` floats."""
+    parts = text.split(sep)
+    if len(parts) != count:
+        raise ConfigError(f"{where}: bad {what} {text!r}")
+    return [coerce_value(float, part, where) for part in parts]
+
+
+def parse_scene(text: str) -> SceneConfig:
+    """Parse the plain-text scene grammar.
+
+    Each scalar field of :class:`~meshsort.synth.SceneConfig` may have one
+    ``key = value`` line. Agents and occluders repeat::
+
+        agent = spawn:1 despawn:90 size:24x48 path:100,300@1 800,300@90
+        occluder = 450,260,40,120
+
+    Paths list ``x,y@frame`` center waypoints to the end of the line;
+    occluders are ``left,top,width,height`` rectangles.
+    """
+    cfg, seen, agent_lines = SceneConfig(), set(), []
+    for where, key, value in _key_values(text, "scene"):
+        if key == "agent":
+            cfg.agents.append(_parse_agent(value, where))
+            agent_lines.append(where)
+        elif key == "occluder":
+            occluder = _at(where, BoundingBox, *_floats(value, ",", 4, where, "occluder"))
+            _at(where, check_box_range, occluder)
+            cfg.occluders.append(occluder)
+        else:
+            _set_field(cfg, seen, where, key, value, unknown="scene key")
+            number = getattr(cfg, key)
+            if isinstance(number, float) and not math.isfinite(number):
+                raise ConfigError(f"{where}: non-finite {key} {number}")
+    # Whether an agent fits depends on ``frames``, which may come on any line.
+    for where, agent in zip(agent_lines, cfg.agents):
+        _at(where, cfg._check_fits, agent)
+    cfg.validate()
+    return cfg
+
+
+_AGENT_FIELDS = ("spawn", "despawn", "size", "path")
+
+
+def _parse_agent(value: str, where: str) -> AgentSpec:
+    """An agent line's ``spawn:N despawn:N size:WxH`` fields, then ``path:`` and its waypoints."""
+    fields: dict[str, str] = {}
+    tokens = value.split()
+    for i, token in enumerate(tokens):
+        key, sep, text = token.partition(":")
+        if not sep or key not in _AGENT_FIELDS:
+            raise ConfigError(f"{where}: unknown agent field {token!r}")
+        if key in fields:
+            raise ConfigError(f"{where}: key {key!r} given twice")
+        fields[key] = text
+        if key == "path":
+            waypoints = []
+            for point in ([text] if text else []) + tokens[i + 1:]:
+                xy, sep, at = point.partition("@")
+                if not sep:
+                    raise ConfigError(f"{where}: bad waypoint {point!r}")
+                waypoints.append((coerce_value(int, at, where), *_floats(xy, ",", 2, where, "waypoint")))
+            break
+    if len(fields) < len(_AGENT_FIELDS):
+        raise ConfigError(f"{where}: agent needs spawn:, despawn:, size:, and path:")
+    agent = AgentSpec(coerce_value(int, fields["spawn"], where), coerce_value(int, fields["despawn"], where),
+                      *_floats(fields["size"], "x", 2, where, "agent size"), tuple(waypoints))
+    _at(where, agent.validate)
+    return agent
+
+
+def format_scene(cfg: SceneConfig) -> str:
+    """Inverse of :func:`parse_scene`, used to write suite scenes to disk."""
+    lines = [f"{name} = {getattr(cfg, name)}" for name in field_types(SceneConfig)]
+    lines += [f"occluder = {occ.left},{occ.top},{occ.width},{occ.height}" for occ in cfg.occluders]
+    lines += [f"agent = spawn:{a.spawn} despawn:{a.despawn} size:{a.width}x{a.height} path:"
+              + " ".join(f"{x},{y}@{t}" for t, x, y in a.waypoints) for a in cfg.agents]
+    return "\n".join(lines) + "\n"
+
+
 def load_config(path) -> TrackerConfig:
-    return parse_config_text(_ascii_text(path))
+    """The tracker config file at ``path``; with no path, the defaults."""
+    return TrackerConfig() if path is None else parse_config_text(_ascii_text(path))
 
 
 def load_scene(path) -> SceneConfig:

@@ -5,7 +5,8 @@ rectangles and nearer agents occlude them; partially covered agents get
 multiplicative area/aspect noise and reduced confidence, fully covered or
 randomly missed agents emit nothing. All randomness comes from a hand-rolled
 xoshiro256** generator with Box-Muller normals so byte-identical output for a
-given (config, seed) holds across platforms.
+given (config, seed) holds across platforms. Scene files are read and written
+by :mod:`meshsort.motfiles`; this module holds no text grammar.
 
 :func:`generate` computes every agent's boxes once, as (frames, agents)
 arrays, and returns ground truth as one :class:`~meshsort.metrics.TrajectorySet`
@@ -22,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import field_types
 from .geometry import BoundingBox, check_box_range
 from .metrics import TrajectorySet
 from .pipeline import Detections, FrameDetections
@@ -139,11 +141,6 @@ class AgentSpec:
         return speed
 
 
-# Real-valued SceneConfig fields; NaN would slip through every range check.
-_REAL_FIELDS = ("frame_width", "frame_height", "sigma_area", "sigma_ratio",
-                "min_visibility", "miss_prob", "conf_base", "conf_penalty")
-
-
 @dataclass
 class SceneConfig:
     frame_width: float = 960.0
@@ -160,8 +157,9 @@ class SceneConfig:
     occluders: list[BoundingBox] = field(default_factory=list)
 
     def validate(self) -> None:
-        for name in _REAL_FIELDS:
-            if not math.isfinite(getattr(self, name)):
+        # NaN would slip through every range check below.
+        for name, kind in field_types(type(self)).items():
+            if kind is float and not math.isfinite(getattr(self, name)):
                 raise ValueError(f"non-finite {name} {getattr(self, name)}")
         if self.frames < 1 or self.frame_width <= 0 or self.frame_height <= 0:
             raise ValueError("scene needs positive frame count and size")
@@ -378,109 +376,3 @@ def generate(cfg: SceneConfig):
     views = Detections.split(np.array(rows, dtype=np.float64).reshape(-1, 4), np.array(confs, dtype=np.float64), bounds)
     det_frames = [FrameDetections(index=frame, detections=dets) for frame, dets in enumerate(views, start=1)]
     return gt, det_frames
-
-
-def parse_scene(text: str) -> SceneConfig:
-    """Parse the plain-text scene grammar.
-
-    Scalar lines are ``key = value``. Agents and occluders repeat::
-
-        agent = spawn:1 despawn:90 size:24x48 path:100,300@1 800,300@90
-        occluder = 450,260,40,120
-
-    Agent paths list ``x,y@frame`` center waypoints; occluders are
-    ``left,top,width,height`` rectangles.
-    """
-    cfg = SceneConfig()
-    scalars = {"frames": int, "seed": int, **{name: float for name in _REAL_FIELDS}}
-    agent_lines: list[int] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"scene line {lineno}: expected 'key = value'")
-        key, value = (part.strip() for part in line.split("=", 1))
-        try:
-            if key == "agent":
-                agent = _parse_agent(value)
-                agent.validate()
-                cfg.agents.append(agent)
-                agent_lines.append(lineno)
-            elif key == "occluder":
-                left, top, w, h = (float(v) for v in value.split(","))
-                occluder = BoundingBox(left, top, w, h)
-                check_box_range(occluder)
-                cfg.occluders.append(occluder)
-            elif key in scalars:
-                number = scalars[key](value)
-                if not math.isfinite(number):
-                    raise ValueError(f"non-finite {key} {number}")
-                setattr(cfg, key, number)
-            else:
-                raise ValueError(f"unknown scene key {key!r}")
-        except ValueError as exc:
-            raise ValueError(f"scene line {lineno}: {exc}") from exc
-    # Whether an agent fits depends on ``frames``, which may come on any line.
-    for lineno, agent in zip(agent_lines, cfg.agents):
-        try:
-            cfg._check_fits(agent)
-        except ValueError as exc:
-            raise ValueError(f"scene line {lineno}: {exc}") from exc
-    cfg.validate()
-    return cfg
-
-
-def _parse_agent(value: str) -> AgentSpec:
-    fields = {}
-    path: list[tuple[int, float, float]] = []
-    tokens = value.split()
-    i = 0
-    while i < len(tokens):
-        token = tokens[i]
-        if token.startswith("path:"):
-            path_tokens = [token[len("path:"):]] + tokens[i + 1:]
-            for pt in path_tokens:
-                xy, at = pt.split("@")
-                x, y = (float(v) for v in xy.split(","))
-                path.append((int(at), x, y))
-            break
-        key, val = token.split(":", 1)
-        fields[key] = val
-        i += 1
-    if "size" not in fields or "spawn" not in fields or "despawn" not in fields:
-        raise ValueError("agent needs spawn:, despawn:, size:, and path:")
-    w, h = (float(v) for v in fields["size"].split("x"))
-    return AgentSpec(
-        spawn=int(fields["spawn"]),
-        despawn=int(fields["despawn"]),
-        width=w,
-        height=h,
-        waypoints=tuple(path),
-    )
-
-
-def format_scene(cfg: SceneConfig) -> str:
-    """Inverse of :func:`parse_scene`, used to write suite scenes to disk."""
-    lines = [
-        f"frame_width = {cfg.frame_width}",
-        f"frame_height = {cfg.frame_height}",
-        f"frames = {cfg.frames}",
-        f"seed = {cfg.seed}",
-        f"sigma_area = {cfg.sigma_area}",
-        f"sigma_ratio = {cfg.sigma_ratio}",
-        f"min_visibility = {cfg.min_visibility}",
-        f"miss_prob = {cfg.miss_prob}",
-        f"conf_base = {cfg.conf_base}",
-        f"conf_penalty = {cfg.conf_penalty}",
-    ]
-    for occ in cfg.occluders:
-        lines.append(f"occluder = {occ.left},{occ.top},{occ.width},{occ.height}")
-    for agent in cfg.agents:
-        path = " ".join(f"{x},{y}@{t}" for t, x, y in agent.waypoints)
-        lines.append(
-            "agent = "
-            f"spawn:{agent.spawn} despawn:{agent.despawn} "
-            f"size:{agent.width}x{agent.height} path:{path}"
-        )
-    return "\n".join(lines) + "\n"

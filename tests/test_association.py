@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from meshsort import association
 from meshsort.association import assign, biou_cost, iou_cost, two_stage_associate
 from meshsort.geometry import BoundingBox, boxes_to_ltrb
 
-from oracles import brute_force_assignment, reference_assign, reference_two_stage_associate
+from oracles import _ref_canonicalize_ties, brute_force_assignment, reference_assign, reference_two_stage_associate
 
 
 def box(l, t, w, h):
@@ -269,3 +269,26 @@ class TestMatchesReference:
         # the array leaves out.
         assert [r for r in range(rows) if r not in {m[0] for m in matches}] == ref_rows
         assert [c for c in range(cols) if c not in {m[1] for m in matches}] == ref_cols
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        n=st.integers(0, 6), extra=st.integers(0, 2),
+        levels=st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]), min_size=48, max_size=48),
+        gate=st.sampled_from([0.5, 0.75, 1.0]),
+        order=st.permutations(range(8)),
+    )
+    # A pass that restarted from the first pair after each swap would end at
+    # the identity here, not at the pairs a full row-major pass reaches.
+    @example(n=4, extra=0, gate=1.0, order=[3, 2, 0, 1, 4, 5, 6, 7],
+             levels=[0.5, 0.0, 0.0, 0.25, 0.25, 0.25, 1.0, 0.25, 0.75, 0.75, 0.25, 0.25,
+                     0.75, 0.0, 0.75, 1.0] + [0.0] * 32)
+    def test_canonicalize_ties(self, n, extra, levels, gate, order):
+        # Rows 0..n-1 hold a permutation of the columns rather than an
+        # optimum, so the swap passes have ties to settle.
+        cols = n + extra
+        cost = np.array(levels[:n * cols], dtype=np.float64).reshape(n, cols)
+        matches = np.array(list(enumerate(c for c in order if c < cols))[:n], dtype=np.intp).reshape(-1, 2)
+        ref = pairs(matches)
+        association._canonicalize_ties(cost, gate, matches)
+        _ref_canonicalize_ties(cost, gate, ref)
+        assert pairs(matches) == ref

@@ -4,8 +4,8 @@ import pytest
 
 from meshsort import kalman, motfiles, scenarios, synth
 from meshsort.cli import main
-from meshsort.motfiles import parse_detections, parse_ground_truth
-from meshsort.synth import format_scene, generate
+from meshsort.motfiles import format_scene, parse_detections, parse_ground_truth
+from meshsort.synth import generate
 
 
 @pytest.fixture

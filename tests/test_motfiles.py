@@ -581,6 +581,10 @@ class TestConfig:
         with pytest.raises(ConfigError, match=r"^config line 2: bad boolean 'perhaps'$"):
             parse_config_text("# toggles\nenable_mesh = perhaps")
 
+    def test_repeated_key_rejected(self):
+        with pytest.raises(ConfigError, match=r"^config line 2: key 'max_age' given twice$"):
+            parse_config_text("max_age = 10\nmax_age = 12")
+
     def test_validation_applies(self):
         with pytest.raises(ValueError):
             parse_config_text("location_age_reduction = 99")

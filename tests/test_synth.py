@@ -1,11 +1,14 @@
+import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
 
 from meshsort import scenarios
-from meshsort.config import TrackerConfig
+from meshsort.config import TrackerConfig, field_types
 from meshsort.geometry import BoundingBox
+from meshsort.motfiles import format_scene, parse_scene
 from meshsort.pipeline import Tracker
 from meshsort.synth import (
     MIN_AGENT_SIZE,
@@ -13,9 +16,7 @@ from meshsort.synth import (
     SceneConfig,
     Xoshiro256StarStar,
     covered_fraction,
-    format_scene,
     generate,
-    parse_scene,
     semi_occlusion_noise,
 )
 
@@ -294,3 +295,58 @@ class TestSceneGrammar:
         assert scene.frames == 12
         assert len(scene.agents) == 1
         assert scene.agents[0].box_at(1).width == 10
+
+    # sha256 of format_scene's text per scene: the files the suite writes stay
+    # byte for byte as they were.
+    FORMATTED = {
+        "transient": "946cd470ae06f9a04a00108209d7ac64a56803f5fa0d3856fafa1ac298c12226",
+        "exit": "9a50ca2cad088f6322d81835eed13636656b1a71d55688eacc2628fe484721f2",
+        "rollback": "f7ae5474af9d0e7fdee36e495912038f1b1056b3a8a5d80e021646f47ca47af9",
+        "crossing": "d92972807670d7f1b6fa190466b420b354eed9c832585aeb678d5378aa107506",
+        "throughput": "10ddb31e41eff0367992c1554aa6d249161961ec4920b7c5d9d28405626014b3",
+        "every_scalar": "610839bdf2d395e0d2b5aec71da2e829d1c41143151dd7a381d27433e9312051",
+    }
+    SCENES = {
+        "transient": lambda: scenarios.transient_occlusion_scene(2),
+        "exit": lambda: scenarios.exit_scene(2),
+        "rollback": lambda: scenarios.rollback_scene(2),
+        "crossing": lambda: scenarios.crossing_scene(2),
+        "throughput": scenarios.throughput_scene,
+        # Every scalar field away from its default.
+        "every_scalar": lambda: SceneConfig(
+            frame_width=640.5, frame_height=480.25, frames=77, seed=12345, sigma_area=0.2, sigma_ratio=0.05,
+            min_visibility=0.45, miss_prob=0.125, conf_base=0.8, conf_penalty=0.35,
+            agents=[AgentSpec(3, 70, 20.5, 41.0, ((3, 100.0, 200.0), (70, 300.25, 210.0)))],
+            occluders=[BoundingBox(250.0, 150.0, 30.5, 90.0)]),
+    }
+
+    @pytest.mark.parametrize("name", FORMATTED)
+    def test_every_scene_round_trips_unchanged(self, name):
+        scene = self.SCENES[name]()
+        text = format_scene(scene)
+        assert hashlib.sha256(text.encode()).hexdigest() == self.FORMATTED[name]
+        assert parse_scene(text) == scene
+
+    def test_every_scalar_field_differs_from_its_default(self):
+        scene, default = self.SCENES["every_scalar"](), SceneConfig()
+        assert all(getattr(scene, name) != getattr(default, name) for name in field_types(SceneConfig))
+
+    @pytest.mark.parametrize("line,message", [
+        ("agent = spawn:1 despawn:9 colour:red size:20x40 path:100,300@1", "unknown agent field 'colour:red'"),
+        ("agent = spawn1 despawn:9 size:20x40 path:100,300@1", "unknown agent field 'spawn1'"),
+        ("agent = spawn:1 despawn:9 size:20x40x7 path:100,300@1", "bad agent size '20x40x7'"),
+        ("agent = spawn:1 despawn:9 size:20x40 path:", "agent needs at least one waypoint"),
+        ("agent = spawn:1 despawn:9 path:100,300@1 size:20x40", "bad waypoint 'size:20x40'"),
+        ("agent = spawn:1 despawn:9 size:20x40 path:100,300@1.5", "bad int '1.5'"),
+        ("agent = spawn:1 spawn:2 despawn:9 size:20x40 path:100,300@1", "key 'spawn' given twice"),
+        ("occluder = 1,2,3", "bad occluder '1,2,3'"),
+        ("frames = 1e1", "bad int '1e1'"),
+        ("seed = 4", "key 'seed' given twice"),
+    ])
+    def test_malformed_line_names_its_token(self, line, message):
+        with pytest.raises(ValueError, match=f"^scene line 2: {re.escape(message)}$"):
+            parse_scene("seed = 3\n" + line)
+
+    def test_seed_beyond_a_float_is_read(self):
+        # The seed is masked to 64 bits, so any whole number will do.
+        assert parse_scene("seed = " + "9" * 400).seed == int("9" * 400)
