@@ -40,7 +40,7 @@ from .config import TrackerConfig, field_types
 from .geometry import MAX_COORD, BoundingBox, check_box_range, degenerate
 from .metrics import TrajectorySet
 from .pipeline import Detections, FrameDetections, FrameOutput, Records
-from .synth import AgentSpec, SceneConfig
+from .synth import MAX_FRAME, AgentSpec, SceneConfig
 
 
 class ParseError(ValueError):
@@ -51,9 +51,6 @@ class ParseError(ValueError):
         self.lineno = lineno
 
 
-# The detection reader yields every frame up to the last one in the file, so
-# a frame index far past any video would allocate one empty frame per index.
-_MAX_FRAME = 1_000_000
 # Ids must stay exact in a float64: from 2**53 on, neighbouring ids read as one.
 _MAX_ID = 2.0 ** 53
 
@@ -192,7 +189,7 @@ def _if_active(rule: _Rule) -> _Rule:
 # gets the first one's message.
 _FINITE: _Rule = (lambda t: ~np.isfinite(t).all(axis=1), lambda parts, v: _field_error(parts))
 _WHOLE_FRAME, _WHOLE_ID = _whole(0, "frame index"), _whole(1, "id", _MAX_ID)
-_FRAME_RANGE: _Rule = (lambda t: (t[:, 0] < 1) | (t[:, 0] > _MAX_FRAME),
+_FRAME_RANGE: _Rule = (lambda t: (t[:, 0] < 1) | (t[:, 0] > MAX_FRAME),
                        lambda parts, v: f"bad frame index {parts[0]}")
 # A negative size is left to the size rule.
 _COORD: _Rule = (lambda t: (np.abs(t[:, 2:4]) > MAX_COORD).any(axis=1) | (t[:, 4:6] > MAX_COORD).any(axis=1),

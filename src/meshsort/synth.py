@@ -8,12 +8,18 @@ xoshiro256** generator with Box-Muller normals so byte-identical output for a
 given (config, seed) holds across platforms. Scene files are read and written
 by :mod:`meshsort.motfiles`; this module holds no text grammar.
 
-:func:`generate` computes every agent's boxes once, as (frames, agents)
-arrays, and returns ground truth as one :class:`~meshsort.metrics.TrajectorySet`
-table over them and detections as array-backed frames. Cover is found from
-those arrays: one strict-overlap test per block of whole frames lists, for each
-live agent, the later live agents whose box overlaps it, and only those plus the
-occluders go to the union-area computation of :func:`covered_fraction`.
+:func:`generate` works on whole arrays. It computes every agent's boxes once,
+as (frames, agents) arrays, and returns ground truth as one
+:class:`~meshsort.metrics.TrajectorySet` table over them. An agent-frame's
+covers are the occluders plus the later live agents whose box strictly
+overlaps it, found by one overlap test per block of whole frames, each clipped
+to the in-frame part of the box. The agent-frames are batched by their number
+of covers, and each batch runs the coordinate compression as arrays; with no
+cover the hidden area is the part outside the frame. One loop walks the random
+stream over the candidate detections in frame order: a miss draw each when
+``miss_prob`` is positive, then a Box-Muller pair for each partly covered one
+kept. Size noise and confidence are array expressions over those draws, and
+one :meth:`Detections.split` cuts the frames.
 """
 
 from __future__ import annotations
@@ -24,13 +30,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import field_types
-from .geometry import BoundingBox, check_box_range
+from .geometry import BoundingBox, boxes_to_ltrb, check_box_range
 from .metrics import TrajectorySet
 from .pipeline import Detections, FrameDetections
 
 _MASK64 = (1 << 64) - 1
 
 MIN_AGENT_SIZE = 0.01  # px: the MOT files' two decimals write a smaller size as 0.00
+# Largest frame index the MOT readers accept, and so the most frames a scene
+# may have. The detection reader yields every frame up to the last one in a
+# file, so a frame index far past any video would allocate one empty frame
+# per index.
+MAX_FRAME = 1_000_000
 
 
 def _splitmix64(state: int):
@@ -79,11 +90,15 @@ class Xoshiro256StarStar:
             z = self._spare_normal
             self._spare_normal = None
             return z
+        z, self._spare_normal = self.normal_pair()
+        return z
+
+    def normal_pair(self) -> tuple[float, float]:
+        """Two standard normals from one Box-Muller transform; the cached one is left alone."""
         u1 = 1.0 - self.uniform()
         u2 = self.uniform()
         radius = math.sqrt(-2.0 * math.log(u1))
-        self._spare_normal = radius * math.sin(2.0 * math.pi * u2)
-        return radius * math.cos(2.0 * math.pi * u2)
+        return radius * math.cos(2.0 * math.pi * u2), radius * math.sin(2.0 * math.pi * u2)
 
 
 @dataclass(frozen=True)
@@ -134,12 +149,6 @@ class AgentSpec:
         cx, cy = self.center_at(frame)
         return BoundingBox(cx - self.width / 2, cy - self.height / 2, self.width, self.height)
 
-    def max_speed(self) -> float:
-        speed = 0.0
-        for (t0, x0, y0), (t1, x1, y1) in zip(self.waypoints, self.waypoints[1:]):
-            speed = max(speed, math.hypot(x1 - x0, y1 - y0) / (t1 - t0))
-        return speed
-
 
 @dataclass
 class SceneConfig:
@@ -163,6 +172,8 @@ class SceneConfig:
                 raise ValueError(f"non-finite {name} {getattr(self, name)}")
         if self.frames < 1 or self.frame_width <= 0 or self.frame_height <= 0:
             raise ValueError("scene needs positive frame count and size")
+        if self.frames > MAX_FRAME:
+            raise ValueError(f"frames {self.frames} above {MAX_FRAME}, the last frame index the MOT readers accept")
         if self.sigma_area < 0 or self.sigma_ratio < 0:
             raise ValueError("noise sigmas must be non-negative")
         if not 0.0 <= self.miss_prob <= 1.0:
@@ -177,145 +188,66 @@ class SceneConfig:
             raise ValueError(f"agent outlives the scene (despawn {agent.despawn} > frames {self.frames})")
 
 
-def _ltrb(box: BoundingBox) -> tuple[float, float, float, float]:
-    return box.left, box.top, box.right, box.bottom
-
-
-def covered_fraction(box: BoundingBox, covers: list[BoundingBox],
-                     frame_size: tuple[float, float]) -> float:
-    """Fraction of the box hidden: covered by rectangles or outside the frame.
-
-    Exact area computation over the union of covers via coordinate
-    compression (cover counts per scene are small).
-    """
-    return _hidden(_ltrb(box), box.area, list(map(_ltrb, covers)), frame_size)
-
-
-def _hidden(box: tuple, area: float, covers: list[tuple], frame_size: tuple[float, float]) -> float:
-    """:func:`covered_fraction` of an ltrb box of the given area, covers also ltrb."""
-    fw, fh = frame_size
-    # Out-of-frame area counts as hidden.
-    in_left = max(box[0], 0.0)
-    in_top = max(box[1], 0.0)
-    in_right = min(box[2], fw)
-    in_bottom = min(box[3], fh)
-    if in_right <= in_left or in_bottom <= in_top:
-        return 1.0
-    clipped = []
-    for c in covers:
-        left = max(c[0], in_left)
-        top = max(c[1], in_top)
-        right = min(c[2], in_right)
-        bottom = min(c[3], in_bottom)
-        if right > left and bottom > top:
-            clipped.append((left, top, right, bottom))
-    covered = 0.0
-    if clipped:
-        xs = sorted({v for r in clipped for v in (r[0], r[2])})
-        ys = sorted({v for r in clipped for v in (r[1], r[3])})
-        for x0, x1 in zip(xs, xs[1:]):
-            for y0, y1 in zip(ys, ys[1:]):
-                mx = (x0 + x1) / 2
-                my = (y0 + y1) / 2
-                if any(r[0] <= mx <= r[2] and r[1] <= my <= r[3] for r in clipped):
-                    covered += (x1 - x0) * (y1 - y0)
-    inside = (in_right - in_left) * (in_bottom - in_top)
-    hidden = (area - inside) + covered
-    return min(max(hidden / area, 0.0), 1.0)
-
-
-def semi_occlusion_noise(
-    z: np.ndarray,
-    visibility: float,
-    sigma_area: float,
-    sigma_ratio: float,
-    rng: Xoshiro256StarStar,
-) -> np.ndarray:
-    """Perturb the area/aspect slots of a measurement under partial cover.
-
-    Fully visible measurements pass through unchanged; position slots are
-    never touched. The multiplicative disturbance scales with how much of the
-    box is hidden. A width or height that falls below :data:`MIN_AGENT_SIZE`
-    is raised to it.
-    """
-    if not 0.0 <= visibility <= 1.0:
-        raise ValueError("visibility must lie in [0, 1]")
-    out = np.asarray(z, dtype=np.float64).copy()
-    if visibility >= 1.0:
-        return out
-    hidden = 1.0 - visibility
-    eps_area = rng.normal() * sigma_area
-    eps_ratio = rng.normal() * sigma_ratio
-    out[2] = out[2] * max(1.0 + eps_area * hidden, 1e-3)
-    out[3] = out[3] * max(1.0 + eps_ratio * hidden, 1e-3)
-    width, height = math.sqrt(out[2] * out[3]), math.sqrt(out[2] / out[3])
-    if min(width, height) < MIN_AGENT_SIZE:
-        # A hair above the bound, so that the sizes decoded from area and
-        # aspect again do not round below it.
-        floor = MIN_AGENT_SIZE * (1.0 + 1e-9)
-        width, height = max(width, floor), max(height, floor)
-        out[2], out[3] = width * height, width / height
-    return out
-
-
-def _centres(agent: AgentSpec, frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:meth:`AgentSpec.center_at` over many frames, with the same float operations.
-
-    Frames on a waypoint time take the first segment that holds them, as
-    ``center_at``'s loop does.
-    """
-    t = np.array([p[0] for p in agent.waypoints], dtype=np.float64)
-    xs = np.array([p[1] for p in agent.waypoints], dtype=np.float64)
-    ys = np.array([p[2] for p in agent.waypoints], dtype=np.float64)
-    if len(t) == 1:
-        return np.full(len(frames), xs[0]), np.full(len(frames), ys[0])
-    k = np.minimum(np.searchsorted(t[1:], frames, side="left"), len(t) - 2)
-    w = (frames - t[k]) / (t[k + 1] - t[k])
-    cx = xs[k] + w * (xs[k + 1] - xs[k])
-    cy = ys[k] + w * (ys[k + 1] - ys[k])
-    before, after = frames <= t[0], frames >= t[-1]
-    cx = np.where(before, xs[0], np.where(after, xs[-1], cx))
-    cy = np.where(before, ys[0], np.where(after, ys[-1], cy))
-    return cx, cy
-
-
 def _agent_ltrb(cfg: SceneConfig) -> np.ndarray:
     """(4, frames, agents) left/top/right/bottom of every agent's box.
 
-    Values equal the fields of :meth:`AgentSpec.box_at`. Frames outside an
-    agent's lifespan hold NaN, which fails every comparison, so such an agent
-    neither covers nor is covered there; validated scenes hold no other NaN.
+    Values equal the fields of :meth:`AgentSpec.box_at`, with the same float
+    operations: a frame on a waypoint time takes the first segment that holds
+    it, as ``center_at``'s loop does. Frames outside an agent's lifespan hold
+    NaN, which fails every comparison, so such an agent neither covers nor is
+    covered there; validated scenes hold no other NaN.
     """
-    ltrb = np.full((4, cfg.frames, len(cfg.agents)), np.nan)
-    for idx, agent in enumerate(cfg.agents):
-        cx, cy = _centres(agent, np.arange(agent.spawn, agent.despawn + 1))
-        rows = slice(agent.spawn - 1, agent.despawn)
-        ltrb[0, rows, idx] = cx - agent.width / 2
-        ltrb[1, rows, idx] = cy - agent.height / 2
-        ltrb[2, rows, idx] = ltrb[0, rows, idx] + agent.width
-        ltrb[3, rows, idx] = ltrb[1, rows, idx] + agent.height
+    agents = cfg.agents
+    ltrb = np.full((4, cfg.frames, len(agents)), np.nan)
+    if not agents:
+        return ltrb
+    spawn, despawn, width, height = np.array(
+        [(a.spawn, a.despawn, a.width, a.height) for a in agents], dtype=np.float64).T
+    n_way = np.array([len(a.waypoints) for a in agents])
+    t, x, y = np.array([p for a in agents for p in a.waypoints], dtype=np.float64).T
+    # The waypoints of all agents end to end, sorted by (agent, time) under one key.
+    base = np.arange(len(agents)) * (cfg.frames + 1.0)
+    key = np.repeat(base, n_way) + t
+    last = np.cumsum(n_way) - 1
+    first = last - (n_way - 1)
+    frames = np.arange(1, cfg.frames + 1, dtype=np.float64)
+    frame_of, agent_of = np.nonzero((frames[:, None] >= spawn) & (frames[:, None] <= despawn))
+    f, lo, hi = frames[frame_of], first[agent_of], last[agent_of]
+    before = f <= t[lo]
+    cx = np.where(before, x[lo], x[hi])
+    cy = np.where(before, y[lo], y[hi])
+    mid = ~before & (f < t[hi])
+    # Strictly inside an agent's path: k is its last waypoint before the frame.
+    k = np.searchsorted(key, base[agent_of[mid]] + f[mid]) - 1
+    w = (f[mid] - t[k]) / (t[k + 1] - t[k])
+    cx[mid] = x[k] + w * (x[k + 1] - x[k])
+    cy[mid] = y[k] + w * (y[k + 1] - y[k])
+    left = cx - width[agent_of] / 2
+    top = cy - height[agent_of] / 2
+    ltrb[:, frame_of, agent_of] = left, top, left + width[agent_of], top + height[agent_of]
     return ltrb
 
 
 # Cells of the (frames, agents, agents) overlap array held at once. Scenes are
 # cut into blocks of whole frames to stay under it, so the array does not grow
 # with the scene's length. A frame of more than 1,024 agents is one block of
-# its own, about 2 * agents**2 bytes.
+# its own, about 2 * agents**2 bytes. The union-area batches keep to the same
+# cap.
 _OVERLAP_CELLS = 1 << 20
 
 
-def _later_overlaps(ltrb: np.ndarray):
-    """Per frame, ``{agent: [later live agents whose box strictly overlaps it]}``.
+def _later_overlaps(ltrb: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(frame, agent, cover)`` index arrays: each later live agent whose box strictly overlaps.
 
     Later-listed agents sit in front. An agent whose raw box does not overlap
-    has no area inside the in-frame part of the box either, so
-    :func:`covered_fraction` would drop it; coordinate compression does not
-    depend on cover order, so passing only these leaves its result unchanged.
+    has no area inside the in-frame part of the box either, so the clipping
+    in :func:`_hidden_fractions` would drop it.
     """
     left, top, right, bottom = ltrb
     frames, agents = left.shape
     later = np.arange(agents) > np.arange(agents)[:, None]
     step = max(1, _OVERLAP_CELLS // max(agents * agents, 1))
+    found = []
     for f0 in range(0, frames, step):
         own = np.s_[f0 : f0 + step, :, None]
         other = np.s_[f0 : f0 + step, None, :]
@@ -324,10 +256,126 @@ def _later_overlaps(ltrb: np.ndarray):
         hit &= bottom[other] > top[own]
         hit &= top[other] < bottom[own]
         hit &= later
-        block: list[dict[int, list[int]]] = [{} for _ in range(len(hit))]
-        for f, a, j in zip(*(ix.tolist() for ix in np.nonzero(hit))):
-            block[f].setdefault(a, []).append(j)
-        yield from block
+        f, a, j = np.nonzero(hit)
+        found.append((f + f0, a, j))
+    return tuple(map(np.concatenate, zip(*found)))
+
+
+def _union_areas(left, top, right, bottom) -> np.ndarray:
+    """Area of the union of each row's k rectangles, each an ``(m, k)`` array.
+
+    Coordinate compression: the 2k edges of each axis are sorted, keeping
+    duplicates, whose zero-width cells add 0.0. A cell counts when its
+    midpoint lies in some rectangle, and the cell areas are summed in x-major
+    order one by one, as a scalar double loop over the cells would sum them.
+    """
+    xs = np.sort(np.concatenate((left, right), axis=1))
+    ys = np.sort(np.concatenate((top, bottom), axis=1))
+    mx = (xs[:, :-1] + xs[:, 1:]) / 2
+    my = (ys[:, :-1] + ys[:, 1:]) / 2
+    in_x = (left[:, :, None] <= mx[:, None, :]) & (mx[:, None, :] <= right[:, :, None])
+    in_y = (top[:, :, None] <= my[:, None, :]) & (my[:, None, :] <= bottom[:, :, None])
+    hit = (in_x[:, :, :, None] & in_y[:, :, None, :]).any(axis=1)
+    cells = np.where(hit, np.diff(xs)[:, :, None] * np.diff(ys)[:, None, :], 0.0)
+    return np.cumsum(cells.reshape(len(cells), -1), axis=1)[:, -1]
+
+
+def _hidden_fractions(ltrb: np.ndarray, area: np.ndarray, occluders: np.ndarray,
+                      frame_size: tuple[float, float]) -> np.ndarray:
+    """Fraction of each live agent-frame's box that is hidden, in frame-major order.
+
+    Hidden means covered by an occluder or a later agent, or outside the
+    frame. ``area`` is each row's box area and ``occluders`` an ``(n, 4)``
+    ltrb array. Covers are clipped to the in-frame part of the box and those
+    left with no area dropped. A row without covers has the closed form
+    ``area - inside``; the others are batched by their number of covers, and
+    a one-cover row's single cell is the closed form ``(r - l) * (b - t)``.
+    Every step is an IEEE ``+ - * / min max``, so the result is that of the
+    scalar union-area rule bit for bit.
+    """
+    live = ~np.isnan(ltrb[0])
+    frame_of, agent_of = np.nonzero(live)
+    n = len(frame_of)
+    fw, fh = frame_size
+    box = ltrb[:, frame_of, agent_of]
+    in_left, in_top = np.maximum(box[0], 0.0), np.maximum(box[1], 0.0)
+    in_right, in_bottom = np.minimum(box[2], fw), np.minimum(box[3], fh)
+    row_of = np.cumsum(live).reshape(live.shape) - 1
+    f, a, j = _later_overlaps(ltrb)
+    rows = np.concatenate((np.repeat(np.arange(n), len(occluders)), row_of[f, a]))
+    covers = np.concatenate((np.tile(occluders, (n, 1)).T, ltrb[:, f, j]), axis=1)
+    order = np.argsort(rows, kind="stable")
+    rows, covers = rows[order], covers[:, order]
+    cl = np.maximum(covers[0], in_left[rows])
+    ct = np.maximum(covers[1], in_top[rows])
+    cr = np.minimum(covers[2], in_right[rows])
+    cb = np.minimum(covers[3], in_bottom[rows])
+    keep = (cr > cl) & (cb > ct)
+    rows, cl, ct, cr, cb = rows[keep], cl[keep], ct[keep], cr[keep], cb[keep]
+    count = np.bincount(rows, minlength=n)
+    start = np.cumsum(count) - count
+    covered = np.zeros(n)
+    for k in np.unique(count[count > 0]).tolist():
+        batch = np.flatnonzero(count == k)
+        step = max(1, _OVERLAP_CELLS // (k * (2 * k - 1) ** 2))
+        for b0 in range(0, len(batch), step):
+            ids = batch[b0 : b0 + step]
+            at = start[ids][:, None] + np.arange(k)
+            covered[ids] = _union_areas(cl[at], ct[at], cr[at], cb[at])
+    inside = (in_right - in_left) * (in_bottom - in_top)
+    hidden = np.minimum(np.maximum(((area - inside) + covered) / area, 0.0), 1.0)
+    hidden[(in_right <= in_left) | (in_bottom <= in_top)] = 1.0
+    return hidden
+
+
+def _draw(rng: Xoshiro256StarStar, noisy: list[bool], miss_prob: float) -> tuple[np.ndarray, np.ndarray]:
+    """Walk the random stream once over the candidate detections, in order.
+
+    A candidate draws one uniform against ``miss_prob`` when that is positive,
+    and is kept unless the uniform falls below it. A kept ``noisy`` candidate
+    then draws one Box-Muller pair. Returns the kept mask and the
+    ``(kept noisy, 2)`` normals.
+    """
+    missed: list[int] = []
+    normals: list[tuple[float, float]] = []
+    uniform, normal_pair = rng.uniform, rng.normal_pair
+    draw_miss = miss_prob > 0.0
+    for i, is_noisy in enumerate(noisy):
+        if draw_miss and uniform() < miss_prob:
+            missed.append(i)
+        elif is_noisy:
+            normals.append(normal_pair())
+    kept = np.ones(len(noisy), dtype=bool)
+    kept[missed] = False
+    return kept, np.array(normals, dtype=np.float64).reshape(-1, 2)
+
+
+def _size_noise(boxes: np.ndarray, vis: np.ndarray, normals: np.ndarray,
+                sigma_area: float, sigma_ratio: float) -> np.ndarray:
+    """Perturb the area and aspect of partly visible ltwh boxes, keeping their centres.
+
+    Row i's area and aspect are multiplied by ``max(1 + eps * (1 - vis[i]), 1e-3)``
+    with ``eps = normals[i] * (sigma_area, sigma_ratio)``, so the disturbance
+    scales with how much of the box is hidden. A width or height that falls
+    below :data:`MIN_AGENT_SIZE` is raised to it. Rows with ``vis >= 1`` pass
+    through unchanged.
+    """
+    left, top, width, height = boxes.T
+    cx, cy = left + width / 2, top + height / 2
+    hidden = 1.0 - vis
+    area = (width * height) * np.maximum(1.0 + normals[:, 0] * sigma_area * hidden, 1e-3)
+    ratio = (width / height) * np.maximum(1.0 + normals[:, 1] * sigma_ratio * hidden, 1e-3)
+    width, height = np.sqrt(area * ratio), np.sqrt(area / ratio)
+    low = np.minimum(width, height) < MIN_AGENT_SIZE
+    # A hair above the bound, so that the sizes decoded from area and aspect
+    # again do not round below it.
+    floor = MIN_AGENT_SIZE * (1.0 + 1e-9)
+    width, height = np.maximum(width, floor), np.maximum(height, floor)
+    area = np.where(low, width * height, area)
+    ratio = np.where(low, width / height, ratio)
+    width, height = np.sqrt(area * ratio), np.sqrt(area / ratio)
+    noisy = np.column_stack((cx - width / 2, cy - height / 2, width, height))
+    return np.where((vis < 1.0)[:, None], noisy, boxes)
 
 
 def generate(cfg: SceneConfig):
@@ -339,40 +387,27 @@ def generate(cfg: SceneConfig):
     visibility-dependent confidence.
     """
     cfg.validate()
-    rng = Xoshiro256StarStar(cfg.seed)
     ltrb = _agent_ltrb(cfg)
-    live = ~np.isnan(ltrb[0].T)  # (agents, frames)
-    agent_of, frame_of = np.nonzero(live)
+    live = ~np.isnan(ltrb[0])  # (frames, agents)
     sizes = np.array([(a.width, a.height) for a in cfg.agents], dtype=np.float64).reshape(-1, 2)
+    agent_of, frame_of = np.nonzero(live.T)
     gt = TrajectorySet.from_rows(frame_of + 1, agent_of + 1,
-                                 np.column_stack((ltrb[0].T[live], ltrb[1].T[live], sizes[agent_of])))
-    occluders = list(map(_ltrb, cfg.occluders))
-    frame_size = (cfg.frame_width, cfg.frame_height)
-    rows: list[tuple[float, float, float, float]] = []
-    confs: list[float] = []
-    bounds = [0]
-    for frame, boxes, overlaps in zip(range(1, cfg.frames + 1), np.moveaxis(ltrb, 0, 2).tolist(),
-                                      _later_overlaps(ltrb)):
-        for idx, agent in enumerate(cfg.agents):
-            if not agent.spawn <= frame <= agent.despawn:
-                continue
-            left, top = boxes[idx][:2]
-            width, height = agent.width, agent.height
-            covers = occluders + [boxes[j] for j in overlaps.get(idx, ())]
-            vis = 1.0 - _hidden(boxes[idx], width * height, covers, frame_size)
-            if vis < cfg.min_visibility or vis <= 0.0:
-                continue
-            if cfg.miss_prob > 0.0 and rng.uniform() < cfg.miss_prob:
-                continue
-            if vis < 1.0:
-                z = np.array([left + width / 2, top + height / 2, width * height, width / height])
-                z = semi_occlusion_noise(z, vis, cfg.sigma_area, cfg.sigma_ratio, rng)
-                width = math.sqrt(z[2] * z[3])
-                height = math.sqrt(z[2] / z[3])
-                left, top = z[0] - width / 2, z[1] - height / 2
-            rows.append((left, top, width, height))
-            confs.append(min(max(cfg.conf_base - cfg.conf_penalty * (1.0 - vis), 0.05), 1.0))
-        bounds.append(len(rows))
-    views = Detections.split(np.array(rows, dtype=np.float64).reshape(-1, 4), np.array(confs, dtype=np.float64), bounds)
+                                 np.column_stack((ltrb[0].T[live.T], ltrb[1].T[live.T], sizes[agent_of])))
+    # From here on, agent-frames run frame-major: the order detections are drawn in.
+    frame_of, agent_of = np.nonzero(live)
+    width, height = sizes[agent_of].T
+    vis = 1.0 - _hidden_fractions(ltrb, width * height, boxes_to_ltrb(cfg.occluders),
+                                  (cfg.frame_width, cfg.frame_height))
+    rows = np.flatnonzero((vis >= cfg.min_visibility) & (vis > 0.0))
+    kept, normals = _draw(Xoshiro256StarStar(cfg.seed), (vis[rows] < 1.0).tolist(), cfg.miss_prob)
+    rows = rows[kept]
+    vis = vis[rows]
+    noise = np.zeros((len(rows), 2))
+    noise[vis < 1.0] = normals
+    boxes = np.column_stack((*ltrb[:2, frame_of[rows], agent_of[rows]], width[rows], height[rows]))
+    boxes = _size_noise(boxes, vis, noise, cfg.sigma_area, cfg.sigma_ratio)
+    scores = np.minimum(np.maximum(cfg.conf_base - cfg.conf_penalty * (1.0 - vis), 0.05), 1.0)
+    bounds = np.searchsorted(frame_of[rows], np.arange(cfg.frames + 1)).tolist()
+    views = Detections.split(boxes, scores, bounds)
     det_frames = [FrameDetections(index=frame, detections=dets) for frame, dets in enumerate(views, start=1)]
     return gt, det_frames

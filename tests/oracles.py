@@ -9,10 +9,13 @@ shared block, as the library does; ``reference_hota_full`` keeps the earlier
 whole-frame assignment, which differs from it only on exact ties. The reference
 scene generator is the per-agent generator the array-backed one replaced,
 kept as it was: it rebuilds every nearer agent's box for every agent and
-frame, and shares the PRNG, ``covered_fraction`` and the noise model with the
-library. The reference Kalman filter is the general dense 8×8 filter the
-per-slot block filter replaced; it shares the motion model's noise variances
-and the height clamp with the library. The reference MOT readers and writers
+frame, and calls the scalar union-area rule (``covered_fraction``) and size
+noise (``semi_occlusion_noise``) that the batched ones replaced, both kept
+here as they were. It shares the PRNG, ``AgentSpec.box_at`` and
+``MIN_AGENT_SIZE`` with the library. The reference Kalman filter is the
+general dense 8×8 filter the per-slot block filter replaced; it shares the
+motion model's noise variances and the height clamp with the library. The
+reference MOT readers and writers
 are the per-line ones the whole-file readers and writers replaced, kept as
 they were; they share ``ParseError``, ``MAX_COORD`` and the public frame and
 box types with the library. The reference cascade is the list-based
@@ -46,12 +49,7 @@ from meshsort.metrics import (
 )
 from meshsort.motfiles import ParseError
 from meshsort.pipeline import Detection, FrameDetections, FrameOutput
-from meshsort.synth import (
-    SceneConfig,
-    Xoshiro256StarStar,
-    covered_fraction,
-    semi_occlusion_noise,
-)
+from meshsort.synth import MIN_AGENT_SIZE, AgentSpec, SceneConfig, Xoshiro256StarStar
 
 
 def brute_force_assignment(cost: np.ndarray, gate: float):
@@ -550,6 +548,95 @@ def reference_evaluate(gt: TrajectorySet, res: TrajectorySet, iou_thr: float = 0
         det_a_per_alpha=breakdown.det_per_alpha,
         ass_a_per_alpha=breakdown.ass_per_alpha,
     )
+
+
+def max_speed(agent: AgentSpec) -> float:
+    """Fastest centre speed over an agent's path segments, in px per frame."""
+    speed = 0.0
+    for (t0, x0, y0), (t1, x1, y1) in zip(agent.waypoints, agent.waypoints[1:]):
+        speed = max(speed, math.hypot(x1 - x0, y1 - y0) / (t1 - t0))
+    return speed
+
+
+def _ltrb(box: BoundingBox) -> tuple[float, float, float, float]:
+    return box.left, box.top, box.right, box.bottom
+
+
+def covered_fraction(box: BoundingBox, covers: list[BoundingBox],
+                     frame_size: tuple[float, float]) -> float:
+    """Fraction of the box hidden: covered by rectangles or outside the frame.
+
+    Exact area computation over the union of covers via coordinate
+    compression (cover counts per scene are small).
+    """
+    return _hidden(_ltrb(box), box.area, list(map(_ltrb, covers)), frame_size)
+
+
+def _hidden(box: tuple, area: float, covers: list[tuple], frame_size: tuple[float, float]) -> float:
+    """:func:`covered_fraction` of an ltrb box of the given area, covers also ltrb."""
+    fw, fh = frame_size
+    # Out-of-frame area counts as hidden.
+    in_left = max(box[0], 0.0)
+    in_top = max(box[1], 0.0)
+    in_right = min(box[2], fw)
+    in_bottom = min(box[3], fh)
+    if in_right <= in_left or in_bottom <= in_top:
+        return 1.0
+    clipped = []
+    for c in covers:
+        left = max(c[0], in_left)
+        top = max(c[1], in_top)
+        right = min(c[2], in_right)
+        bottom = min(c[3], in_bottom)
+        if right > left and bottom > top:
+            clipped.append((left, top, right, bottom))
+    covered = 0.0
+    if clipped:
+        xs = sorted({v for r in clipped for v in (r[0], r[2])})
+        ys = sorted({v for r in clipped for v in (r[1], r[3])})
+        for x0, x1 in zip(xs, xs[1:]):
+            for y0, y1 in zip(ys, ys[1:]):
+                mx = (x0 + x1) / 2
+                my = (y0 + y1) / 2
+                if any(r[0] <= mx <= r[2] and r[1] <= my <= r[3] for r in clipped):
+                    covered += (x1 - x0) * (y1 - y0)
+    inside = (in_right - in_left) * (in_bottom - in_top)
+    hidden = (area - inside) + covered
+    return min(max(hidden / area, 0.0), 1.0)
+
+
+def semi_occlusion_noise(
+    z: np.ndarray,
+    visibility: float,
+    sigma_area: float,
+    sigma_ratio: float,
+    rng: Xoshiro256StarStar,
+) -> np.ndarray:
+    """Perturb the area/aspect slots of a measurement under partial cover.
+
+    Fully visible measurements pass through unchanged; position slots are
+    never touched. The multiplicative disturbance scales with how much of the
+    box is hidden. A width or height that falls below ``MIN_AGENT_SIZE``
+    is raised to it.
+    """
+    if not 0.0 <= visibility <= 1.0:
+        raise ValueError("visibility must lie in [0, 1]")
+    out = np.asarray(z, dtype=np.float64).copy()
+    if visibility >= 1.0:
+        return out
+    hidden = 1.0 - visibility
+    eps_area = rng.normal() * sigma_area
+    eps_ratio = rng.normal() * sigma_ratio
+    out[2] = out[2] * max(1.0 + eps_area * hidden, 1e-3)
+    out[3] = out[3] * max(1.0 + eps_ratio * hidden, 1e-3)
+    width, height = math.sqrt(out[2] * out[3]), math.sqrt(out[2] / out[3])
+    if min(width, height) < MIN_AGENT_SIZE:
+        # A hair above the bound, so that the sizes decoded from area and
+        # aspect again do not round below it.
+        floor = MIN_AGENT_SIZE * (1.0 + 1e-9)
+        width, height = max(width, floor), max(height, floor)
+        out[2], out[3] = width * height, width / height
+    return out
 
 
 def visibility_of(cfg: SceneConfig, agent_idx: int, frame: int) -> float:

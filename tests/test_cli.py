@@ -367,6 +367,18 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "singular" in err
 
+    def test_synth_scene_longer_than_the_readers_accept(self, tmp_path, capsys):
+        # synth once wrote these files, and track then refused frame 1000001.
+        scene = tmp_path / "scene.txt"
+        scene.write_text("frames = 1000001\n"
+                         "agent = spawn:1000000 despawn:1000001 size:20x40 path:100,300@1000000\n")
+        rc = main(["synth", "--scene", str(scene), "--out-gt", str(tmp_path / "gt.txt"),
+                   "--out-dets", str(tmp_path / "dets.txt")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: frames 1000001 above 1000000, the last frame index the MOT readers accept\n")
+        assert not (tmp_path / "dets.txt").exists()
+
     def test_synth_agent_outliving_scene_names_its_line(self, tmp_path, capsys):
         scene = tmp_path / "scene.txt"
         scene.write_text(

@@ -15,10 +15,11 @@ from meshsort.synth import (
     AgentSpec,
     SceneConfig,
     Xoshiro256StarStar,
-    covered_fraction,
+    _size_noise,
     generate,
-    semi_occlusion_noise,
 )
+
+from oracles import covered_fraction, max_speed, semi_occlusion_noise
 
 
 class TestPrng:
@@ -77,6 +78,11 @@ class TestAgentSpec:
     def test_non_finite_scene_field_rejected(self, name):
         with pytest.raises(ValueError, match=f"non-finite {name}"):
             SceneConfig(**{name: math.nan}).validate()
+
+    def test_frames_bounded_by_the_readers_limit(self):
+        SceneConfig(frames=1_000_000).validate()
+        with pytest.raises(ValueError, match="^frames 1000001 above 1000000"):
+            SceneConfig(frames=1_000_001).validate()
 
     def test_agent_cannot_outlive_scene(self):
         scene = SceneConfig(
@@ -156,6 +162,28 @@ class TestSemiOcclusionNoise:
             draws.append(semi_occlusion_noise(z, 0.5, 0.2, 0.0, rng)[2])
         std = np.std(draws)
         assert abs(std - 0.1 * area) / (0.1 * area) < 0.05
+
+
+class TestSizeNoise:
+    """:func:`generate`'s batched size noise, held to the rules of :class:`TestSemiOcclusionNoise`."""
+
+    def test_fully_visible_passes_through(self):
+        boxes = np.array([[10.0, 20.0, 20.0, 40.0], [0.5, 0.25, 3.0, 7.0]])
+        normals = np.array([[2.0, -1.5], [-3.0, 0.5]])
+        out = _size_noise(boxes, np.ones(2), normals, 0.5, 0.5)
+        np.testing.assert_array_equal(out, boxes)
+
+    def test_sizes_never_below_file_resolution(self):
+        # 500 boxes of 4 x 40 centred on (100, 300) under heavy noise, as in
+        # TestSemiOcclusionNoise; centres stay where they were.
+        rng = Xoshiro256StarStar(5)
+        normals = np.array([rng.normal_pair() for _ in range(500)])
+        boxes = np.tile([98.0, 280.0, 4.0, 40.0], (500, 1))
+        out = _size_noise(boxes, np.full(500, 0.1), normals, 100.0, 100.0)
+        smaller = out[:, 2:].min(axis=1)
+        assert (smaller >= MIN_AGENT_SIZE).all()
+        assert (smaller < 1.001 * MIN_AGENT_SIZE).sum() > 50
+        np.testing.assert_allclose(out[:, :2] + out[:, 2:] / 2, [[100.0, 300.0]] * 500, rtol=0, atol=1e-9)
 
 
 class TestGenerate:
@@ -246,7 +274,7 @@ class TestGenerate:
         scene = scenarios.throughput_scene(seed=4, frames=200, n_agents=5)
         gt, _ = generate(scene)
         for idx, agent in enumerate(scene.agents):
-            cap = agent.max_speed() + 1e-9
+            cap = max_speed(agent) + 1e-9
             per = gt[idx + 1]
             frames = sorted(per)
             for f0, f1 in zip(frames, frames[1:]):

@@ -7,14 +7,15 @@ the reference's floating-point boxes, confidences and RNG draws bit for bit.
 
 import dataclasses
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from meshsort import scenarios, synth
 from meshsort.geometry import BoundingBox
-from meshsort.synth import AgentSpec, SceneConfig, generate
+from meshsort.synth import AgentSpec, SceneConfig, Xoshiro256StarStar, generate
 
-from oracles import reference_generate
+from oracles import _hidden, reference_generate
 
 FAMILIES = (
     scenarios.transient_occlusion_scene,
@@ -50,6 +51,15 @@ def test_dense_scene_matches_reference():
     _, frames = _assert_same(scenarios.throughput_scene(seed=9, n_agents=100, frames=200))
     # Partial cover actually happens: some detections carry the reduced confidence.
     assert any(d.score < 0.9 for fd in frames for d in fd.detections)
+
+
+def test_crowded_scene_matches_reference():
+    # 300 agents on the 960 x 540 frame: many agent-frames have three or more
+    # covers, so the union-area batches beyond the closed forms all run.
+    scene = scenarios.throughput_scene(seed=9, n_agents=300, frames=20)
+    frame, agent, _ = synth._later_overlaps(synth._agent_ltrb(scene))
+    assert np.bincount(frame * len(scene.agents) + agent).max() >= 3
+    _assert_same(scene)
 
 
 @pytest.mark.parametrize("cells", (1, 40, 500))
@@ -116,3 +126,89 @@ _TWO_ON_WAYPOINTS = SceneConfig(
 @example(scene=_TWO_ON_WAYPOINTS)
 def test_random_scenes_match_reference(scene):
     _assert_same(scene)
+
+
+# Box edges on a coarse grid reaching past a 60 x 40 frame, so that edges are
+# shared, covers repeat, and boxes and covers stick out of the frame or lie
+# wholly outside it. Edges such as 3.3 make cell areas round, so that the
+# order in which they are summed shows.
+_EDGES = st.sampled_from([-30.0, -10.0, 0.0, 3.3, 12.5, 17.1, 20.0, 29.9, 30.0, 45.0, 51.7, 60.0, 75.0])
+_VIS_FRAME = (60.0, 40.0)
+
+
+@st.composite
+def _ltrb_box(draw):
+    left, right = sorted(draw(st.sets(_EDGES, min_size=2, max_size=2)))
+    top, bottom = sorted(draw(st.sets(_EDGES, min_size=2, max_size=2)))
+    return left, top, right, bottom
+
+
+@st.composite
+def _cover_scenes(draw):
+    """(ltrb, occluders): up to 5 agents over up to 4 frames, some absent, and up to 2 occluders."""
+    frames, agents = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    ltrb = np.full((4, frames, agents), np.nan)
+    for f in range(frames):
+        for a in range(agents):
+            if draw(st.booleans()) or a == 0:
+                ltrb[:, f, a] = draw(_ltrb_box())
+    occluders = np.array(draw(st.lists(_ltrb_box(), max_size=2)), dtype=np.float64).reshape(-1, 4)
+    return ltrb, occluders
+
+
+def _scalar_hidden(ltrb, occluders):
+    """``_hidden`` per live agent-frame, frame-major, with every occluder and later live agent as a cover."""
+    out = []
+    for f, a in zip(*np.nonzero(~np.isnan(ltrb[0]))):
+        box = tuple(ltrb[:, f, a].tolist())
+        covers = [tuple(c) for c in occluders.tolist()]
+        covers += [tuple(ltrb[:, f, j].tolist()) for j in range(a + 1, ltrb.shape[2]) if not np.isnan(ltrb[0, f, j])]
+        out.append(_hidden(box, (box[2] - box[0]) * (box[3] - box[1]), covers, _VIS_FRAME))
+    return out
+
+
+def _batched_hidden(ltrb, occluders):
+    live = ~np.isnan(ltrb[0])
+    box = ltrb[:, live]
+    return synth._hidden_fractions(ltrb, (box[2] - box[0]) * (box[3] - box[1]), occluders, _VIS_FRAME).tolist()
+
+
+def _case(*boxes, occluders=()):
+    """One frame whose agents are ``boxes``, front-most last."""
+    return (np.array(boxes, dtype=np.float64).T[:, None, :],
+            np.array(occluders, dtype=np.float64).reshape(-1, 4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(scene=_cover_scenes())
+# Partly out of frame; two covers overlap each other only outside it, one clips to nothing.
+@example(scene=_case((-30.0, 0.0, 30.0, 30.0), (-30.0, 0.0, -10.0, 20.0), (-30.0, 10.0, 0.0, 30.0)))
+# Wholly out of frame, with a cover over it.
+@example(scene=_case((60.0, 0.0, 75.0, 20.0), occluders=[(45.0, 0.0, 75.0, 40.0)]))
+# Shared edges and a repeated cover: zero-width cells between duplicate coordinates.
+@example(scene=_case((0.0, 0.0, 30.0, 30.0), (0.0, 0.0, 12.5, 30.0), (12.5, 0.0, 30.0, 12.5),
+                     (12.5, 0.0, 30.0, 12.5), occluders=[(0.0, 0.0, 12.5, 30.0), (20.0, 20.0, 45.0, 45.0)]))
+def test_batched_visibility_matches_scalar_bit_for_bit(scene):
+    batched, scalar = _batched_hidden(*scene), _scalar_hidden(*scene)
+    assert list(map(float.hex, batched)) == list(map(float.hex, scalar))
+
+
+@pytest.mark.parametrize("miss_prob", (0.0, 0.2, 1.0))
+def test_draw_loop_follows_the_stream(miss_prob):
+    pattern = Xoshiro256StarStar(17)
+    noisy = [pattern.uniform() < 0.4 for _ in range(400)]
+    rng, twin = Xoshiro256StarStar(5), Xoshiro256StarStar(5)
+    kept, normals = synth._draw(rng, noisy, miss_prob)
+    want_kept, want_normals = [], []
+    for is_noisy in noisy:
+        want_kept.append(not (miss_prob > 0.0 and twin.uniform() < miss_prob))
+        if want_kept[-1] and is_noisy:
+            want_normals.append([twin.normal(), twin.normal()])
+    assert kept.tolist() == want_kept
+    assert normals.tolist() == want_normals
+    assert rng.next_u64() == twin.next_u64()  # the same number of draws
+    all_or_none = {0.0: len(noisy), 1.0: 0}
+    if miss_prob in all_or_none:
+        assert kept.sum() == all_or_none[miss_prob]
+    else:
+        assert 0 < kept.sum() < len(noisy)
