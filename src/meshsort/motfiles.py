@@ -15,7 +15,11 @@ count or holds a field ``float`` rejects. Every other check is one rule in the
 reader's ordered rule list, a row mask plus the message for one line, run
 over the table on both paths: the earliest row that breaks a rule, if it
 comes before the walk's stop, raises the :class:`ParseError` of the first
-rule it breaks, its line found by walking the non-blank lines again.
+rule it breaks, its line found by walking the non-blank lines again. A field
+that must hold a whole number is judged by its token, not only its float:
+``1.0000000000000001`` reads as 1.0 but is not frame 1. One blockwise pass
+over the file's bytes finds whether any token could hide such a fraction,
+and only then are the lines walked, each such token judged from its digits.
 Readers return arrays: one :class:`~meshsort.pipeline.Detections` view per
 frame over the file's box and score columns, or one
 :class:`~meshsort.metrics.TrajectorySet`. A writer formats the whole file in
@@ -30,6 +34,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from decimal import Decimal
 from itertools import chain, islice
 from pathlib import Path
 from typing import Callable, Iterable
@@ -118,12 +123,15 @@ def _field_error(parts: list[str]) -> str:
 _Rule = tuple[Callable[[np.ndarray], np.ndarray], Callable[[list[str], list[float]], str]]
 
 
-def _table(path, n_fields: int, rules: list[_Rule]) -> np.ndarray:
+def _table(path, n_fields: int, whole: dict[int, tuple[str, float]], rules: list[_Rule]) -> np.ndarray:
     """Every non-blank line of a MOT file as one row of an ``(n, n_fields)`` float64 array.
 
     The line walk runs when the numeric pass raises, warns (no rows) or reads
-    another width. The earliest line that breaks one of ``rules`` raises the
-    first rule it breaks, unless the walk stopped on an earlier line.
+    another width. ``whole`` maps each field that must hold a whole number to
+    its name and the bound on its magnitude; those rules follow the
+    finite-field rule, then come ``rules``. The earliest line that breaks a
+    rule raises the first rule it breaks, unless the walk stopped on an
+    earlier line.
     """
     try:
         with warnings.catch_warnings():
@@ -132,6 +140,9 @@ def _table(path, n_fields: int, rules: list[_Rule]) -> np.ndarray:
     except (ValueError, Warning):  # a non-ASCII byte, a field float() or loadtxt rejects, no rows
         table = np.empty((0, 0))
     table, stop = (table, None) if table.shape[1] == n_fields else _rows(path, n_fields)
+    fractions = _fractions(path, table, list(whole))
+    rules = [_FINITE, *(_whole(k, name, bound, fraction)
+                        for (k, (name, bound)), fraction in zip(whole.items(), fractions.T)), *rules]
     masks = [mask(table) for mask, _ in rules]
     bad = np.logical_or.reduce(masks)
     if bad.any():
@@ -144,9 +155,60 @@ def _table(path, n_fields: int, rules: list[_Rule]) -> np.ndarray:
     return table
 
 
-def _whole(k: int, name: str, bound: float = math.inf) -> _Rule:
-    """Field ``k`` is a whole number below ``bound`` in magnitude."""
-    return (lambda t: (t[:, k] != np.floor(t[:, k])) | (np.abs(t[:, k]) >= bound),
+# Bytes of a number's mantissa (digits, point, underscore) become b"1" and an
+# exponent mark b"e"; every other byte stays as it is.
+_MARKS = bytes.maketrans(b"0123456789._eE", b"111111111111ee")
+
+
+def _may_hide_fractions(path) -> bool:
+    """Whether a token of the file could name a fraction although its float is whole.
+
+    ``1.0000000000000001`` reads as 1.0. A token with at most 15 significant
+    digits that names a fraction lies at least 1e-15 of its size from every
+    whole number, farther than float64 rounds, so such a token needs a run of
+    16 mantissa bytes, or an underflow to zero, whose exponent has three
+    digits (``1e-324``). The file is read in blocks, so the test holds little
+    memory.
+    """
+    tail = b""
+    with open(path, "rb") as fh:
+        while block := fh.read(1 << 16):
+            marks = tail + block.translate(_MARKS)
+            if b"1" * 16 in marks or b"e-111" in marks:
+                return True
+            tail = marks[-16:]
+    return False
+
+
+def _names_fraction(token: str) -> bool:
+    """Whether a number's token names a fraction, judged from its digits.
+
+    The exponent stays an int and is never raised to a power, so
+    ``1e-99999999`` costs what ``1e-1`` does. A non-finite token names none.
+    """
+    _, digits, exponent = Decimal(token).as_tuple()
+    return isinstance(exponent, int) and exponent < 0 and any(digits[exponent:])
+
+
+def _fractions(path, table: np.ndarray, fields: list[int]) -> np.ndarray:
+    """``(rows, len(fields))`` mask of the tokens that name a fraction although their float may be whole.
+
+    Only a file that :func:`_may_hide_fractions` flags has its lines walked.
+    """
+    found = np.zeros((len(table), len(fields)), dtype=bool)
+    if len(table) and fields and _may_hide_fractions(path):
+        for row, (_, line) in zip(range(len(table)), _lines(path)):
+            parts = line.split(",")
+            found[row] = [_names_fraction(parts[k]) for k in fields]
+    return found
+
+
+def _whole(k: int, name: str, bound: float, fraction: np.ndarray) -> _Rule:
+    """Field ``k`` is a whole number below ``bound`` in magnitude, as written.
+
+    ``fraction`` marks the rows whose token names a fraction that its float lost.
+    """
+    return (lambda t: (t[:, k] != np.floor(t[:, k])) | (np.abs(t[:, k]) >= bound) | fraction,
             lambda parts, v: f"bad {name} {parts[k]}")
 
 
@@ -188,7 +250,10 @@ def _if_active(rule: _Rule) -> _Rule:
 # Each reader's rules in the order they are checked: a line that breaks several
 # gets the first one's message.
 _FINITE: _Rule = (lambda t: ~np.isfinite(t).all(axis=1), lambda parts, v: _field_error(parts))
-_WHOLE_FRAME, _WHOLE_ID = _whole(0, "frame index"), _whole(1, "id", _MAX_ID)
+# The fields that must hold whole numbers, in the order their rules run.
+_FRAME = {0: ("frame index", math.inf)}
+_FRAME_ID = {**_FRAME, 1: ("id", _MAX_ID)}
+_GT_WHOLE = {**_FRAME_ID, 6: ("flag", math.inf), 7: ("class", math.inf)}
 _FRAME_RANGE: _Rule = (lambda t: (t[:, 0] < 1) | (t[:, 0] > MAX_FRAME),
                        lambda parts, v: f"bad frame index {parts[0]}")
 # A negative size is left to the size rule.
@@ -198,10 +263,9 @@ _SIZE: _Rule = (lambda t: (t[:, 4] <= 0) | (t[:, 5] <= 0), lambda parts, v: "non
 _DEGENERATE: _Rule = (lambda t: degenerate(t[:, 2:6]), lambda parts, v: "degenerate box")
 _DUPLICATE: _Rule = (_repeats, lambda parts, v: f"duplicate frame {int(v[0])} for id {int(v[1])}")
 
-_DETECTION_RULES = [_FINITE, _WHOLE_FRAME, _FRAME_RANGE, _COORD, _SIZE, _DEGENERATE, _outside_unit(6, "confidence")]
-_RESULT_RULES = [_FINITE, _WHOLE_FRAME, _WHOLE_ID, _FRAME_RANGE, _COORD, _SIZE, _DEGENERATE, _DUPLICATE]
-_GT_RULES = [_FINITE, _WHOLE_FRAME, _WHOLE_ID, _whole(6, "flag"), _whole(7, "class"), _FRAME_RANGE, _COORD,
-             _outside_unit(8, "visibility"), *map(_if_active, (_SIZE, _DEGENERATE, _DUPLICATE))]
+_DETECTION_RULES = [_FRAME_RANGE, _COORD, _SIZE, _DEGENERATE, _outside_unit(6, "confidence")]
+_RESULT_RULES = [_FRAME_RANGE, _COORD, _SIZE, _DEGENERATE, _DUPLICATE]
+_GT_RULES = [_FRAME_RANGE, _COORD, _outside_unit(8, "visibility"), *map(_if_active, (_SIZE, _DEGENERATE, _DUPLICATE))]
 
 
 def _trajectories(table: np.ndarray, kept: np.ndarray | slice = slice(None)) -> TrajectorySet:
@@ -217,7 +281,7 @@ def parse_detections(path) -> list[FrameDetections]:
     its tracks over them; within a frame, detections keep their file order.
     The id column is ignored; confidences must lie in [0, 1].
     """
-    table = _table(path, 10, _DETECTION_RULES)
+    table = _table(path, 10, _FRAME, _DETECTION_RULES)
     table = table[np.argsort(table[:, 0], kind="stable")]
     frames = table[:, 0].astype(np.int64)
     last = int(frames[-1]) if len(frames) else 0
@@ -228,7 +292,7 @@ def parse_detections(path) -> list[FrameDetections]:
 
 def parse_results(path) -> TrajectorySet:
     """Read a result file (same 10-field grammar, real ids) as trajectories."""
-    return _trajectories(_table(path, 10, _RESULT_RULES))
+    return _trajectories(_table(path, 10, _FRAME_ID, _RESULT_RULES))
 
 
 def parse_ground_truth(path) -> TrajectorySet:
@@ -236,7 +300,7 @@ def parse_ground_truth(path) -> TrajectorySet:
 
     The visibility column is validated but not used for filtering.
     """
-    table = _table(path, 9, _GT_RULES)
+    table = _table(path, 9, _GT_WHOLE, _GT_RULES)
     return _trajectories(table, _active(table))
 
 

@@ -3,10 +3,8 @@
 Agents follow piecewise-linear center paths with fixed box sizes. Static
 rectangles and nearer agents occlude them; partially covered agents get
 multiplicative area/aspect noise and reduced confidence, fully covered or
-randomly missed agents emit nothing. All randomness comes from a hand-rolled
-xoshiro256** generator with Box-Muller normals so byte-identical output for a
-given (config, seed) holds across platforms. Scene files are read and written
-by :mod:`meshsort.motfiles`; this module holds no text grammar.
+randomly missed agents emit nothing. Scene files are read and written by
+:mod:`meshsort.motfiles`; this module holds no text grammar.
 
 :func:`generate` works on whole arrays. It computes every agent's boxes once,
 as (frames, agents) arrays, and returns ground truth as one
@@ -15,11 +13,23 @@ covers are the occluders plus the later live agents whose box strictly
 overlaps it, found by one overlap test per block of whole frames, each clipped
 to the in-frame part of the box. The agent-frames are batched by their number
 of covers, and each batch runs the coordinate compression as arrays; with no
-cover the hidden area is the part outside the frame. One loop walks the random
-stream over the candidate detections in frame order: a miss draw each when
-``miss_prob`` is positive, then a Box-Muller pair for each partly covered one
-kept. Size noise and confidence are array expressions over those draws, and
-one :meth:`Detections.split` cuts the frames.
+cover the hidden area is the part outside the frame.
+
+Detector noise is keyed by (seed, frame, agent, purpose), not drawn from a
+stream: every candidate detection hashes its own three uniforms, the miss
+draw and the Box-Muller pair, in one ``uint64`` array pass (counter-based
+draws, Salmon et al., SC 2011). Draw ``k`` is splitmix64's output at index
+``k``, where ``k = agent * 2**24 + frame * 16 + purpose``. A draw depends on
+its key alone, so scenes that differ only in ``miss_prob`` or
+``min_visibility`` give every detection both keep the same box and score.
+The log, cosine and sine come from :mod:`math`, mapped over the noisy rows,
+as in the stream sampler they replaced, because numpy's vectorised ``log``
+can differ from it in the last bit by CPU. :mod:`math` calls the platform's C
+library, so a seed gives the same bytes wherever that library's ``log``,
+``cos`` and ``sin`` agree. Size
+noise and confidence are array expressions over the draws, and one
+:meth:`Detections.split` cuts the frames. Scene layouts
+(:mod:`meshsort.scenarios`) draw from the :class:`Xoshiro256StarStar` stream.
 """
 
 from __future__ import annotations
@@ -35,6 +45,7 @@ from .metrics import TrajectorySet
 from .pipeline import Detections, FrameDetections
 
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15  # splitmix64's increment
 
 MIN_AGENT_SIZE = 0.01  # px: the MOT files' two decimals write a smaller size as 0.00
 # Largest frame index the MOT readers accept, and so the most frames a scene
@@ -45,7 +56,7 @@ MAX_FRAME = 1_000_000
 
 
 def _splitmix64(state: int):
-    state = (state + 0x9E3779B97F4A7C15) & _MASK64
+    state = (state + _GAMMA) & _MASK64
     z = state
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
@@ -65,7 +76,6 @@ class Xoshiro256StarStar:
         for _ in range(4):
             s, word = _splitmix64(s)
             self.state.append(word)
-        self._spare_normal: float | None = None
 
     def next_u64(self) -> int:
         s0, s1, s2, s3 = self.state
@@ -83,22 +93,6 @@ class Xoshiro256StarStar:
     def uniform(self) -> float:
         """Uniform double in [0, 1) with 53 random bits."""
         return (self.next_u64() >> 11) * (1.0 / (1 << 53))
-
-    def normal(self) -> float:
-        """Standard normal via the Box-Muller transform (pairs cached)."""
-        if self._spare_normal is not None:
-            z = self._spare_normal
-            self._spare_normal = None
-            return z
-        z, self._spare_normal = self.normal_pair()
-        return z
-
-    def normal_pair(self) -> tuple[float, float]:
-        """Two standard normals from one Box-Muller transform; the cached one is left alone."""
-        u1 = 1.0 - self.uniform()
-        u2 = self.uniform()
-        radius = math.sqrt(-2.0 * math.log(u1))
-        return radius * math.cos(2.0 * math.pi * u2), radius * math.sin(2.0 * math.pi * u2)
 
 
 @dataclass(frozen=True)
@@ -328,26 +322,56 @@ def _hidden_fractions(ltrb: np.ndarray, area: np.ndarray, occluders: np.ndarray,
     return hidden
 
 
-def _draw(rng: Xoshiro256StarStar, noisy: list[bool], miss_prob: float) -> tuple[np.ndarray, np.ndarray]:
-    """Walk the random stream once over the candidate detections, in order.
+# A draw's index packs (agent, frame, purpose) one to one: the purpose in the
+# low four bits, the frame (at most MAX_FRAME < 2**20) in the next twenty, and
+# the agent's position in the scene's list in the 40 bits above, more agents
+# than a list in memory can hold. Purposes: the miss draw, then the two
+# uniforms of the Box-Muller pair. The other thirteen are free, so a new kind
+# of draw leaves every existing one as it is.
+_FRAME_BITS, _PURPOSE_BITS, _PURPOSES = 20, 4, 3
 
-    A candidate draws one uniform against ``miss_prob`` when that is positive,
-    and is kept unless the uniform falls below it. A kept ``noisy`` candidate
-    then draws one Box-Muller pair. Returns the kept mask and the
-    ``(kept noisy, 2)`` normals.
+
+def _keyed_uniforms(seed: int, frame: np.ndarray, agent: np.ndarray) -> np.ndarray:
+    """``(n, 3)`` uniforms in [0, 1): the miss draw and the Box-Muller pair of each (frame, agent).
+
+    Draw ``k`` is splitmix64's output at index ``k`` of the stream seeded
+    with the splitmix64 of ``seed``, that is ``_splitmix64(seed_word + k *
+    gamma)``, so it depends on its key alone. The hash runs in ``uint64``
+    arrays, whose arithmetic wraps as the ``& _MASK64`` of :func:`_splitmix64`
+    does, and takes the top 53 bits as :meth:`Xoshiro256StarStar.uniform` does.
     """
-    missed: list[int] = []
-    normals: list[tuple[float, float]] = []
-    uniform, normal_pair = rng.uniform, rng.normal_pair
-    draw_miss = miss_prob > 0.0
-    for i, is_noisy in enumerate(noisy):
-        if draw_miss and uniform() < miss_prob:
-            missed.append(i)
-        elif is_noisy:
-            normals.append(normal_pair())
-    kept = np.ones(len(noisy), dtype=bool)
-    kept[missed] = False
-    return kept, np.array(normals, dtype=np.float64).reshape(-1, 2)
+    _, seed_word = _splitmix64(seed & _MASK64)
+    index = (agent.astype(np.uint64) << _FRAME_BITS | frame.astype(np.uint64)) << _PURPOSE_BITS
+    index = index[:, None] + np.arange(_PURPOSES, dtype=np.uint64)
+    # State seed_word + (k + 1) * gamma: _splitmix64 adds gamma before it mixes.
+    z = (index + np.uint64(1)) * np.uint64(_GAMMA) + np.uint64(seed_word)
+    z = (z ^ (z >> 30)) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> 27)) * np.uint64(0x94D049BB133111EB)
+    z ^= z >> 31
+    return (z >> 11).astype(np.float64) * (1.0 / (1 << 53))
+
+
+def _mapped(fn, values: np.ndarray) -> np.ndarray:
+    """A scalar function of each value, as a float64 array."""
+    return np.fromiter(map(fn, values.tolist()), dtype=np.float64, count=len(values))
+
+
+def _keyed_draws(seed: int, frame: np.ndarray, agent: np.ndarray, noisy: np.ndarray,
+                 miss_prob: float) -> tuple[np.ndarray, np.ndarray]:
+    """The kept mask of candidate detections and the ``(kept noisy, 2)`` normals.
+
+    A candidate is missed when its miss draw falls below ``miss_prob``. A kept
+    ``noisy`` one takes the Box-Muller pair of its two other draws. The log,
+    cosine and sine come from :mod:`math`, that is from the C library;
+    numpy's vectorised ``log`` differs from it in the last bit on some inputs
+    and some CPUs.
+    """
+    u = _keyed_uniforms(seed, frame, agent)
+    kept = u[:, 0] >= miss_prob
+    u = u[kept & noisy]
+    radius = np.sqrt(-2.0 * _mapped(math.log, 1.0 - u[:, 1]))
+    angle = 2.0 * math.pi * u[:, 2]
+    return kept, np.column_stack((radius * _mapped(math.cos, angle), radius * _mapped(math.sin, angle)))
 
 
 def _size_noise(boxes: np.ndarray, vis: np.ndarray, normals: np.ndarray,
@@ -393,13 +417,13 @@ def generate(cfg: SceneConfig):
     agent_of, frame_of = np.nonzero(live.T)
     gt = TrajectorySet.from_rows(frame_of + 1, agent_of + 1,
                                  np.column_stack((ltrb[0].T[live.T], ltrb[1].T[live.T], sizes[agent_of])))
-    # From here on, agent-frames run frame-major: the order detections are drawn in.
+    # From here on, agent-frames run frame-major: the order detections are written in.
     frame_of, agent_of = np.nonzero(live)
     width, height = sizes[agent_of].T
     vis = 1.0 - _hidden_fractions(ltrb, width * height, boxes_to_ltrb(cfg.occluders),
                                   (cfg.frame_width, cfg.frame_height))
     rows = np.flatnonzero((vis >= cfg.min_visibility) & (vis > 0.0))
-    kept, normals = _draw(Xoshiro256StarStar(cfg.seed), (vis[rows] < 1.0).tolist(), cfg.miss_prob)
+    kept, normals = _keyed_draws(cfg.seed, frame_of[rows] + 1, agent_of[rows], vis[rows] < 1.0, cfg.miss_prob)
     rows = rows[kept]
     vis = vis[rows]
     noise = np.zeros((len(rows), 2))

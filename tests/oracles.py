@@ -11,13 +11,18 @@ scene generator is the per-agent generator the array-backed one replaced,
 kept as it was: it rebuilds every nearer agent's box for every agent and
 frame, and calls the scalar union-area rule (``covered_fraction``) and size
 noise (``semi_occlusion_noise``) that the batched ones replaced, both kept
-here as they were. It shares the PRNG, ``AgentSpec.box_at`` and
-``MIN_AGENT_SIZE`` with the library. The reference Kalman filter is the
-general dense 8×8 filter the per-slot block filter replaced; it shares the
-motion model's noise variances and the height clamp with the library. The
-reference MOT readers and writers
+here as they were. Its detector noise comes from the scalar keyed draws
+(``keyed_uniform``), built from Python ints and :mod:`math`, so that the
+generator's ``uint64`` array hash is checked against integer arithmetic. It
+shares ``_splitmix64``, ``AgentSpec.box_at`` and ``MIN_AGENT_SIZE`` with the
+library. ``NormalStream`` and ``stream_draws`` are the sequential stream
+sampler and draw loop the keyed draws replaced, kept to show what they lost.
+The reference Kalman filter is the general dense 8×8 filter the per-slot
+block filter replaced; it shares the motion model's noise variances and the
+height clamp with the library. The reference MOT readers and writers
 are the per-line ones the whole-file readers and writers replaced, kept as
-they were; they share ``ParseError``, ``MAX_COORD`` and the public frame and
+they were but for the whole-number check, which reads each token exactly
+as a ``Decimal``; they share ``ParseError``, ``MAX_COORD`` and the public frame and
 box types with the library. The reference cascade is the list-based
 assignment and two-stage cascade the index-array ones replaced, kept as they
 were; it shares the cost matrices and the solver with the library. The
@@ -31,6 +36,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import defaultdict
+from decimal import Decimal
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -49,7 +55,7 @@ from meshsort.metrics import (
 )
 from meshsort.motfiles import ParseError
 from meshsort.pipeline import Detection, FrameDetections, FrameOutput
-from meshsort.synth import MIN_AGENT_SIZE, AgentSpec, SceneConfig, Xoshiro256StarStar
+from meshsort.synth import _GAMMA, _MASK64, MIN_AGENT_SIZE, AgentSpec, SceneConfig, Xoshiro256StarStar, _splitmix64
 
 
 def brute_force_assignment(cost: np.ndarray, gate: float):
@@ -610,7 +616,7 @@ def semi_occlusion_noise(
     visibility: float,
     sigma_area: float,
     sigma_ratio: float,
-    rng: Xoshiro256StarStar,
+    rng: NormalStream | KeyedNormals,
 ) -> np.ndarray:
     """Perturb the area/aspect slots of a measurement under partial cover.
 
@@ -639,6 +645,86 @@ def semi_occlusion_noise(
     return out
 
 
+def _box_muller(u1: float, u2: float) -> tuple[float, float]:
+    """Two standard normals from ``u1`` in (0, 1] and ``u2`` in [0, 1)."""
+    radius = math.sqrt(-2.0 * math.log(u1))
+    return radius * math.cos(2.0 * math.pi * u2), radius * math.sin(2.0 * math.pi * u2)
+
+
+class NormalStream(Xoshiro256StarStar):
+    """The xoshiro256** stream with the Box-Muller normals the generator drew before its noise was keyed."""
+
+    def __init__(self, seed: int):
+        super().__init__(seed)
+        self._spare_normal: float | None = None
+
+    def normal(self) -> float:
+        """Standard normal via the Box-Muller transform (pairs cached)."""
+        if self._spare_normal is not None:
+            z = self._spare_normal
+            self._spare_normal = None
+            return z
+        z, self._spare_normal = self.normal_pair()
+        return z
+
+    def normal_pair(self) -> tuple[float, float]:
+        """Two standard normals from one Box-Muller transform; the cached one is left alone."""
+        u1 = 1.0 - self.uniform()
+        return _box_muller(u1, self.uniform())
+
+
+def stream_draws(rng: NormalStream, noisy: list[bool], miss_prob: float) -> tuple[np.ndarray, np.ndarray]:
+    """Walk the random stream once over the candidate detections, in order.
+
+    A candidate draws one uniform against ``miss_prob`` when that is positive,
+    and is kept unless the uniform falls below it. A kept ``noisy`` candidate
+    then draws one Box-Muller pair. Returns the kept mask and the
+    ``(kept noisy, 2)`` normals. A candidate's draws depend on every
+    candidate before it.
+    """
+    missed: list[int] = []
+    normals: list[tuple[float, float]] = []
+    uniform, normal_pair = rng.uniform, rng.normal_pair
+    draw_miss = miss_prob > 0.0
+    for i, is_noisy in enumerate(noisy):
+        if draw_miss and uniform() < miss_prob:
+            missed.append(i)
+        elif is_noisy:
+            normals.append(normal_pair())
+    kept = np.ones(len(noisy), dtype=bool)
+    kept[missed] = False
+    return kept, np.array(normals, dtype=np.float64).reshape(-1, 2)
+
+
+def keyed_uniform(seed: int, frame: int, agent: int, purpose: int) -> float:
+    """Draw ``purpose`` (0 miss, 1 and 2 the Box-Muller pair) of an agent's detection in a frame.
+
+    The agent is its position in the scene's list and the frame counts from
+    1. The draw is splitmix64's output at index ``agent * 2**24 + frame * 16 +
+    purpose`` of the stream seeded with the splitmix64 of ``seed``, its top 53
+    bits scaled to [0, 1).
+    """
+    _, seed_word = _splitmix64(seed & _MASK64)
+    index = agent * 2**24 + frame * 16 + purpose
+    _, word = _splitmix64((seed_word + index * _GAMMA) & _MASK64)
+    return (word >> 11) / 2**53
+
+
+def keyed_normals(seed: int, frame: int, agent: int) -> tuple[float, float]:
+    """The Box-Muller pair of an agent's detection in a frame."""
+    return _box_muller(1.0 - keyed_uniform(seed, frame, agent, 1), keyed_uniform(seed, frame, agent, 2))
+
+
+class KeyedNormals:
+    """One detection's keyed normals, handed out one at a time as :meth:`NormalStream.normal` does."""
+
+    def __init__(self, seed: int, frame: int, agent: int):
+        self._left = list(keyed_normals(seed, frame, agent))
+
+    def normal(self) -> float:
+        return self._left.pop(0)
+
+
 def visibility_of(cfg: SceneConfig, agent_idx: int, frame: int) -> float:
     """Visible fraction of one agent's box; later-listed agents sit in front."""
     agent = cfg.agents[agent_idx]
@@ -653,7 +739,7 @@ def visibility_of(cfg: SceneConfig, agent_idx: int, frame: int) -> float:
 
 
 def reference_generate(cfg: SceneConfig):
-    """The scene generator as it was before cover came from per-frame box arrays.
+    """The scene generator as it was before cover came from per-frame box arrays, with keyed noise.
 
     Ground truth carries the exact interpolated boxes for every agent's
     lifespan. Detections exist only for sufficiently visible agents, carry
@@ -661,7 +747,6 @@ def reference_generate(cfg: SceneConfig):
     visibility-dependent confidence.
     """
     cfg.validate()
-    rng = Xoshiro256StarStar(cfg.seed)
     gt: dict[int, dict[int, BoundingBox]] = {}
     for idx, agent in enumerate(cfg.agents):
         tid = idx + 1
@@ -678,7 +763,7 @@ def reference_generate(cfg: SceneConfig):
             vis = visibility_of(cfg, idx, frame)
             if vis < cfg.min_visibility or vis <= 0.0:
                 continue
-            if cfg.miss_prob > 0.0 and rng.uniform() < cfg.miss_prob:
+            if cfg.miss_prob > 0.0 and keyed_uniform(cfg.seed, frame, idx, 0) < cfg.miss_prob:
                 continue
             box = agent.box_at(frame)
             if vis < 1.0:
@@ -690,7 +775,7 @@ def reference_generate(cfg: SceneConfig):
                         box.width / box.height,
                     ]
                 )
-                z = semi_occlusion_noise(z, vis, cfg.sigma_area, cfg.sigma_ratio, rng)
+                z = semi_occlusion_noise(z, vis, cfg.sigma_area, cfg.sigma_ratio, KeyedNormals(cfg.seed, frame, idx))
                 w = math.sqrt(z[2] * z[3])
                 h = math.sqrt(z[2] / z[3])
                 box = BoundingBox(z[0] - w / 2, z[1] - h / 2, w, h)
@@ -749,9 +834,10 @@ def _ref_rows(path, n_fields: int, whole: dict[int, str]):
     """Yield ``(lineno, fields)`` for each non-blank line of a MOT file.
 
     Every field must be a finite number, the fields named in ``whole`` whole
-    numbers, the frame index (field 0) lie in [1, ``_REF_MAX_FRAME``], and no box
-    field (2-5: left, top, width, height) exceed ``MAX_COORD`` in magnitude
-    (a negative size is left to the size checks).
+    numbers as written (not only as read into a float), the frame index
+    (field 0) lie in [1, ``_REF_MAX_FRAME``], and no box field (2-5: left,
+    top, width, height) exceed ``MAX_COORD`` in magnitude (a negative size is
+    left to the size checks).
     """
     with open(path, "r", encoding="ascii") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -768,7 +854,8 @@ def _ref_rows(path, n_fields: int, whole: dict[int, str]):
             if not all(map(math.isfinite, values)):
                 raise _ref_field_error(path, lineno, parts)
             for k, name in whole.items():
-                if not values[k].is_integer():
+                exact = Decimal(parts[k])
+                if exact != exact.to_integral_value():
                     raise ParseError(path, lineno, f"bad {name} {parts[k]}")
             if not 1 <= values[0] <= _REF_MAX_FRAME:
                 raise ParseError(path, lineno, f"bad frame index {parts[0]}")

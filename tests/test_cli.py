@@ -1,3 +1,4 @@
+import time
 import warnings
 
 import pytest
@@ -546,6 +547,33 @@ class TestAbsurdMagnitudes:
         assert err.startswith("error: scene line 2:") and "beyond 1e+07 px" in err
         assert "Traceback" not in err
         assert not gt.exists()
+
+
+@pytest.mark.parametrize("frame", ["1.0000000000000001", "1e-99999999", "0e999999999"])
+def test_track_rejects_a_frame_whose_fraction_its_float_lost(tmp_path, capsys, frame):
+    # 1.0000000000000001 reads as the float 1.0; it was once tracked as frame 1.
+    # The other two read as 0.0; an exact reading that expands their exponent
+    # builds 10**99999999 or more and takes minutes.
+    dets = tmp_path / "dets.txt"
+    dets.write_text(_DET_LINE + frame + ",-1,10,20,30,40,0.9,-1,-1,-1\n")
+    res = tmp_path / "res.txt"
+    start = time.perf_counter()
+    assert main(["track", "--dets", str(dets), "--out", str(res)]) == 1
+    assert time.perf_counter() - start < 2.0
+    assert capsys.readouterr().err == f"error: {dets}:2: bad frame index {frame}\n"
+    assert not res.exists()
+
+
+def test_eval_rejects_an_id_below_float_range_quickly(tmp_path, capsys):
+    # 1e-99999999 reads as id 0, but names a fraction.
+    gt = tmp_path / "gt.txt"
+    res = tmp_path / "res.txt"
+    gt.write_text(_GT_LINE)
+    res.write_text("1,1e-99999999,10.00,20.00,30.00,60.00,1.00,-1,-1,-1\n")
+    start = time.perf_counter()
+    assert main(["eval", "--gt", str(gt), "--res", str(res)]) == 1
+    assert time.perf_counter() - start < 2.0
+    assert capsys.readouterr().err == f"error: {res}:1: bad id 1e-99999999\n"
 
 
 class TestDegenerateBoxes:

@@ -1,3 +1,4 @@
+import time
 import warnings
 
 import pytest
@@ -376,11 +377,42 @@ _READ = {"dets": parse_detections, "res": parse_results, "gt": parse_ground_trut
 _VALUE_ERRORS = [
     ("dets", "2,-1,10,20,30,40,1.5,-1,-1,-1", "confidence 1.5 outside [0, 1]"),
     ("dets", "0,-1,10,20,30,40,0.9,-1,-1,-1", "bad frame index 0"),
+    ("dets", "1.0000000000000001,-1,10,20,30,40,0.9,-1,-1,-1", "bad frame index 1.0000000000000001"),
+    ("res", "2,20000000000000001e-16,10,20,30,40,0.9,-1,-1,-1", "bad id 20000000000000001e-16"),
+    ("res", "2,1e-400,10,20,30,40,0.9,-1,-1,-1", "bad id 1e-400"),
+    ("gt", "2,1,10,20,30,40,1.00000000000000001,1,1.0", "bad flag 1.00000000000000001"),
+    ("res", "2,1e-99999999,10,20,30,40,0.9,-1,-1,-1", "bad id 1e-99999999"),
+    ("dets", "1e-99999999,-1,10,20,30,40,0.9,-1,-1,-1", "bad frame index 1e-99999999"),
+    ("dets", "0e999999999,-1,10,20,30,40,0.9,-1,-1,-1", "bad frame index 0e999999999"),
     ("res", "1,1,11,20,30,40,0.9,-1,-1,-1", "duplicate frame 1 for id 1"),
     ("res", "2,1,10,20,30,0,0.9,-1,-1,-1", "non-positive box size"),
     ("gt", "2,1,10,20,30,40,1,1,1.5", "visibility 1.5 outside [0, 1]"),
     ("gt", "2,1,10,20,30,1e-320,1,1,1.0", "degenerate box"),
 ]
+
+
+@pytest.mark.parametrize("kind,bad,message", [case for case in _VALUE_ERRORS if "99999999" in case[1]])
+def test_huge_exponent_fails_within_a_second(tmp_path, kind, bad, message):
+    # Read as an exact fraction, these tokens build 10**99999999 or more,
+    # which takes minutes; their digits alone decide them.
+    p = tmp_path / "f.txt"
+    p.write_text(f"{_GOOD_LINE[kind].format(1)}\n{bad}\n")
+    start = time.perf_counter()
+    with pytest.raises(ParseError) as err:
+        _READ[kind](p)
+    assert time.perf_counter() - start < 1.0
+    assert str(err.value) == f"{p}:2: {message}"
+
+
+def test_long_whole_tokens_are_read(tmp_path):
+    # Each token is long enough to send the file through the line walk, and
+    # each is whole; underscores are read on every supported Python.
+    p = tmp_path / "res.txt"
+    p.write_text("1.000000000000000000,100_000_000_000_000,10,20,30,40,0.9,-1,-1,-1\n"
+                 "2,0e999999999,10,20,30,40,0.9,-1,-1,-1\n")
+    trajectories = parse_results(p)
+    assert trajectories.ids.tolist() == [1e14, 0.0]
+    assert trajectories.frames.tolist() == [1, 2]
 
 
 class TestRuleOrder:

@@ -70,7 +70,7 @@ def _write_lines(tmp: Path, lines, ends, final_newline=True) -> Path:
 
 def _texts(value: float) -> st.SearchStrategy[str]:
     """Spellings of one number that float() and the numeric pass read alike."""
-    forms = [repr(float(value)), "%.2f" % value, "%e" % value, " %r " % float(value)]
+    forms = [repr(float(value)), "%.2f" % value, "%e" % value, " %r " % float(value), "%.20f" % value]
     if value >= 0:
         forms.append("+%r" % float(value))
     if float(value).is_integer():
@@ -79,9 +79,13 @@ def _texts(value: float) -> st.SearchStrategy[str]:
 
 
 # Tokens that replace one field: unparsable, non-finite, spelled only for
-# float() (1_0), not whole, out of range, beyond MAX_COORD.
+# float() (1_0), not whole, not whole although their float is (a fraction
+# below float64's step, an underflow to zero, an exponent too large to
+# expand), out of range, beyond MAX_COORD.
 BAD_FIELDS = ["x", "", " ", "nan", "-inf", "1e400", "-1e400", "1_0", "1.5", "0", "-3", "1000001",
-              "1e8", "-1e8", "10000000.01", "0.5", "2", "-0.0", "1e-320", "0x10", "1,5"]
+              "1e8", "-1e8", "10000000.01", "0.5", "2", "-0.0", "1e-320", "0x10", "1,5",
+              "1.0000000000000001", "20000000000000001e-16", "1e-400", "3.00000000000000000000",
+              "1e-99999999", "0e999999999"]
 
 # Whole-line corruptions, those of test_fuzzed_corruption_always_names_the_line first.
 BAD_LINES = ["", "x", "1,2,3", "a,-1,10,20,30,40,0.9,-1,-1,-1", "1,-1,10,20,30,40,0.9,-1,-1,-1,9",

@@ -45,69 +45,69 @@ def result_digest(scene, cfg, path):
 
 
 GOLDEN = {
-    ("transient", 1, "full"): "4c8e729f8046a7515bea158cca00ec34c6465e4d0c82dc5de9c2f56f674bca4c",
-    ("transient", 1, "baseline"): "773812167e7c203e80dad5cd3592ee4bdea2047d027a744fafc2abdc7796d5c3",
-    ("transient", 1, "virtual"): "2c6dbc8729d0295346243dcaa3c5fa4ef6e0a9b2582efc2158a554c67a6498eb",
-    ("transient", 2, "full"): "1fc7868ef0fe2ab8b33c5e7474295fcf07a970146d7ccf2fcfd9107527229798",
-    ("transient", 2, "baseline"): "53042268bb1907b4f7cb65961d4179e0959dc4ee42559e08cc538c804a27bd74",
-    ("transient", 2, "virtual"): "2e909e87d0a36ef2b3b5bba69530945677813bd122caa0d27e047bfec52b7ad2",
-    ("transient", 3, "full"): "12a74e4184007bf562b9ffcc9216e4f45b02d17fa920210777024b41c13af316",
-    ("transient", 3, "baseline"): "65e4ef60930908f01a6dad4753568cf5dd1b3ca012658fb5bf22f92834aa4677",
-    ("transient", 3, "virtual"): "f08f9712951b86e6d8afa3ef8b2258db83841e2f65b246892f083fe1152605c2",
-    ("transient", 4, "full"): "483fc65fd36bac4f2e7c42831c830de790c9062bcc33b3df459b90f6768e556d",
-    ("transient", 4, "baseline"): "ec866117a3e9635b5f41951296ac4690ff5cb9330a3510b3d582ed50b3fc6eb0",
-    ("transient", 4, "virtual"): "0a27473d905f62b4e0c1ae53731689187745f6edddcf81d09d4cc292216e06ec",
-    ("transient", 5, "full"): "f27cf95002371db3699e9fdb078b10accf3850b378fe9fe9c79a9e4248d1687c",
-    ("transient", 5, "baseline"): "7d43173c4b2fb5f3005c3e4b64b54e68030f3c54a83c2ec43959cc00447e7341",
-    ("transient", 5, "virtual"): "e20cac547798f2b1761ad81f250f52a49ba1fe445874899c9b297f4d06443f5c",
-    ("exit", 1, "full"): "1c46ec13b768bf24ed908cb76e924ee508847d66cf1863a50d3825cbd409089d",
-    ("exit", 1, "baseline"): "1c46ec13b768bf24ed908cb76e924ee508847d66cf1863a50d3825cbd409089d",
-    ("exit", 1, "virtual"): "ef026e3164af91a80b06ad5059020ed9ece8bf4497ca8eff02f3fd447e1ad806",
-    ("exit", 2, "full"): "24d74b78453300314019bec8974ae8858c5e4d375eb07e6fa92e285d006459af",
-    ("exit", 2, "baseline"): "24d74b78453300314019bec8974ae8858c5e4d375eb07e6fa92e285d006459af",
-    ("exit", 2, "virtual"): "4c7d6439de01efe1e9d0eb19a55cd47f762b971959a218940e8cbf0aab53d26c",
-    ("exit", 3, "full"): "a9165c681d9c7717268ef0d313e16be0efe541bac8bc213076af02cf50ef2913",
-    ("exit", 3, "baseline"): "a9165c681d9c7717268ef0d313e16be0efe541bac8bc213076af02cf50ef2913",
-    ("exit", 3, "virtual"): "b4189f3278a807eaa3e973fc7c1f084c28eb58fd7c0580e9c6514400678903eb",
-    ("exit", 4, "full"): "a45405827371f17aa4365faee36bea41757b0adeaf8f78049dea8cddb3baaaca",
-    ("exit", 4, "baseline"): "a45405827371f17aa4365faee36bea41757b0adeaf8f78049dea8cddb3baaaca",
-    ("exit", 4, "virtual"): "53f5496f2fa7b035d2ca36c27ac671d2fae6e3e818b90411192c0f58b0af22b0",
-    ("exit", 5, "full"): "6a290d80a30b2fab721924a60ff438779e3ea7a8a1b1135a826e412e2e8f5ff3",
-    ("exit", 5, "baseline"): "6a290d80a30b2fab721924a60ff438779e3ea7a8a1b1135a826e412e2e8f5ff3",
-    ("exit", 5, "virtual"): "76c8eb17f84f6272649c95fad48f11dca1022c2fc42be27686323c9906f7d149",
-    ("rollback", 1, "full"): "76c71f7e692fc220ce1a38e0245b2d216f9da9b991a45eb6f9f092ea6a69bf38",
-    ("rollback", 1, "baseline"): "5b7cbc1b40baff4bb29ac0523f0d7056b1829fb492809a519f28db51d6279a7d",
-    ("rollback", 1, "virtual"): "8dbd5b8f628e93e276b69423db1ebcdcf6c01b73a949f2ee343bf6930fe7e14d",
-    ("rollback", 2, "full"): "b8fa4845c8bddfd29ed296849a35d38e76a8c3a7c90da33d5d65f7be42771085",
-    ("rollback", 2, "baseline"): "2f9a263b21ef9d01d3431227e25a2dbc4539245284936d1b42bf826ff42e406d",
-    ("rollback", 2, "virtual"): "f528334ee6ba66c92a61f273415fc1e65cfbaaab5cdcc0d021f8ddca7b767ead",
-    ("rollback", 3, "full"): "7ebfc069941a181bdfbac9141f1004f62189daec124a7d37e925cb37da07d287",
-    ("rollback", 3, "baseline"): "f838734e6dd410122c4f1d634c2ea57ebbc756bd3ae1806ed788a150cbc9a687",
-    ("rollback", 3, "virtual"): "a49973bc423afb8b0428a2853b0dc92799e3e8ad43d8dd23a8e1d462195c4e7f",
-    ("rollback", 4, "full"): "73da0072fef8f1c15a391a1fdf94b1e7033b9aa84af8d3ede2b53c3b0e5bea17",
-    ("rollback", 4, "baseline"): "551a7039c725a5874687a87cc6b1a4bc1153a178751dfaed4a017193970744f2",
-    ("rollback", 4, "virtual"): "99105f44240976402459fc8771d7560f7fc312438649915b33572baafac5ef88",
-    ("rollback", 5, "full"): "8df02638889a11b872878e924d2b72c1542b36e3722888c4f48f9ff03698968c",
-    ("rollback", 5, "baseline"): "e6c1390b0e150cbb90e16d38146e02079927d716a829ff4da396256faf87fe8c",
-    ("rollback", 5, "virtual"): "918b8121e939e6795483f5a470ac517321058924ffc4759d3e74289ab96f2949",
-    ("crossing", 1, "full"): "cbb386befe9f8a8646c24fc5130cf949392441dfc521491cdd8dfba997204734",
-    ("crossing", 1, "baseline"): "e16dcfe8f6368a4aaff269859ee729051d52571bdd9d7fb3e70f298e60474f59",
-    ("crossing", 1, "virtual"): "c5590f97f9d2309bd3d676e2879302016729a02c79eee548bd3cb132b5b2bb39",
-    ("crossing", 2, "full"): "e451d09a3deab07f25312886a6d87a1237e0c667e1edef40d77b53d7ec43a16d",
-    ("crossing", 2, "baseline"): "154672e7bf0764f04ff7ed27e705f62a24ec85fc036d3b615c5f32c3637c0b34",
-    ("crossing", 2, "virtual"): "6e4a483ec25fa99d0bb4653296001f011fce1c4c063736f91191bc5e412d0be9",
-    ("crossing", 3, "full"): "d59cc901731ad911fedfb766d24cedb50676e105a42a4187eb2e074ee1952ac6",
-    ("crossing", 3, "baseline"): "617e354aa35a1b190ea3ee787579b0ff186061cf02da300f685c7fdee2543a38",
-    ("crossing", 3, "virtual"): "5eb0f01e83515a314bcdd84aba7fe39cbcc46c49d62ec09658db16356f507dbc",
-    ("crossing", 4, "full"): "573de2653deba6d32c900b12ef24f278d94f6091a83ec1f77c7f0577e17013f6",
-    ("crossing", 4, "baseline"): "b56272e54ff4d6bf9d38fd92c1e85611d3eb08023afa2c133c136645dcbf0b9b",
-    ("crossing", 4, "virtual"): "3a51286259088e201146002a58f916fce0163be02520fc18965baeacda5673ef",
-    ("crossing", 5, "full"): "116dd80c5c7cbb8ec344cd228ee482700c5a7ed29da4c4b1da586854ec28c1a0",
-    ("crossing", 5, "baseline"): "00715c250f1abed62c93e0e7de1b8331a6b90fab85e1404384df0ea14ce38496",
-    ("crossing", 5, "virtual"): "93ad56e61023a6a0d1eabc1e421a6edeeab07d0c133eaf1032aebc99ec98ad11",
+    ("transient", 1, "full"): "b2e7d3084abdc2f74dfaa2427748c365fca3e88b62964f1a8445cc28073b2aba",
+    ("transient", 1, "baseline"): "53763d7a16dab528a0d89232a412e869a44ce491bed5ccd87da19b5a359b6588",
+    ("transient", 1, "virtual"): "46eae36b6438a62810eb91ff40e01208ef70f38e012935a05dd06ed1cf5a8e1f",
+    ("transient", 2, "full"): "f883e941c438eaf8155e8fbd6f7184d62b54e3f51e64c2f58b93c4874bea427d",
+    ("transient", 2, "baseline"): "093c8d94483aacb810910775f0a4a2323bdf8eddcf5cbe10737b9b869d5ed141",
+    ("transient", 2, "virtual"): "0b871d5cb0f88c73c1e9ca4f49a0aae86022b075208e1b85c345bde7c41aaea9",
+    ("transient", 3, "full"): "87a2bc375dec29e52396d773231bf71ca203df046bf0a44997d50de09cce1081",
+    ("transient", 3, "baseline"): "65fb8769b72b4196c00c41896a784f50a149b46969b89375c02dfedada99e500",
+    ("transient", 3, "virtual"): "2cc2a8b4a5ce835a15eb506c64c257d93b48d4876a4003ddaacab354726075ca",
+    ("transient", 4, "full"): "3daceb2e16be0254d8773f211b249c4fbd33638e8cf167efdedbef65dfd2a2a7",
+    ("transient", 4, "baseline"): "714c2062e3bb4bb184a3accd4b446b1df03693fd004898d5f9885a47ab4d517c",
+    ("transient", 4, "virtual"): "4dc8054107a32841dda343ad6f723a41c5bb32ecd02e7f84830bd605438e8833",
+    ("transient", 5, "full"): "98c2df2a9bfb697013c23905cfffca311646a9ad1fd20ff56de6e676fbcfa745",
+    ("transient", 5, "baseline"): "c1bec2fdc74ea3567bf75b39798d795443cdfcadba4cf8e47916de72ba613537",
+    ("transient", 5, "virtual"): "d91bf4df6636aef1b437d61df796e959b6df1a05075fb0d04ba72f2c0058ce91",
+    ("exit", 1, "full"): "2c95c7d983e52e5bdecf87b37e3d20e1f534f7cc78d626be238807e066eb6425",
+    ("exit", 1, "baseline"): "2c95c7d983e52e5bdecf87b37e3d20e1f534f7cc78d626be238807e066eb6425",
+    ("exit", 1, "virtual"): "a64213412870d12e09c185d5c1bc9ff7451ee3c31b4e709709bc94dadd89f765",
+    ("exit", 2, "full"): "fc4c18d31d89d9469900800f8d6baae9e1fc4b430ef3eb538f2c32cd7d2afc6c",
+    ("exit", 2, "baseline"): "fc4c18d31d89d9469900800f8d6baae9e1fc4b430ef3eb538f2c32cd7d2afc6c",
+    ("exit", 2, "virtual"): "9ae8bcc7044cf4c05e831b0f9a734a78ba1ef7eaf57a5f6a0c000a4ca3fc3a75",
+    ("exit", 3, "full"): "dd9542bf9a3e125fb6bda306717f931b5ff03039323295299fee42b9bd0c9763",
+    ("exit", 3, "baseline"): "dd9542bf9a3e125fb6bda306717f931b5ff03039323295299fee42b9bd0c9763",
+    ("exit", 3, "virtual"): "9c5324cf861fa1c8ac3616a49836be4de381cc3db4543cf899c2c87318cb9450",
+    ("exit", 4, "full"): "2492a3e804490a33851a36a9b4ec82d306d45f98b88327f0737f0759abc1c638",
+    ("exit", 4, "baseline"): "2492a3e804490a33851a36a9b4ec82d306d45f98b88327f0737f0759abc1c638",
+    ("exit", 4, "virtual"): "8bf575871c15bf1bf6c6696762230a0e94c77bdb78e39fe142e1ba04bc271050",
+    ("exit", 5, "full"): "64dc15f058df9279b8cefa1911fdac28defa3ed2e3e6d162538e08400e5ac8c1",
+    ("exit", 5, "baseline"): "64dc15f058df9279b8cefa1911fdac28defa3ed2e3e6d162538e08400e5ac8c1",
+    ("exit", 5, "virtual"): "bfd5afbbbaf4461dd0e69ac49df1ff90c224bcf7c9db95afbc74a78f0bfcb18e",
+    ("rollback", 1, "full"): "dc21770cbd7e7c52d41d12f54013d5fe8f2646940c7e15092a9af157c8d6b3a6",
+    ("rollback", 1, "baseline"): "c47434304e854236c2d08959766bef06394644f4d7e0cf350cbffd6d1315cb96",
+    ("rollback", 1, "virtual"): "2b401eeb9e08fbb28ba8fcbf7a6ea9e5b710c14302227a15cb3f95c8eec0480b",
+    ("rollback", 2, "full"): "6b7b04a6f8edde832411a09e75b16275f7d786a8a5a0ac90eddfddd4eec7f1e4",
+    ("rollback", 2, "baseline"): "8decd915f142ce02d7105556cc7a90bd6a753b2e1a8884742c8159d4a20a198b",
+    ("rollback", 2, "virtual"): "154649d584d1a1326e9ac189a79cdf91568b6e4e4d2e08795b0339a5d3edf30e",
+    ("rollback", 3, "full"): "bec4a37ad5ba17e609a49fb0408ed7623c07c18ceb1b7091ac84b532347653a7",
+    ("rollback", 3, "baseline"): "4df9ffc9497c89364606aa4108560a37012552f8a99c6ad67e5602406072805f",
+    ("rollback", 3, "virtual"): "97a3d3e5ab482025cec7dafb19fce7f8a0aa25fa6de65fdb32f60f8bdf7bf100",
+    ("rollback", 4, "full"): "657a54525f98b484e05ab49d04f43d7a8f7cbef253977d02d5d427d4cd327190",
+    ("rollback", 4, "baseline"): "f5090aa57523eb142b3ca5f10ee6f78fb51c50bf8268845008e9230743463393",
+    ("rollback", 4, "virtual"): "accbef6bf39af1d9f8c82b4b7e48d8a5d81f7ed6dac18c26ab10a9cd76e380f1",
+    ("rollback", 5, "full"): "6c187268b122899dcf2d63481294409cf476b1ef79c468ee097346a211303893",
+    ("rollback", 5, "baseline"): "136832a8eaf089fc048984058f3e67eea034bc24f154987472a6798d47253c0b",
+    ("rollback", 5, "virtual"): "5cfade21269f2ef6c7abdae95f4d750eed0862143cb8843f68c6ffca8678c7ac",
+    ("crossing", 1, "full"): "808c4b77b9191340930e8026361eebce80b05af1a3902f6c951b75cc54013794",
+    ("crossing", 1, "baseline"): "f1aae7161c4a7b05e834d7621d28a6bb5bd108ef1115135b33fe263ba7603afd",
+    ("crossing", 1, "virtual"): "8a68001f4f18742e1d3547b0585075f4e33e0b9f45f4138aeef21684a5317626",
+    ("crossing", 2, "full"): "8f10e0ece76854910ebfe425d817ae64b38acec70edf3ada9004ea16ae0ad08c",
+    ("crossing", 2, "baseline"): "4ee35b198b7a0604a6aff2bda53b35092d2d263c08e81343ce5c21b1b7520089",
+    ("crossing", 2, "virtual"): "2af4d01fa03ccf4991ee9e0ab2a4a9093be0d4a4e85455ede7a8e48dcdad6aaa",
+    ("crossing", 3, "full"): "289e06c68bd54e65b686f1627de6957231216b4d9a473614ae938fa845d0e8dd",
+    ("crossing", 3, "baseline"): "bb005bae3b425d8a4d40042dcbf68afd8381c9a93ab62637c42b57118cd2b732",
+    ("crossing", 3, "virtual"): "734a6610947028b772fcd2ca471157bc7d09a6c6e26f1c1ee8c86d804a9f49ab",
+    ("crossing", 4, "full"): "5e028be357959437c8cc1fab3cf889e77f8ab6de0ee72a1f016a08ce7925cac6",
+    ("crossing", 4, "baseline"): "4fdc5f378c8a280c84012a32d14db64873cb8b1f9be0e29585cd3aeb9d161677",
+    ("crossing", 4, "virtual"): "b25a684dc8621d509f83ae0bce112a210ac89d09c4da3d7856c8fc0f57a95ae1",
+    ("crossing", 5, "full"): "2068d2cff75af4ca328897c18e9b1af72dd4443ce65c461db45294da09f048c2",
+    ("crossing", 5, "baseline"): "871cff494238d1d06dc689fe08b105b6250787d225ead76b713a02a9166582fd",
+    ("crossing", 5, "virtual"): "c966c02d9615aaed6a082226caf66de4f1178e9bcd1cbd701bc7a364128bfafe",
 }
 
-THROUGHPUT_GOLDEN = "76ff095e8543dcf3581e7fddd5555ce1465899bc1be454614431637bf0d5c7a1"
+THROUGHPUT_GOLDEN = "79ae31ebf3ea7c428bf7710cfb921336d1ae59563927a51c63f14e379f730aa5"
 
 
 @pytest.mark.parametrize("family,seed,arm", sorted(GOLDEN))

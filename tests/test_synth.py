@@ -19,7 +19,7 @@ from meshsort.synth import (
     generate,
 )
 
-from oracles import covered_fraction, max_speed, semi_occlusion_noise
+from oracles import NormalStream, covered_fraction, max_speed, semi_occlusion_noise
 
 
 class TestPrng:
@@ -41,7 +41,7 @@ class TestPrng:
         assert abs(np.var(xs) - 1 / 12) < 0.005
 
     def test_normal_moments(self):
-        rng = Xoshiro256StarStar(11)
+        rng = NormalStream(11)
         xs = [rng.normal() for _ in range(20000)]
         assert abs(np.mean(xs)) < 0.03
         assert abs(np.std(xs) - 1.0) < 0.03
@@ -119,19 +119,19 @@ class TestCoveredFraction:
 
 class TestSemiOcclusionNoise:
     def test_fully_visible_is_identity(self):
-        rng = Xoshiro256StarStar(3)
+        rng = NormalStream(3)
         z = np.array([10.0, 20.0, 800.0, 0.5])
         out = semi_occlusion_noise(z, 1.0, 0.5, 0.5, rng)
         np.testing.assert_array_equal(out, z)
 
     def test_zero_sigma_is_identity(self):
-        rng = Xoshiro256StarStar(3)
+        rng = NormalStream(3)
         z = np.array([10.0, 20.0, 800.0, 0.5])
         out = semi_occlusion_noise(z, 0.4, 0.0, 0.0, rng)
         np.testing.assert_array_equal(out, z)
 
     def test_positions_never_touched(self):
-        rng = Xoshiro256StarStar(3)
+        rng = NormalStream(3)
         for _ in range(100):
             z = np.array([123.0, 456.0, 800.0, 0.5])
             out = semi_occlusion_noise(z, 0.3, 0.8, 0.8, rng)
@@ -140,7 +140,7 @@ class TestSemiOcclusionNoise:
     def test_sizes_never_below_file_resolution(self):
         # A 4 x 40 box under heavy noise: the factors' own 1e-3 floor would
         # leave it 0.004 px wide, which the files write as 0.00.
-        rng, twin = Xoshiro256StarStar(5), Xoshiro256StarStar(5)
+        rng, twin = NormalStream(5), NormalStream(5)
         raised = 0
         for _ in range(500):
             out = semi_occlusion_noise(np.array([100.0, 300.0, 160.0, 0.1]), 0.1, 100.0, 100.0, rng)
@@ -154,7 +154,7 @@ class TestSemiOcclusionNoise:
 
     def test_sample_std_matches_model(self):
         # At visibility 0.5 and sigma 0.2 the area multiplier has std 0.1.
-        rng = Xoshiro256StarStar(99)
+        rng = NormalStream(99)
         area = 1000.0
         draws = []
         for _ in range(10000):
@@ -176,7 +176,7 @@ class TestSizeNoise:
     def test_sizes_never_below_file_resolution(self):
         # 500 boxes of 4 x 40 centred on (100, 300) under heavy noise, as in
         # TestSemiOcclusionNoise; centres stay where they were.
-        rng = Xoshiro256StarStar(5)
+        rng = NormalStream(5)
         normals = np.array([rng.normal_pair() for _ in range(500)])
         boxes = np.tile([98.0, 280.0, 4.0, 40.0], (500, 1))
         out = _size_noise(boxes, np.full(500, 0.1), normals, 100.0, 100.0)

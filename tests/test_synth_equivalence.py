@@ -2,7 +2,7 @@
 
 Every comparison is exact equality of the ground-truth dicts and of every
 ``FrameDetections``, not of the two-decimal files: the generator must give
-the reference's floating-point boxes, confidences and RNG draws bit for bit.
+the reference's floating-point boxes, confidences and keyed draws bit for bit.
 """
 
 import dataclasses
@@ -15,7 +15,7 @@ from meshsort import scenarios, synth
 from meshsort.geometry import BoundingBox
 from meshsort.synth import AgentSpec, SceneConfig, Xoshiro256StarStar, generate
 
-from oracles import _hidden, reference_generate
+from oracles import _hidden, keyed_normals, keyed_uniform, reference_generate
 
 FAMILIES = (
     scenarios.transient_occlusion_scene,
@@ -194,19 +194,20 @@ def test_batched_visibility_matches_scalar_bit_for_bit(scene):
 
 
 @pytest.mark.parametrize("miss_prob", (0.0, 0.2, 1.0))
-def test_draw_loop_follows_the_stream(miss_prob):
+def test_keyed_draws_match_the_scalar_oracle(miss_prob):
+    # 400 candidates over frames up to MAX_FRAME and agents past 2**32, so the
+    # hash's high bits and the uint64 wraparound all show.
     pattern = Xoshiro256StarStar(17)
-    noisy = [pattern.uniform() < 0.4 for _ in range(400)]
-    rng, twin = Xoshiro256StarStar(5), Xoshiro256StarStar(5)
-    kept, normals = synth._draw(rng, noisy, miss_prob)
-    want_kept, want_normals = [], []
-    for is_noisy in noisy:
-        want_kept.append(not (miss_prob > 0.0 and twin.uniform() < miss_prob))
-        if want_kept[-1] and is_noisy:
-            want_normals.append([twin.normal(), twin.normal()])
+    frame = np.array([1 + int(pattern.uniform() * synth.MAX_FRAME) for _ in range(398)] + [1, synth.MAX_FRAME])
+    agent = np.array([int(pattern.uniform() * 2**34) for _ in range(398)] + [2**40 - 1, 0])
+    noisy = np.array([pattern.uniform() < 0.4 for _ in range(400)])
+    seed = 5
+    kept, normals = synth._keyed_draws(seed, frame, agent, noisy, miss_prob)
+    want_kept = [keyed_uniform(seed, f, a, 0) >= miss_prob for f, a in zip(frame.tolist(), agent.tolist())]
+    want_normals = [z for f, a, k, n in zip(frame.tolist(), agent.tolist(), want_kept, noisy.tolist()) if k and n
+                    for z in keyed_normals(seed, f, a)]
     assert kept.tolist() == want_kept
-    assert normals.tolist() == want_normals
-    assert rng.next_u64() == twin.next_u64()  # the same number of draws
+    assert list(map(float.hex, normals.ravel().tolist())) == list(map(float.hex, want_normals))
     all_or_none = {0.0: len(noisy), 1.0: 0}
     if miss_prob in all_or_none:
         assert kept.sum() == all_or_none[miss_prob]
