@@ -41,15 +41,16 @@ def _canonicalize_ties(cost: np.ndarray, gate: float, matches: np.ndarray) -> No
     # Among cost-preserving 2-swaps, give the lower row index the lower column
     # index, so equal-cost optima come out in a stable documented order.
     n = len(matches)
-    # A swap moves two matches onto two other entries within the gate; with
-    # no such entries beyond the matches themselves there is none to make.
-    if n < 2 or np.count_nonzero(cost <= gate) == n:
+    rows, cols = matches.T  # views: a swap writes the column in place
+    # A swap moves two matches onto two other entries within the gate, in the
+    # matched rows and columns; with no such entries beyond the matches
+    # themselves there is none to make.
+    if n < 2 or np.count_nonzero(cost[rows[:, None], cols] <= gate) == n:
         return
     # Passes over the pairs a < b of matches in row-major order swap each pair
     # that passes the test, until a pass swaps none. Columns change only at a
     # swap, so after one the test runs once over all pairs, and the first hit
     # at or after the cursor (flat index a * n + b) is the pair the pass meets next.
-    rows, cols = matches.T  # views: a swap writes the column in place
     later = np.arange(n)[:, None] < np.arange(n)
     cursor, swapped = 0, False
     while True:
@@ -57,7 +58,7 @@ def _canonicalize_ties(cost: np.ndarray, gate: float, matches: np.ndarray) -> No
         own = pair.diagonal()
         swappable = later & (cols < cols[:, None]) & (pair <= gate) & (pair.T <= gate)
         swappable &= pair + pair.T == own[:, None] + own
-        hits = np.flatnonzero(swappable.ravel()[cursor:])
+        hits = swappable.ravel()[cursor:].nonzero()[0]
         if hits.size:
             a, b = divmod(cursor + int(hits[0]), n)
             cols[a], cols[b] = cols[b], cols[a]
@@ -73,13 +74,18 @@ def assign(cost: np.ndarray, gate: float) -> AssignmentResult:
 
     Entries above ``gate`` are never matched. The result maximizes the number
     of admissible matches, then minimizes their total cost; ties resolve with
-    the lowest row taking the lowest column.
+    the lowest row taking the lowest column. When no row and no column holds
+    more than one admissible entry, those entries are the only maximum
+    matching, so they are returned without solving.
     """
     if cost.size == 0:
         return AssignmentResult(np.empty((0, 2), dtype=np.intp))
-    if not np.all(np.isfinite(cost)):
+    if not np.isfinite(cost).all():
         raise ValueError("cost matrix must be finite")
-    masked = np.where(cost > gate, _FORBIDDEN, cost)
+    admissible = cost <= gate
+    if admissible.sum(axis=0).max() <= 1 and admissible.sum(axis=1).max() <= 1:
+        return AssignmentResult(np.argwhere(admissible))
+    masked = np.where(admissible, cost, _FORBIDDEN)
     rr, cc = linear_sum_assignment(masked)
     kept = cost[rr, cc] <= gate
     # linear_sum_assignment returns rows sorted, the gate filter keeps their
@@ -138,9 +144,8 @@ def two_stage_associate(
         local = assign(biou_cost(boxes[rows], det_boxes[dets], buffer_scale), gate_second).matches
         stage_two = np.stack([rows[local[:, 0]], dets[local[:, 1]]], axis=1)
 
-    matches = np.concatenate([stage_one, stage_two])
-    return TwoStageResult(
-        matches=matches[np.argsort(matches[:, 0])],
-        stage_one_matches=stage_one,
-        stage_two_matches=stage_two,
-    )
+    matches = stage_one
+    if len(stage_two):
+        matches = np.concatenate([stage_one, stage_two])
+        matches = matches[np.argsort(matches[:, 0])]
+    return TwoStageResult(matches=matches, stage_one_matches=stage_one, stage_two_matches=stage_two)

@@ -137,11 +137,17 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return np.zeros((a.shape[0], b.shape[0]), dtype=np.float64)
     al, at, ar, ab = a.T
     bl, bt, br, bb = b.T
-    iw = np.minimum.outer(ar, br) - np.maximum.outer(al, bl)
-    ih = np.minimum.outer(ab, bb) - np.maximum.outer(at, bt)
-    inter = np.maximum(iw, 0.0) * np.maximum(ih, 0.0)
-    union = np.add.outer((ar - al) * (ab - at), (br - bl) * (bb - bt)) - inter
-    return np.minimum(inter / union, 1.0)
+    inter = np.minimum.outer(ar, br)
+    inter -= np.maximum.outer(al, bl)
+    np.maximum(inter, 0.0, out=inter)
+    ih = np.minimum.outer(ab, bb)
+    ih -= np.maximum.outer(at, bt)
+    np.maximum(ih, 0.0, out=ih)
+    inter *= ih
+    union = np.add.outer((ar - al) * (ab - at), (br - bl) * (bb - bt), out=ih)
+    union -= inter
+    inter /= union
+    return np.minimum(inter, 1.0, out=inter)
 
 
 def expand_ltrb(boxes: np.ndarray, scale: float) -> np.ndarray:

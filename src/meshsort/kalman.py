@@ -12,16 +12,20 @@ slots, and the process noise, measurement noise and initial covariance are
 all diagonal. Every product and sum of such matrices keeps the same zero
 pattern, so each covariance the filter can reach is four independent 2×2
 ``[slot, rate]`` blocks, and the 8-state filter is exactly four 2-state
-filters run side by side. A :class:`KalmanState` therefore stores the
-covariance as ``blocks`` of shape ``(..., 3, 4)``: per slot, var(slot),
-cov(slot, rate) and var(rate). Each filter step is elementwise arithmetic
-on those rows, written to perform the same float operations, in the same
+filters run side by side. A :class:`KalmanState` therefore stores a stack of
+beliefs as one ``(5, ..., 4)`` array of parts: the slots (position, size),
+their rates, var(slot), cov(slot, rate) and var(rate), each part one
+contiguous ``(..., 4)`` array. Each filter step is elementwise arithmetic on
+those parts, written to perform the same float operations, in the same
 order, as the dense 8×8 algebra with ``S⁻¹`` taken from a Cholesky factor
-(that algebra is kept as the reference in the tests). The dense
-``(..., 8, 8)`` covariance is available as a read-only view.
+(that algebra is kept as the reference in the tests). The ``(..., 8)`` mean
+and the dense ``(..., 8, 8)`` covariance are available as copies.
 
 Every function works on a stack of beliefs; one call filters every belief in
-the stack. A single belief is the stack with no leading axis.
+the stack. A single belief is the stack with no row axis. :func:`predict`
+advances a stack in place, so a tracker keeps its beliefs as one stack and
+advances them all with one call; :func:`update` and
+:func:`rollback_velocity` take the rows they touch.
 
 Velocity rollback reads rings that the caller keeps: ``(n, L, 4)``
 velocities and an ``(n,)`` count of records per ring. Only this module knows
@@ -42,7 +46,11 @@ MEAS_DIM = 4
 _ASPECT_STD_PROCESS = 1e-2
 _ASPECT_STD_MEASURE = 1e-1
 _ASPECT_STD_VELOCITY = 1e-5
-_MIN_HEIGHT = 1e-3
+# Floor of the area and aspect slots, and of the height, where a state is
+# read as a box or a noise scale. At the square root of the smallest normal
+# float, sqrt(area * aspect) of floored slots stays positive, while boxes keep
+# their size down to about 1e-77 px a side.
+SIZE_FLOOR = float(np.sqrt(np.finfo(np.float64).tiny))
 _SLOTS = np.arange(MEAS_DIM)
 _RATES = _SLOTS + MEAS_DIM
 
@@ -55,47 +63,41 @@ class NumericsError(RuntimeError):
 class KalmanState:
     """Gaussian beliefs over box states.
 
-    ``mean`` is ``(..., 8)``. ``blocks`` is ``(..., 3, 4)``: row 0 holds the
-    variance of each measured slot, row 1 its covariance with its own rate,
-    row 2 the variance of the rate.
+    ``parts`` is ``(5, ..., 4)``: ``parts[0]`` holds the measured slots,
+    ``parts[1]`` their rates, ``parts[2]`` the variance of each slot,
+    ``parts[3]`` its covariance with its own rate and ``parts[4]`` the
+    variance of the rate. Indexing a state with rows gives the state of
+    those rows.
     """
 
-    mean: np.ndarray
-    blocks: np.ndarray
+    parts: np.ndarray
 
-    @classmethod
-    def from_dense(cls, mean, covariance) -> "KalmanState":
-        """Beliefs from ``(..., 8, 8)`` covariances, which must be four symmetric
-        2×2 ``[slot, rate]`` blocks with zeros everywhere else."""
-        covariance = np.asarray(covariance, dtype=np.float64)
-        blocks = np.stack([covariance[..., _SLOTS, _SLOTS],
-                           covariance[..., _SLOTS, _RATES],
-                           covariance[..., _RATES, _RATES]], axis=-2)
-        state = cls(np.asarray(mean, dtype=np.float64), blocks)
-        if not np.array_equal(state.covariance, covariance):
-            raise ValueError("covariance is not four symmetric 2x2 [slot, rate] blocks")
-        return state
+    def __getitem__(self, rows) -> "KalmanState":
+        # numpy lays a selection along a later axis out with that axis
+        # outermost; copy it back so that each part stays contiguous.
+        return KalmanState(np.ascontiguousarray(self.parts[:, rows]))
+
+    @property
+    def mean(self) -> np.ndarray:
+        """``(..., 8)`` means: the slots, then their rates."""
+        return np.concatenate([self.parts[0], self.parts[1]], axis=-1)
 
     @property
     def covariance(self) -> np.ndarray:
         """Read-only dense ``(..., 8, 8)`` covariances."""
-        pp, pv, vv = self.blocks[..., 0, :], self.blocks[..., 1, :], self.blocks[..., 2, :]
-        dense = np.zeros(self.blocks.shape[:-2] + (STATE_DIM, STATE_DIM))
+        pp, pv, vv = self.parts[2:]
+        dense = np.zeros(pp.shape[:-1] + (STATE_DIM, STATE_DIM))
         dense[..., _SLOTS, _SLOTS] = pp
         dense[..., _SLOTS, _RATES] = dense[..., _RATES, _SLOTS] = pv
         dense[..., _RATES, _RATES] = vv
         dense.flags.writeable = False
         return dense
 
-    def projected(self) -> np.ndarray:
-        """Measurement-space view of the mean (first four components)."""
-        return self.mean[..., :MEAS_DIM].copy()
-
 
 def _measurement_height(z4: np.ndarray) -> np.ndarray:
-    area = np.maximum(z4[..., 2], _MIN_HEIGHT)
-    aspect = np.maximum(z4[..., 3], _MIN_HEIGHT)
-    return np.maximum(np.sqrt(area / aspect), _MIN_HEIGHT)
+    area = np.maximum(z4[..., 2], SIZE_FLOOR)
+    aspect = np.maximum(z4[..., 3], SIZE_FLOOR)
+    return np.maximum(np.sqrt(area / aspect), SIZE_FLOOR)
 
 
 def _noise_var(height: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -145,47 +147,45 @@ class MotionModel:
 def initiate(z: np.ndarray, model: MotionModel) -> KalmanState:
     """Bootstrap beliefs from first measurements: zero velocity, diagonal covariance."""
     z = np.asarray(z, dtype=np.float64)
-    mean = np.zeros(z.shape[:-1] + (STATE_DIM,))
-    mean[..., :MEAS_DIM] = z
     var = model.initial_covariance(z)
-    blocks = np.zeros(z.shape[:-1] + (3, MEAS_DIM))
-    blocks[..., 0, :] = var[..., :MEAS_DIM]
-    blocks[..., 2, :] = var[..., MEAS_DIM:]
-    return KalmanState(mean=mean, blocks=blocks)
+    parts = np.zeros((5,) + z.shape)
+    parts[0] = z
+    parts[2] = var[..., :MEAS_DIM]
+    parts[4] = var[..., MEAS_DIM:]
+    return KalmanState(parts)
 
 
 def predict(state: KalmanState, model: MotionModel) -> KalmanState:
-    """Advance every belief one frame under the constant-velocity model.
+    """Advance every belief of ``state`` one frame, in place; returns ``state``.
 
     Per slot, ``F P Fᵀ + Q`` is ``((pp + pv) + (pv + vv)) + q``, ``pv + vv``
     and ``vv + q``: the sums the dense row-then-column additions form, in
     their order.
     """
-    prior = state.mean
-    height = _measurement_height(prior[..., :MEAS_DIM])
-    mean = prior.copy()
-    mean[..., :MEAS_DIM] += prior[..., MEAS_DIM:]
-    pp, pv, vv = state.blocks[..., 0, :], state.blocks[..., 1, :], state.blocks[..., 2, :]
-    q = model.process_noise(height)
-    blocks = np.empty_like(state.blocks)
-    blocks[..., 0, :] = ((pp + pv) + (pv + vv)) + q[..., :MEAS_DIM]
-    blocks[..., 1, :] = pv + vv
-    blocks[..., 2, :] = vv + q[..., MEAS_DIM:]
-    return KalmanState(mean=mean, blocks=blocks)
+    pos, vel, pp, pv, vv = state.parts
+    q = model.process_noise(_measurement_height(pos))
+    pos += vel
+    pp += pv
+    pv += vv  # now pv + vv, which pp takes next
+    pp += pv
+    pp += q[..., :MEAS_DIM]
+    vv += q[..., MEAS_DIM:]
+    return state
 
 
-def _gains(state: KalmanState, model: MotionModel, noise_scale: float) -> np.ndarray:
-    """Per-slot gains ``(..., 2, 4)``: row 0 for the slot, row 1 for its rate.
+def _gains(pos: np.ndarray, pp: np.ndarray, pv: np.ndarray, model: MotionModel,
+           noise_scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per-slot gains ``kp`` (slot) and ``kv`` (rate), each ``(..., 4)``.
 
     The innovation variance is ``s = pp + r``, and ``S⁻¹`` is ``(1/√s)²``, the
     inverse Cholesky factor squared; the gains are ``pp·S⁻¹`` and ``pv·S⁻¹``.
     """
-    height = _measurement_height(state.mean[..., :MEAS_DIM])
-    s = state.blocks[..., 0, :] + model.measurement_noise(height) * noise_scale
+    s = pp + model.measurement_noise(_measurement_height(pos)) * noise_scale
     if not (s > 0.0).all():
         raise NumericsError("singular innovation covariance")
-    root = 1.0 / np.sqrt(s)
-    return state.blocks[..., :2, :] * (root * root)[..., None, :]
+    inverse = 1.0 / np.sqrt(s)
+    inverse *= inverse
+    return pp * inverse, pv * inverse
 
 
 def gain_matrix(state: KalmanState, model: MotionModel, noise_scale: float = 1.0) -> np.ndarray:
@@ -196,10 +196,11 @@ def gain_matrix(state: KalmanState, model: MotionModel, noise_scale: float = 1.0
     ``noise_scale``. Raises :class:`NumericsError` unless every ``S`` in the
     stack is positive definite.
     """
-    k = _gains(state, model, noise_scale)
-    gain = np.zeros(k.shape[:-2] + (STATE_DIM, MEAS_DIM))
-    gain[..., _SLOTS, _SLOTS] = k[..., 0, :]
-    gain[..., _RATES, _SLOTS] = k[..., 1, :]
+    pos, _, pp, pv, _ = state.parts
+    kp, kv = _gains(pos, pp, pv, model, noise_scale)
+    gain = np.zeros(kp.shape[:-1] + (STATE_DIM, MEAS_DIM))
+    gain[..., _SLOTS, _SLOTS] = kp
+    gain[..., _RATES, _SLOTS] = kv
     return gain
 
 
@@ -208,8 +209,14 @@ def update(
     z: np.ndarray,
     model: MotionModel,
     noise_scale: float = 1.0,
+    rows: np.ndarray | None = None,
 ) -> KalmanState:
-    """Fold one measurement per belief into the stack.
+    """Fold one measurement per belief into the stack; returns the posteriors.
+
+    Without ``rows``, every belief of ``state`` takes one measurement and
+    ``state`` is left as it is. With ``rows``, the beliefs of those rows take
+    one measurement each, and their posteriors are also written back into
+    ``state``: one gather and one scatter of the parts.
 
     ``noise_scale`` inflates the measurement covariance; soft self-updates
     (virtual proposals of unmatched tracks) pass a value > 1 so the pseudo
@@ -220,39 +227,48 @@ def update(
     mean's height, never at the measurement itself, so that equal priors
     always yield equal gains.
 
-    With gains ``kp`` (slot) and ``kv`` (rate), the blocks become
+    With gains ``kp`` (slot) and ``kv`` (rate), the variances become
     ``pp - kp·pp``, ``((pv - kp·pv) + (pv - kv·pp)) / 2`` and ``vv - kv·pv``:
     ``P - K H P`` symmetrized, as the dense algebra rounds it.
     """
-    k = _gains(state, model, noise_scale)
-    b = state.blocks
-    innovation = np.asarray(z, dtype=np.float64) - state.mean[..., :MEAS_DIM]
-    mean = state.mean + (k * innovation[..., None, :]).reshape(state.mean.shape)
-    blocks = np.empty_like(b)
-    blocks[..., ::2, :] = b[..., ::2, :] - k * b[..., :2, :]  # pp - kp·pp, vv - kv·pv
-    cross = b[..., 1:2, :] - k * b[..., 1::-1, :]  # pv - kp·pv, pv - kv·pp
-    blocks[..., 1, :] = (cross[..., 0, :] + cross[..., 1, :]) / 2.0
-    return KalmanState(mean=mean, blocks=blocks)
+    prior = state.parts if rows is None else state.parts.take(rows, axis=1)
+    pos, vel, pp, pv, vv = prior
+    kp, kv = _gains(pos, pp, pv, model, noise_scale)
+    innovation = np.asarray(z, dtype=np.float64) - pos
+    post = np.empty_like(prior)
+    pos_post, vel_post, pp_post, pv_post, vv_post = post
+    np.multiply(kp, innovation, out=pos_post)
+    pos_post += pos
+    np.multiply(kv, innovation, out=vel_post)
+    vel_post += vel
+    np.subtract(pp, kp * pp, out=pp_post)
+    np.subtract(pv, kp * pv, out=pv_post)
+    pv_post += pv - kv * pp
+    pv_post /= 2.0
+    np.subtract(vv, kv * pv, out=vv_post)
+    if rows is not None:
+        state.parts[:, rows] = post
+    return KalmanState(post)
 
 
-def record_velocity(ring: np.ndarray, count: np.ndarray, rows: np.ndarray, mean: np.ndarray) -> None:
-    """Store the velocity of each belief in ``mean`` in the ring of its entry of ``rows``.
+def record_velocity(ring: np.ndarray, count: np.ndarray, rows: np.ndarray, velocity: np.ndarray) -> None:
+    """Store each ``(m, 4)`` velocity in the ring of its entry of ``rows``.
 
     ``ring`` is ``(n, L, 4)`` and ``count`` ``(n,)`` holds how many
     velocities each ring has recorded; record ``k`` sits in slot ``k % L``,
     so a full ring overwrites its oldest entry.
     """
-    ring[rows, count[rows] % ring.shape[-2]] = mean.reshape(-1, STATE_DIM)[:, MEAS_DIM:]
+    ring[rows, count[rows] % ring.shape[-2]] = velocity
     count[rows] += 1
 
 
 def rollback_velocity(state: KalmanState, ring: np.ndarray, count: np.ndarray,
-                      rows: np.ndarray) -> KalmanState:
-    """Replace each mean's velocity components with the oldest entry held in its ring.
+                      rows: np.ndarray) -> None:
+    """Replace the velocity of each belief of ``rows`` with the oldest entry held in its ring, in place.
 
     The oldest entry predates any detector noise just before the loss.
-    ``state`` holds one belief per entry of ``rows``, which index the rings
-    of :func:`record_velocity`. A ring holds its oldest entry in slot 0 until
+    ``rows`` index both the stack ``state`` and the rings of
+    :func:`record_velocity`. A ring holds its oldest entry in slot 0 until
     it is full, then in the slot the next record overwrites. A belief whose
     ring is empty keeps its velocity. Position, size and covariance are left
     untouched.
@@ -260,6 +276,4 @@ def rollback_velocity(state: KalmanState, ring: np.ndarray, count: np.ndarray,
     n = count[rows]
     held = n > 0
     rows, n, cap = rows[held], n[held], ring.shape[-2]
-    mean = state.mean.copy()
-    mean.reshape(-1, STATE_DIM)[held, MEAS_DIM:] = ring[rows, np.where(n >= cap, n % cap, 0)]
-    return KalmanState(mean=mean, blocks=state.blocks)
+    state.parts[1, rows] = ring[rows, np.where(n >= cap, n % cap, 0)]

@@ -60,8 +60,8 @@ class MeshGrid:
     def cells_of(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Column and row indices of points; out-of-frame points clamp to the border cells."""
         w, h = self.frame_size
-        i = np.clip(np.floor(x * self.cols / w), 0, self.cols - 1)
-        j = np.clip(np.floor(y * self.rows / h), 0, self.rows - 1)
+        i = np.minimum(np.maximum(np.floor(x * self.cols / w), 0), self.cols - 1)
+        j = np.minimum(np.maximum(np.floor(y * self.rows / h), 0), self.rows - 1)
         return i.astype(np.int64), j.astype(np.int64)
 
     def cell_of(self, p: Point2) -> CellId:

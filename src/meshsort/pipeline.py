@@ -6,12 +6,14 @@ each. The tracker keeps every live track as one row of a
 :class:`~meshsort.tracks.TrackTable` and makes one batched pass per stage.
 The per-frame flow is:
 
-1. advance every live track's filter one frame (one batched predict)
-2. build the predicted boxes as one ltrb array and flag lost/maintained
-   tracks whose spot is covered by a tracked box
+1. advance every live track's filter one frame (one predict, in place on
+   the table's belief stack)
+2. build the predicted boxes from the stack's slots as one ltrb array and
+   flag lost/maintained tracks whose spot is covered by a tracked box
 3. run the two-stage confidence cascade on the candidates' boxes, active rows
    first (lost proposals join stage one only); matches come back as index arrays
-4. update the matched rows (one batched update); refind events, row order
+4. update the matched rows (one update: a gather and a scatter of the
+   stack); refind events, row order
 5. spawn tentative tracks from leftover confident detections
 6. apply the missed-row lifecycle (one batched update for maintained rows,
    one rollback for rows entering the lost pool); loss events, row order
@@ -39,7 +41,7 @@ from .association import two_stage_associate
 from .config import TrackerConfig
 from .geometry import BoundingBox, check_box_range, degenerate, ltwh_to_ltrb, valid_boxes
 from .mesh import LossThreshold, MeshGrid
-from .tracks import LOST, LOST_MAINTAINED, REMOVED, TENTATIVE, TRACKED, TrackTable, TrackView
+from .tracks import LOST, LOST_MAINTAINED, REMOVED, TRACKED, TrackTable, TrackView
 
 
 class SequencingError(ValueError):
@@ -262,19 +264,18 @@ class Tracker:
 
         live = len(table)
         if live:
-            table.set_state(slice(None), kalman.predict(table.state(slice(None)), self.model))
+            kalman.predict(table.kf, self.model)
             self._stats.predicts += live
-        predicted_ltwh = _tracks.state_box(table.mean)
+        predicted_ltwh = _tracks.state_box(table.kf.parts[0])
         predicted = ltwh_to_ltrb(predicted_ltwh)
 
         status = table.status
-        occluded = _tracks.infer_occlusion(predicted, status, cfg.occlusion_iou)
-        full_rows = (
-            (status == TRACKED)
-            | (status == TENTATIVE)
-            | ((status == LOST_MAINTAINED) & ~occluded)
-        ).nonzero()[0]
-        lost_rows = ((status == LOST) & ~occluded).nonzero()[0]
+        # Only lost and maintained rows can be occluded, and the table holds
+        # no removed row between frames.
+        free = ~_tracks.infer_occlusion(predicted, status, cfg.occlusion_iou)
+        lost = status == LOST
+        full_rows = (free & ~lost).nonzero()[0]
+        lost_rows = (free & lost).nonzero()[0]
         candidates = np.concatenate([full_rows, lost_rows])
 
         det_boxes, scores = fd.detections.boxes, fd.detections.scores
@@ -295,9 +296,8 @@ class Tracker:
             _tracks.on_matched(table, matched, det_boxes[matched_dets],
                                scores[matched_dets], cfg, self.model, self.grid)
 
-        spawn = np.ones(len(scores), dtype=bool)
+        spawn = scores >= max(cfg.init_conf, cfg.conf_low)
         spawn[matched_dets] = False
-        spawn &= (scores >= cfg.init_conf) & (scores >= cfg.conf_low)
         n_new = int(spawn.sum())
         if n_new:
             ids = np.arange(self._next_id, self._next_id + n_new)
@@ -305,9 +305,9 @@ class Tracker:
             self._next_id += n_new
             self._stats.spawned += n_new
 
-        missed = np.ones(live, dtype=bool)
-        missed[matched] = False
-        missed = missed.nonzero()[0]
+        hit = np.zeros(live, dtype=bool)
+        hit[matched] = True
+        missed = (~hit).nonzero()[0]
         if len(missed):
             _tracks.on_missed(table, missed, predicted_ltwh[missed], cfg, self.model, self.grid)
             removed = missed[table.status[missed] == REMOVED]
@@ -336,8 +336,3 @@ def run(cfg: TrackerConfig, frames: Iterable[FrameDetections]) -> list[FrameOutp
     tracker = Tracker(cfg)
     return [tracker.step(fd) for fd in frames]
 
-
-def make_frame(index: int, dets: Sequence[tuple[BoundingBox, float]]) -> FrameDetections:
-    return FrameDetections(
-        index=index, detections=tuple(Detection(b, s) for b, s in dets)
-    )

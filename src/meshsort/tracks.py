@@ -10,8 +10,10 @@ when the loss happened inside a frequent-loss cell.
 Every live track is one row of a :class:`TrackTable`, in creation order. The
 functions here act on a set of rows at once, with one batched filter call
 each, so a frame costs a fixed number of array operations however many
-tracks it holds. Boxes are ``(N, 4)`` arrays; :class:`BoundingBox` appears
-only in the per-track views handed out to callers.
+tracks it holds. The filter beliefs are one :class:`kalman.KalmanState`
+stack, ``kf``, whose row axis is the table's: a frame predicts it in place
+and updates row sets of it. Boxes are ``(N, 4)`` arrays; :class:`BoundingBox`
+appears only in the per-track views handed out to callers.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from .geometry import BoundingBox, Point2, iou_matrix, ltwh_to_measurement, meas
 from .geometry import iou  # noqa: F401  -- perfbench's tracer wraps tracks.iou by name
 from .mesh import MeshGrid
 
-_MIN_BOX_SIZE = 1e-3
 # Measurement-noise inflation of a maintained track's pseudo-observation.
 _LM_NOISE_SCALE = 10.0
 
@@ -46,14 +47,14 @@ class TrackStatus(enum.IntEnum):
 TENTATIVE, TRACKED, LOST_MAINTAINED, LOST, REMOVED = (int(s) for s in TrackStatus)
 
 
-def state_box(mean: np.ndarray) -> np.ndarray:
-    """(N, 4) [left, top, width, height] boxes of filter means (N, 8).
+def state_box(pos: np.ndarray) -> np.ndarray:
+    """(N, 4) [left, top, width, height] boxes of filter slots (N, 4) [cx, cy, area, aspect].
 
-    Degenerate area/aspect is clamped to a sliver. Raises
-    :class:`kalman.NumericsError` when a box is not finite.
+    A non-positive area or aspect is raised to :data:`kalman.SIZE_FLOOR`.
+    Raises :class:`kalman.NumericsError` when a box is not finite.
     """
-    z = mean[:, : kalman.MEAS_DIM].copy()
-    np.maximum(z[:, 2:], _MIN_BOX_SIZE, out=z[:, 2:])
+    z = pos.copy()
+    np.maximum(z[:, 2:], kalman.SIZE_FLOOR, out=z[:, 2:])
     boxes = measurement_to_ltwh(z)
     if not np.isfinite(boxes).all():
         raise kalman.NumericsError("non-finite box from the filter state")
@@ -89,9 +90,10 @@ class TrackTable:
 
     ``predicts_since_match`` counts the frames missed since the last match,
     of which the first ``lm_count`` were maintained; the rest were spent
-    lost. ``cov`` holds the covariance blocks (see
-    :class:`kalman.KalmanState`). ``vel_ring``/``vel_count`` are the
-    velocity rings (see :func:`kalman.record_velocity`). ``last_box`` is the
+    lost. ``kf`` holds the filter beliefs as one stack (see
+    :class:`kalman.KalmanState`), rows on its second axis.
+    ``vel_ring``/``vel_count`` are the velocity rings (see
+    :func:`kalman.record_velocity`). ``last_box`` is the
     box the track reports, as [left, top, width, height]; a lost track's
     ``last_box`` is where it was lost, since only a match writes it again.
     """
@@ -101,8 +103,7 @@ class TrackTable:
     hits: np.ndarray
     lm_count: np.ndarray
     predicts_since_match: np.ndarray
-    mean: np.ndarray
-    cov: np.ndarray
+    kf: kalman.KalmanState
     vel_ring: np.ndarray
     vel_count: np.ndarray
     last_box: np.ndarray
@@ -118,8 +119,7 @@ class TrackTable:
             hits=np.zeros(*ints),
             lm_count=np.zeros(*ints),
             predicts_since_match=np.zeros(*ints),
-            mean=np.zeros((n, kalman.STATE_DIM)),
-            cov=np.zeros((n, 3, kalman.MEAS_DIM)),
+            kf=kalman.KalmanState(np.zeros((5, n, kalman.MEAS_DIM))),
             vel_ring=np.zeros((n, vel_len, kalman.MEAS_DIM)),
             vel_count=np.zeros(*ints),
             last_box=np.zeros((n, 4)),
@@ -131,25 +131,21 @@ class TrackTable:
 
     def extend(self, other: "TrackTable") -> None:
         for f in fields(self):
-            setattr(self, f.name, np.concatenate([getattr(self, f.name), getattr(other, f.name)]))
+            if f.name == "kf":
+                self.kf = kalman.KalmanState(np.concatenate([self.kf.parts, other.kf.parts], axis=1))
+            else:
+                setattr(self, f.name, np.concatenate([getattr(self, f.name), getattr(other, f.name)]))
 
     def keep(self, mask: np.ndarray) -> None:
         for f in fields(self):
             setattr(self, f.name, getattr(self, f.name)[mask])
-
-    def state(self, rows) -> kalman.KalmanState:
-        return kalman.KalmanState(mean=self.mean[rows], blocks=self.cov[rows])
-
-    def set_state(self, rows, state: kalman.KalmanState) -> None:
-        self.mean[rows] = state.mean
-        self.cov[rows] = state.blocks
 
     def view(self, row: int) -> TrackView:
         lm_count, missed = int(self.lm_count[row]), int(self.predicts_since_match[row])
         return TrackView(
             track_id=int(self.ids[row]),
             status=TrackStatus(int(self.status[row])),
-            kf=kalman.KalmanState(self.mean[row].copy(), self.cov[row].copy()),
+            kf=kalman.KalmanState(self.kf.parts[:, row].copy()),
             hits=int(self.hits[row]),
             lm_count=lm_count,
             lost_count=missed - lm_count,
@@ -166,7 +162,7 @@ def new_track(table: TrackTable, ids, boxes: np.ndarray, confs, cfg: TrackerConf
     new.ids[:] = ids
     new.status[:] = TRACKED if cfg.min_hits <= 1 else TENTATIVE
     new.hits[:] = 1
-    new.set_state(slice(None), kalman.initiate(ltwh_to_measurement(boxes), model))
+    new.kf = kalman.initiate(ltwh_to_measurement(boxes), model)
     new.last_box[:] = boxes
     new.confidence[:] = confs
     table.extend(new)
@@ -187,27 +183,28 @@ def on_matched(
     that was lost, in row order.
     """
     status = table.status[rows]
-    post = kalman.update(table.state(rows), ltwh_to_measurement(det_boxes), model)
-    table.set_state(rows, post)
-    kalman.record_velocity(table.vel_ring, table.vel_count, rows, post.mean)
-    if cfg.enable_mesh:
+    post = kalman.update(table.kf, ltwh_to_measurement(det_boxes), model, rows=rows)
+    kalman.record_velocity(table.vel_ring, table.vel_count, rows, post.parts[1])
+    refound = status == LOST
+    if cfg.enable_mesh and refound.any():
         # Refinds decrement at the refound location; a track lost in one cell
         # and refound in another leaves both counts shifted, which is allowed.
-        for point in _points(*_bottom_middle(det_boxes[status == LOST])):
+        for point in _points(*_bottom_middle(det_boxes[refound])):
             grid.record_refound(point)
-    tentative = status == TENTATIVE
-    hits = table.hits[rows] + tentative
-    table.hits[rows] = hits
-    table.status[rows] = np.where(tentative & (hits < cfg.min_hits), TENTATIVE, TRACKED)
+    table.status[rows] = TRACKED
+    tentative = rows[status == TENTATIVE]
+    if len(tentative):
+        table.hits[tentative] += 1
+        table.status[tentative[table.hits[tentative] < cfg.min_hits]] = TENTATIVE
     table.lm_count[rows] = 0
     table.predicts_since_match[rows] = 0
     table.confidence[rows] = det_confs
-    table.last_box[rows] = state_box(post.mean)
+    table.last_box[rows] = state_box(post.parts[0])
 
 
 def lost_maintain_step(table: TrackTable, rows: np.ndarray, boxes: np.ndarray,
                        cfg: TrackerConfig, model: kalman.MotionModel) -> None:
-    """Feed each maintained row its own projected prediction as a weak pseudo-observation.
+    """Feed each maintained row its own predicted slots as a weak pseudo-observation.
 
     The zero innovation keeps the mean on its constant-velocity course while
     the inflated-noise update keeps the covariance from ballooning, so the
@@ -215,8 +212,7 @@ def lost_maintain_step(table: TrackTable, rows: np.ndarray, boxes: np.ndarray,
     so the rows report ``boxes``, their predicted [left, top, width, height]
     boxes.
     """
-    prior = table.state(rows)
-    table.set_state(rows, kalman.update(prior, prior.projected(), model, noise_scale=_LM_NOISE_SCALE))
+    kalman.update(table.kf, table.kf.parts[0, rows], model, noise_scale=_LM_NOISE_SCALE, rows=rows)
     table.last_box[rows] = boxes
 
 
@@ -231,27 +227,27 @@ def on_missed(
     """Advance the lifecycle of live rows that got no detection this frame.
 
     ``boxes`` are the rows' predicted [left, top, width, height] boxes (the
-    :func:`state_box` of their means). The frequent-loss cells are read from
-    ``grid.state``. The cell lookups work whether or not the mesh feature is
-    on; loss events reach ``grid`` only when it is, one per row entering the
-    lost pool, in row order. A lost row's removal age is reduced when the
-    cell of its ``last_box``, where it was lost, is frequent.
+    :func:`state_box` of their slots). The frequent-loss cells are read from
+    ``grid.state``, whether or not the mesh feature is on; while no cell is
+    frequent, or no row could use one, no cell is looked up. Loss events reach ``grid`` only when the
+    feature is on, one per row entering the lost pool, in row order. A lost
+    row's removal age is reduced when the cell of its ``last_box``, where it
+    was lost, is frequent.
     """
     frequent = grid.state
+    any_frequent = frequent.any()
     table.predicts_since_match[rows] += 1
     status = table.status[rows]
     tentative = status == TENTATIVE
-    table.status[rows[tentative]] = REMOVED
-    rows, status, boxes = rows[~tentative], status[~tentative], boxes[~tentative]
+    if tentative.any():
+        table.status[rows[tentative]] = REMOVED
+        rows, status, boxes = rows[~tentative], status[~tentative], boxes[~tentative]
 
     maintain = np.zeros(len(rows), dtype=bool)
     if cfg.enable_lost_maintain:
-        cell = grid.cells_of(*_bottom_middle(boxes))
-        maintain = (
-            (status != LOST)
-            & (table.lm_count[rows] < cfg.lost_maintain_frames)
-            & ~frequent[cell]
-        )
+        maintain = (status != LOST) & (table.lm_count[rows] < cfg.lost_maintain_frames)
+        if any_frequent and maintain.any():
+            maintain &= ~frequent[grid.cells_of(*_bottom_middle(boxes))]
     kept = rows[maintain]
     if len(kept):
         table.status[kept] = LOST_MAINTAINED
@@ -267,18 +263,17 @@ def on_missed(
             for point in _points(*_bottom_middle(table.last_box[entering])):
                 grid.record_lost(point)
         if cfg.enable_velocity_rollback:
-            rolled = kalman.rollback_velocity(table.state(entering), table.vel_ring, table.vel_count, entering)
-            table.mean[entering] = rolled.mean
+            kalman.rollback_velocity(table.kf, table.vel_ring, table.vel_count, entering)
         table.status[entering] = LOST
 
     # A lost row is never maintained again before a match, so its maintained
     # frames all come first.
     lost_count = table.predicts_since_match[lost] - table.lm_count[lost]
-    effective_age = np.full(len(lost), cfg.max_age)
-    if cfg.enable_location_ages:
+    age = cfg.max_age
+    if cfg.enable_location_ages and any_frequent and len(lost):
         reduced = frequent[grid.cells_of(*_bottom_middle(table.last_box[lost]))]
-        effective_age[reduced] -= cfg.location_age_reduction
-    table.status[lost[lost_count >= effective_age]] = REMOVED
+        age = np.where(reduced, cfg.max_age - cfg.location_age_reduction, cfg.max_age)
+    table.status[lost[lost_count >= age]] = REMOVED
 
 
 def infer_occlusion(boxes: np.ndarray, status: np.ndarray, occlusion_iou: float) -> np.ndarray:

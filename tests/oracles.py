@@ -19,16 +19,18 @@ library. ``NormalStream`` and ``stream_draws`` are the sequential stream
 sampler and draw loop the keyed draws replaced, kept to show what they lost.
 The reference Kalman filter is the general dense 8×8 filter the per-slot
 block filter replaced; it shares the motion model's noise variances and the
-height clamp with the library. The reference MOT readers and writers
-are the per-line ones the whole-file readers and writers replaced, kept as
+height clamp with the library. ``from_dense`` builds the library's beliefs
+from a dense covariance, rejecting one that is not four 2×2 blocks. The
+reference MOT readers and writers are the per-line ones the whole-file readers and writers replaced, kept as
 they were but for the whole-number check, which reads each token exactly
 as a ``Decimal``; they share ``ParseError``, ``MAX_COORD`` and the public frame and
 box types with the library. The reference cascade is the list-based
 assignment and two-stage cascade the index-array ones replaced, kept as they
 were; it shares the cost matrices and the solver with the library. The
 reference velocity ring is the ``VelocityBuffer`` class and its rollback that
-the two ring functions of ``meshsort.kalman`` replaced, kept as they were; it
-shares ``KalmanState`` and the state layout with the library.
+the two ring functions of ``meshsort.kalman`` replaced, kept as they were
+but for taking ``(n, 8)`` means where they took beliefs; it shares the mean
+layout with the library. ``make_frame`` builds a frame from (box, score) pairs.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from scipy.optimize import linear_sum_assignment
 
 from meshsort.association import biou_cost, iou_cost
 from meshsort.geometry import MAX_COORD, BoundingBox, boxes_to_ltrb, iou_matrix
-from meshsort.kalman import MEAS_DIM, STATE_DIM, KalmanState, _measurement_height
+from meshsort.kalman import MEAS_DIM, STATE_DIM, KalmanState, _measurement_height, _RATES, _SLOTS
 from meshsort.metrics import (
     HOTA_ALPHAS,
     HotaBreakdown,
@@ -1135,15 +1137,15 @@ class ReferenceVelocityBuffer:
         """Held velocities of a one-belief buffer, oldest first."""
         return list(self._oldest_first()[0, : len(self)].copy())
 
-    def record(self, state: KalmanState, rows=None) -> None:
-        """Store each belief's current velocity in the ring of its row.
+    def record(self, mean: np.ndarray, rows=None) -> None:
+        """Store the velocity of each ``(..., 8)`` mean in the ring of its row.
 
-        ``state`` holds one belief per entry of ``rows`` (all rows when
+        ``mean`` holds one belief per entry of ``rows`` (all rows when
         None); a full ring evicts its oldest entry.
         """
         if rows is None:
             rows = np.arange(len(self.count))
-        velocity = state.mean.reshape(-1, STATE_DIM)[:, MEAS_DIM:]
+        velocity = mean.reshape(-1, STATE_DIM)[:, MEAS_DIM:]
         self.ring[rows, self.count[rows] % self.capacity] = velocity
         self.count[rows] += 1
 
@@ -1152,20 +1154,40 @@ class ReferenceVelocityBuffer:
         return self._oldest_first()[:, 0], self.count > 0
 
 
-def reference_rollback_velocity(state: KalmanState,
-                                buffer: ReferenceVelocityBuffer) -> tuple[KalmanState, np.ndarray]:
-    """Replace each mean's velocity components with its oldest buffered entry.
+def reference_rollback_velocity(mean: np.ndarray,
+                                buffer: ReferenceVelocityBuffer) -> tuple[np.ndarray, np.ndarray]:
+    """Replace each ``(..., 8)`` mean's velocity components with its oldest buffered entry.
 
-    ``buffer`` holds one ring per belief of ``state``. Returns the new state
-    plus, per belief, whether any history was available; a belief with an
-    empty ring keeps its velocity, and a stack without any history is
-    returned as is.
+    ``buffer`` holds one ring per mean. Returns the new means plus, per
+    mean, whether any history was available; a mean with an empty ring
+    keeps its velocity, and means without any history are returned as
+    they are.
     """
     recalled, held = buffer.recall()
-    flags = held.reshape(state.mean.shape[:-1])
+    flags = held.reshape(mean.shape[:-1])
     if not held.any():
-        return state, flags
-    mean = state.mean.copy()
+        return mean, flags
+    mean = mean.copy()
     velocity = mean.reshape(-1, STATE_DIM)[:, MEAS_DIM:]
     velocity[held] = recalled[held]
-    return KalmanState(mean=mean, blocks=state.blocks), flags
+    return mean, flags
+
+
+def from_dense(mean, covariance) -> KalmanState:
+    """Beliefs from ``(..., 8)`` means and ``(..., 8, 8)`` covariances, which must be
+    four symmetric 2×2 ``[slot, rate]`` blocks with zeros everywhere else."""
+    mean = np.asarray(mean, dtype=np.float64)
+    covariance = np.asarray(covariance, dtype=np.float64)
+    state = KalmanState(np.stack([mean[..., _SLOTS], mean[..., _RATES],
+                                  covariance[..., _SLOTS, _SLOTS],
+                                  covariance[..., _SLOTS, _RATES],
+                                  covariance[..., _RATES, _RATES]]))
+    if not np.array_equal(state.covariance, covariance):
+        raise ValueError("covariance is not four symmetric 2x2 [slot, rate] blocks")
+    return state
+
+
+def make_frame(index: int, dets: Sequence[tuple[BoundingBox, float]]) -> FrameDetections:
+    return FrameDetections(
+        index=index, detections=tuple(Detection(b, s) for b, s in dets)
+    )

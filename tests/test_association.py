@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from meshsort import association
 from meshsort.association import assign, biou_cost, iou_cost, two_stage_associate
@@ -109,6 +110,27 @@ class TestAssign:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             assign(np.array([[np.inf]]), gate=0.5)
+
+    @pytest.mark.parametrize("cost, solves, expected", [
+        # Each row and each column holds at most one entry within the gate.
+        ([[0.1, 0.9, 0.95], [0.9, 0.9, 0.3], [0.85, 0.9, 0.9]], 0, [(0, 0), (1, 2)]),
+        ([[0.9, 0.2], [0.9, 0.9]], 0, [(0, 1)]),
+        # Row 0 holds two admissible entries, so the solver runs.
+        ([[0.1, 0.2], [0.9, 0.3]], 1, [(0, 0), (1, 1)]),
+        # Column 0 holds two.
+        ([[0.2, 0.9], [0.1, 0.9]], 1, [(1, 0)]),
+    ])
+    def test_solver_runs_only_on_contested_entries(self, monkeypatch, cost, solves, expected):
+        calls = []
+
+        def counting(masked):
+            calls.append(masked.shape)
+            return linear_sum_assignment(masked)
+
+        monkeypatch.setattr(association, "linear_sum_assignment", counting)
+        res = assign(np.array(cost), gate=0.8)
+        assert pairs(res.matches) == expected
+        assert len(calls) == solves
 
 
 class TestTwoStage:

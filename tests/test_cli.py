@@ -609,6 +609,25 @@ class TestDegenerateBoxes:
         assert not res.exists()
 
 
+@pytest.mark.parametrize("size", [
+    "0.02,0.02",    # an area below the old 1e-3 floor
+    "0.01,100.00",  # an aspect ratio of 1e-4, below the same floor
+])
+def test_track_keeps_the_size_of_small_and_thin_boxes(tmp_path, capsys, size):
+    # Sizes the readers accept reach the output as they are; a floor on the
+    # filter's area and aspect once grew the first box to 0.03 px and lost
+    # the second altogether.
+    dets, gt, res = tmp_path / "dets.txt", tmp_path / "gt.txt", tmp_path / "res.txt"
+    dets.write_text("".join(f"{f},-1,100.00,100.00,{size},0.90,-1,-1,-1\n" for f in range(1, 7)))
+    gt.write_text("".join(f"{f},1,100.00,100.00,{size},1,1,1.0\n" for f in range(1, 7)))
+    assert main(["track", "--dets", str(dets), "--out", str(res)]) == 0
+    # min_hits is 3, so the track is first shown at frame 3.
+    assert res.read_text().splitlines() == [f"{f},1,100.00,100.00,{size},0.90,-1,-1,-1" for f in range(3, 7)]
+    capsys.readouterr()
+    assert main(["eval", "--gt", str(gt), "--res", str(res), "--format", "kv"]) == 0
+    assert "MOTA=0.666667" in capsys.readouterr().out.split()
+
+
 _REMOVED_KEYS = ["lm_region_rule", "vel_rollback", "freeze_size_velocity",
                  "mesh_refresh_interval", "lm_noise_scale"]
 

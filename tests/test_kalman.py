@@ -3,10 +3,17 @@ import pytest
 
 from meshsort import kalman as K
 
+from oracles import from_dense
+
 
 @pytest.fixture
 def model():
     return K.MotionModel()
+
+
+def copy(state):
+    """A separate stack of the same beliefs: predict advances its argument in place."""
+    return K.KalmanState(state.parts.copy())
 
 
 def psd_check(cov, tol=1e-9):
@@ -34,14 +41,14 @@ class TestInitiate:
 
 class TestPredict:
     def test_constant_velocity_step(self, model):
-        s = K.KalmanState.from_dense(np.array([0.0, 0, 100, 1, 2, 3, 0, 0]), np.eye(8))
+        s = from_dense(np.array([0.0, 0, 100, 1, 2, 3, 0, 0]), np.eye(8))
         out = K.predict(s, model)
         np.testing.assert_allclose(out.mean[:4], [2, 3, 100, 1])
         np.testing.assert_allclose(out.mean[4:], [2, 3, 0, 0])
 
     def test_zero_velocity_covariance_grows(self, model):
         s = K.initiate([5, 5, 100, 1], model)
-        out = K.predict(s, model)
+        out = K.predict(copy(s), model)
         np.testing.assert_array_equal(out.mean, s.mean)
         assert np.trace(out.covariance) > np.trace(s.covariance)
         psd_check(out.covariance)
@@ -51,7 +58,7 @@ class TestPredict:
         mean = rng.normal(size=8) * [100, 100, 50, 0.1, 3, 3, 1, 0.01] + [
             300, 300, 900, 1, 0, 0, 0, 0,
         ]
-        s = K.KalmanState.from_dense(mean.copy(), np.eye(8))
+        s = from_dense(mean.copy(), np.eye(8))
         f_power = np.eye(8)
         for k in range(1, 9):
             s = K.predict(s, model)
@@ -98,7 +105,7 @@ class TestUpdate:
 
     def test_singular_innovation_raises(self):
         degenerate = K.MotionModel(pos_weight=0.0, vel_weight=0.0)
-        s = K.KalmanState.from_dense(np.array([5.0, 5, 100, 1, 0, 0, 0, 0]), np.zeros((8, 8)))
+        s = from_dense(np.array([5.0, 5, 100, 1, 0, 0, 0, 0]), np.zeros((8, 8)))
         # Aspect slots keep fixed noise, so zero them too via a tiny hack:
         degenerate.measurement_noise = lambda h: np.zeros(np.shape(h) + (4,))
         with pytest.raises(K.NumericsError):
@@ -143,7 +150,8 @@ class TestNoiseMagnification:
         assert clean.mean[1] == noisy.mean[1]
 
 
-# One belief's ring: a one-row ring and count, addressed as row 0.
+# One belief's ring: a one-row ring and count, addressed as row 0 of a
+# one-row stack.
 ROW = np.array([0])
 
 
@@ -153,47 +161,54 @@ def one_ring(capacity):
 
 class TestVelocityBuffer:
     def make_state(self, vel):
-        mean = np.array([0.0, 0, 100, 1, *vel])
-        return K.KalmanState.from_dense(mean, np.eye(8))
+        mean = np.array([[0.0, 0, 100, 1, *vel]])
+        return from_dense(mean, np.eye(8)[None])
+
+    def record(self, ring, count, vel):
+        K.record_velocity(ring, count, ROW, self.make_state(vel).parts[1])
 
     def test_record_and_capacity(self):
         ring, count = one_ring(3)
         for i in range(4):
-            K.record_velocity(ring, count, ROW, self.make_state([i, 0, 0, 0]).mean)
+            self.record(ring, count, [i, 0, 0, 0])
         assert count.tolist() == [4]
-        out = K.rollback_velocity(self.make_state([9, 9, 9, 9]), ring, count, ROW)
-        np.testing.assert_array_equal(out.mean[4:], [1, 0, 0, 0])  # first entry evicted
+        out = self.make_state([9, 9, 9, 9])
+        K.rollback_velocity(out, ring, count, ROW)
+        np.testing.assert_array_equal(out.mean[0, 4:], [1, 0, 0, 0])  # first entry evicted
 
     def test_entries_match_recorded_velocities(self):
         # Record k sits in slot k % L.
         ring, count = one_ring(5)
         vels = [[1, 2, 3, 4], [5, 6, 7, 8]]
         for v in vels:
-            K.record_velocity(ring, count, ROW, self.make_state(v).mean)
+            self.record(ring, count, v)
         np.testing.assert_array_equal(ring[0, :2], vels)
         assert not ring[0, 2:].any()
 
     def test_rollback_oldest(self):
         ring, count = one_ring(5)
-        K.record_velocity(ring, count, ROW, self.make_state([1, 1, 1, 1]).mean)
-        K.record_velocity(ring, count, ROW, self.make_state([9, 9, 9, 9]).mean)
+        self.record(ring, count, [1, 1, 1, 1])
+        self.record(ring, count, [9, 9, 9, 9])
         state = self.make_state([9, 9, 9, 9])
-        out = K.rollback_velocity(state, ring, count, ROW)
-        np.testing.assert_array_equal(out.mean[4:], [1, 1, 1, 1])
-        np.testing.assert_array_equal(out.mean[:4], state.mean[:4])
-        assert out.blocks is state.blocks
+        out = copy(state)
+        K.rollback_velocity(out, ring, count, ROW)
+        np.testing.assert_array_equal(out.mean[0, 4:], [1, 1, 1, 1])
+        np.testing.assert_array_equal(out.mean[0, :4], state.mean[0, :4])
+        assert out.parts[2:].tobytes() == state.parts[2:].tobytes()
 
     def test_rollback_idempotent_when_equal(self):
         ring, count = one_ring(5)
-        K.record_velocity(ring, count, ROW, self.make_state([3, 3, 3, 3]).mean)
+        self.record(ring, count, [3, 3, 3, 3])
         state = self.make_state([3, 3, 3, 3])
-        out = K.rollback_velocity(state, ring, count, ROW)
+        out = copy(state)
+        K.rollback_velocity(out, ring, count, ROW)
         np.testing.assert_array_equal(out.mean, state.mean)
 
     def test_empty_buffer_signals_no_history(self):
         # An empty ring keeps the belief's own velocity.
         state = self.make_state([1, 2, 3, 4])
-        out = K.rollback_velocity(state, *one_ring(5), ROW)
+        out = copy(state)
+        K.rollback_velocity(out, *one_ring(5), ROW)
         np.testing.assert_array_equal(out.mean, state.mean)
 
 
@@ -214,33 +229,35 @@ class TestRollbackScenario:
         s = None
         for t in range(20):
             cx, cy = 50 + vx * t, 300.0
-            z = np.array([cx, cy, width * height, width / height])
+            z = np.array([[cx, cy, width * height, width / height]])
             if s is None:
                 s = K.initiate(z, model)
             else:
                 s = K.predict(s, model)
                 s = K.update(s, z, model)
-            K.record_velocity(ring, count, ROW, s.mean)
+            K.record_velocity(ring, count, ROW, s.parts[1])
         t_last = 20
-        z = np.array([50 + vx * t_last, 300.0, width * height, width / height])
-        z[2] *= 1 + rng.normal(0, 0.4)
-        z[3] *= 1 + rng.normal(0, 0.25)
+        z = np.array([[50 + vx * t_last, 300.0, width * height, width / height]])
+        z[0, 2] *= 1 + rng.normal(0, 0.4)
+        z[0, 3] *= 1 + rng.normal(0, 0.25)
         s = K.predict(s, model)
         s = K.update(s, z, model)
-        K.record_velocity(ring, count, ROW, s.mean)
+        K.record_velocity(ring, count, ROW, s.parts[1])
 
-        rolled = K.rollback_velocity(s, ring, count, ROW)
+        rolled = copy(s)
+        K.rollback_velocity(rolled, ring, count, ROW)
         plain = s
         for _ in range(10):
             rolled = K.predict(rolled, model)
             plain = K.predict(plain, model)
         t_end = t_last + 10
         true_c = np.array([50 + vx * t_end, 300.0])
-        err_rolled = np.hypot(rolled.mean[0] - true_c[0], rolled.mean[1] - true_c[1])
-        err_plain = np.hypot(plain.mean[0] - true_c[0], plain.mean[1] - true_c[1])
+        (rolled_mean,), (plain_mean,) = rolled.mean, plain.mean
+        err_rolled = np.hypot(rolled_mean[0] - true_c[0], rolled_mean[1] - true_c[1])
+        err_plain = np.hypot(plain_mean[0] - true_c[0], plain_mean[1] - true_c[1])
         true_area = width * height
-        size_rolled = abs(rolled.mean[2] - true_area)
-        size_plain = abs(plain.mean[2] - true_area)
+        size_rolled = abs(rolled_mean[2] - true_area)
+        size_plain = abs(plain_mean[2] - true_area)
         return err_rolled, err_plain, size_rolled, size_plain
 
     def test_static_target_center_unharmed_size_restored(self):

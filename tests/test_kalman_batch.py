@@ -1,8 +1,9 @@
 """The block filter on a stack of beliefs against the dense 8×8 filter and against itself.
 
-Every filter step is elementwise arithmetic on the covariance blocks, so a
-stacked row must equal its N = 1 call bit for bit, and the block filter must
-equal the general dense filter in ``oracles`` bit for bit on any
+Every filter step is elementwise arithmetic on the parts of the beliefs, so
+a stacked row must equal its N = 1 call bit for bit, a tracker table's
+in-place steps must equal the same steps on a separate stack, and the block
+filter must equal the general dense filter in ``oracles`` bit for bit on any
 block-structured input.
 """
 
@@ -12,9 +13,11 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from meshsort import kalman as K
+from meshsort.tracks import TrackTable
 
 from oracles import (
     ReferenceVelocityBuffer,
+    from_dense,
     reference_kalman_gain,
     reference_kalman_predict,
     reference_kalman_update,
@@ -22,13 +25,24 @@ from oracles import (
 )
 
 MODEL = K.MotionModel()
-EYE_BLOCKS = K.KalmanState.from_dense(np.zeros(8), np.eye(8)).blocks
+# The variance parts, (3, 4), of an identity covariance.
+EYE_BLOCKS = from_dense(np.zeros(8), np.eye(8)).parts[2:]
 
 # The entries of an 8×8 covariance that belong to a [slot, rate] block.
 _SLOT = np.arange(8) % 4
 IN_BLOCKS = _SLOT[:, None] == _SLOT[None, :]
 
 unit = st.floats(-1.0, 1.0)
+
+
+def state_of(mean, blocks):
+    """Beliefs from ``(n, 8)`` means and ``(3, n, 4)`` variance parts."""
+    return K.KalmanState(np.concatenate([mean[None, :, :4], mean[None, :, 4:], blocks]))
+
+
+def copy(state):
+    """A separate stack of the same beliefs: predict advances its argument in place."""
+    return K.KalmanState(state.parts.copy())
 
 
 def _means(draw, n):
@@ -49,8 +63,8 @@ def stacks(draw):
     a, b, c, d = np.moveaxis(draw(arrays(np.float64, (n, 4, 4), elements=unit)), -1, 0)
     blocks = np.stack([(a * a + b * b) * 10.0 + 1.0,
                        (a * c + b * d) * 10.0,
-                       (c * c + d * d) * 10.0 + 1.0], axis=1)
-    return K.KalmanState(mean, blocks), _measurements(draw, mean)
+                       (c * c + d * d) * 10.0 + 1.0])
+    return state_of(mean, blocks), _measurements(draw, mean)
 
 
 def _assert_state_equal(state, mean, cov):
@@ -63,7 +77,7 @@ def _assert_state_equal(state, mean, cov):
 def test_block_filter_equals_dense_oracle(stack, noise_scale):
     state, z = stack
     dense = state.covariance
-    predicted = K.predict(state, MODEL)
+    predicted = K.predict(copy(state), MODEL)
     _assert_state_equal(predicted, *reference_kalman_predict(state.mean, dense, MODEL))
     for prior in (state, predicted):
         cov = prior.covariance
@@ -77,14 +91,14 @@ def test_block_filter_equals_dense_oracle(stack, noise_scale):
 @given(stack=stacks(), noise_scale=st.sampled_from([1.0, 10.0]))
 def test_stack_equals_rows(stack, noise_scale):
     state, z = stack
-    predicted = K.predict(state, MODEL)
+    predicted = K.predict(copy(state), MODEL)
     updated = K.update(state, z, MODEL, noise_scale=noise_scale)
     gains = K.gain_matrix(state, MODEL, noise_scale)
     assert predicted.mean.shape == state.mean.shape
-    assert updated.blocks.shape == state.blocks.shape
+    assert updated.parts.shape == state.parts.shape
     for i in range(len(z)):
-        row = K.KalmanState(state.mean[i], state.blocks[i])
-        one = K.predict(row, MODEL)
+        row = K.KalmanState(state.parts[:, i].copy())
+        one = K.predict(copy(row), MODEL)
         _assert_state_equal(one, predicted.mean[i], predicted.covariance[i])
         one = K.update(row, z[i], MODEL, noise_scale=noise_scale)
         _assert_state_equal(one, updated.mean[i], updated.covariance[i])
@@ -120,14 +134,14 @@ def test_any_step_sequence_keeps_symmetric_blocks(data, n, ops):
             state = K.predict(state, MODEL)
             dense = reference_kalman_predict(*dense, MODEL)
         elif op == "rollback":
-            state = K.rollback_velocity(state, ring, count, rows)
+            K.rollback_velocity(state, ring, count, rows)
             dense = (state.mean, dense[1])
         else:
-            z = _measurements(data.draw, state.mean) if op == "update" else state.projected()
+            z = _measurements(data.draw, state.mean) if op == "update" else state.parts[0]
             scale = 1.0 if op == "update" else 10.0
             state = K.update(state, z, MODEL, noise_scale=scale)
             dense = reference_kalman_update(*dense, z, MODEL, scale)
-        K.record_velocity(ring, count, rows, state.mean)
+        K.record_velocity(ring, count, rows, state.parts[1])
         cov = state.covariance
         assert np.array_equal(cov, np.swapaxes(cov, -1, -2))
         assert not cov[:, ~IN_BLOCKS].any()
@@ -138,11 +152,11 @@ def test_dense_input_outside_the_blocks_rejected():
     cov = np.eye(8)
     cov[0, 1] = cov[1, 0] = 0.5
     with pytest.raises(ValueError, match="blocks"):
-        K.KalmanState.from_dense(np.zeros(8), cov)
+        from_dense(np.zeros(8), cov)
     cov = np.eye(8)
     cov[0, 4] = 0.5
     with pytest.raises(ValueError, match="blocks"):
-        K.KalmanState.from_dense(np.zeros(8), cov)
+        from_dense(np.zeros(8), cov)
 
 
 def test_one_singular_row_raises():
@@ -150,9 +164,9 @@ def test_one_singular_row_raises():
     # covariance singular; the healthy rows do not hide it.
     model = K.MotionModel(pos_weight=0.0, vel_weight=0.0)
     mean = np.tile([5.0, 5, 100, 1, 0, 0, 0, 0], (3, 1))
-    blocks = np.stack([EYE_BLOCKS, np.zeros((3, 4)), EYE_BLOCKS])
+    blocks = np.stack([EYE_BLOCKS, np.zeros((3, 4)), EYE_BLOCKS], axis=1)
     with pytest.raises(K.NumericsError):
-        K.update(K.KalmanState(mean, blocks), mean[:, :4], model)
+        K.update(state_of(mean, blocks), mean[:, :4], model)
 
 
 @settings(max_examples=40, deadline=None)
@@ -167,16 +181,18 @@ def test_stacked_rings_equal_single_rings(records, capacity):
     singles = [(np.zeros((1, capacity, 4)), np.zeros(1, dtype=np.int64)) for _ in range(3)]
     one = np.array([0])
     for k, row in enumerate(records):
-        mean = np.r_[np.zeros(4), np.arange(4) + 10.0 * k + row]
-        K.record_velocity(stack, stack_count, np.array([row]), mean[None])
-        K.record_velocity(*singles[row], one, mean)
-    state = K.KalmanState(np.tile(np.r_[1.0, 2, 3, 4, 9, 9, 9, 9], (3, 1)), np.tile(EYE_BLOCKS, (3, 1, 1)))
-    rolled = K.rollback_velocity(state, stack, stack_count, np.arange(3))
+        velocity = np.arange(4) + 10.0 * k + row
+        K.record_velocity(stack, stack_count, np.array([row]), velocity[None])
+        K.record_velocity(*singles[row], one, velocity)
+    state = state_of(np.tile(np.r_[1.0, 2, 3, 4, 9, 9, 9, 9], (3, 1)), np.tile(EYE_BLOCKS[:, None], (1, 3, 1)))
+    rolled = copy(state)
+    K.rollback_velocity(rolled, stack, stack_count, np.arange(3))
     for row, (ring, count) in enumerate(singles):
-        single = K.rollback_velocity(K.KalmanState(state.mean[row], state.blocks[row]), ring, count, one)
-        np.testing.assert_array_equal(rolled.mean[row], single.mean)
+        single = state[[row]]
+        K.rollback_velocity(single, ring, count, one)
+        np.testing.assert_array_equal(rolled.mean[row], single.mean[0])
         if row not in records:
-            np.testing.assert_array_equal(single.mean, state.mean[row])
+            np.testing.assert_array_equal(single.mean[0], state.mean[row])
 
 
 @settings(max_examples=150, deadline=None)
@@ -195,22 +211,49 @@ def test_ring_functions_equal_the_reference_buffer(capacity, n, ops):
     # never recorded shows whether it kept it.
     mean = np.zeros((n, 8))
     mean[:, 4:] = 100.0 + np.arange(4 * n).reshape(n, 4)
-    blocks = np.tile(EYE_BLOCKS, (n, 1, 1))
+    blocks = np.tile(EYE_BLOCKS[:, None], (1, n, 1))
     ring, count = np.zeros((n, capacity, 4)), np.zeros(n, dtype=np.int64)
     reference = ReferenceVelocityBuffer(ring=np.zeros((n, capacity, 4)), count=np.zeros(n, dtype=np.int64))
     for is_record, subset, velocity in ops:
         rows = np.array([r for r in subset if r < n], dtype=np.int64)
         if is_record:
             mean[rows, 4:] = velocity + np.arange(len(rows))[:, None] + np.arange(4) / 8.0
-            K.record_velocity(ring, count, rows, mean[rows])
-            reference.record(K.KalmanState(mean[rows], blocks[rows]), rows)
+            K.record_velocity(ring, count, rows, mean[rows, 4:])
+            reference.record(mean[rows], rows)
         else:
-            state = K.KalmanState(mean[rows], blocks[rows])
-            rolled = K.rollback_velocity(state, ring, count, rows)
-            expected, _ = reference_rollback_velocity(state, reference[rows])
-            assert rolled.mean.tobytes() == expected.mean.tobytes()
+            rolled = state_of(mean, blocks)
+            K.rollback_velocity(rolled, ring, count, rows)
+            expected, _ = reference_rollback_velocity(mean[rows], reference[rows])
+            assert rolled.mean[rows].tobytes() == expected.tobytes()
             for i, row in enumerate(rows):
-                single = K.rollback_velocity(K.KalmanState(mean[row], blocks[row]), ring, count, rows[i:i + 1])
-                assert single.mean.tobytes() == expected.mean[i].tobytes()
-            mean[rows] = rolled.mean
+                single = state_of(mean, blocks)
+                K.rollback_velocity(single, ring, count, rows[i:i + 1])
+                assert single.mean[row].tobytes() == expected[i].tobytes()
+            mean[rows] = rolled.mean[rows]
     np.testing.assert_array_equal(count, reference.count)
+
+
+@settings(max_examples=60, deadline=None)
+@given(stack=stacks(), data=st.data(), noise_scale=st.sampled_from([1.0, 10.0]))
+def test_table_steps_equal_steps_on_a_separate_stack(stack, data, noise_scale):
+    # A tracker predicts its whole table in place and updates row subsets of
+    # it; each must equal predict and update on the same beliefs held apart.
+    state, z = stack
+    n = len(z)
+    table = TrackTable.blank(n, 1)
+    table.kf = copy(state)
+    K.predict(table.kf, MODEL)
+    predicted = K.predict(copy(state), MODEL)
+    assert table.kf.parts.tobytes() == predicted.parts.tobytes()
+    for i in range(n):
+        alone = K.predict(K.KalmanState(state.parts[:, i].copy()), MODEL)
+        assert table.kf.parts[:, i].tobytes() == alone.parts.tobytes()
+
+    rows = np.array(sorted(data.draw(st.sets(st.integers(0, max(n - 1, 0)), max_size=n))), dtype=np.intp)
+    before = table.kf.parts.copy()
+    post = K.update(table.kf, z[rows], MODEL, noise_scale=noise_scale, rows=rows)
+    apart = K.update(K.KalmanState(before[:, rows]), z[rows], MODEL, noise_scale=noise_scale)
+    assert post.parts.tobytes() == apart.parts.tobytes()
+    assert table.kf.parts[:, rows].tobytes() == apart.parts.tobytes()
+    others = np.setdiff1d(np.arange(n), rows)
+    assert table.kf.parts[:, others].tobytes() == before[:, others].tobytes()

@@ -16,11 +16,10 @@ from meshsort.pipeline import (
     FrameDetections,
     SequencingError,
     Tracker,
-    make_frame,
     run,
 )
 
-from oracles import recount_mesh_events
+from oracles import make_frame, recount_mesh_events
 
 
 def cfg(**kw):
@@ -343,6 +342,23 @@ def test_power_of_two_scaling_keeps_ids_and_scales_boxes_exactly(key, k):
         assert [r.box.as_ltwh() for r in got.records] == [
             tuple(v * f for v in r.box.as_ltwh()) for r in want.records
         ]
+
+
+@pytest.mark.parametrize("k", [-12, -16, -20])
+def test_power_of_two_scaling_holds_far_below_a_pixel(k):
+    # Boxes of 2^-12 px and less: no floor on the filter's area, aspect or
+    # height may move them, on any of the scenes.
+    f = 2.0 ** k
+    for key in _METAMORPHIC_SCENES:
+        scene, frames, base = _scene_run(*key)
+        scaled = [
+            FrameDetections(fd.index, Detections(fd.detections.boxes * f, fd.detections.scores))
+            for fd in frames
+        ]
+        out = _virtual_run(scene, scaled, f)
+        assert [fo.records.ids.tolist() for fo in out] == [fo.records.ids.tolist() for fo in base], key
+        assert [fo.records.scores.tolist() for fo in out] == [fo.records.scores.tolist() for fo in base], key
+        assert [fo.records.boxes.tolist() for fo in out] == [(fo.records.boxes * f).tolist() for fo in base], key
 
 
 def _trajectories(outputs):

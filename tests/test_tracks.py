@@ -63,19 +63,27 @@ def miss(t, c, model, g, frequent):
     g.state = np.zeros((g.cols, g.rows), dtype=bool)
     for cell in frequent:
         g.state[cell] = True
-    on_missed(t, ROW, state_box(t.mean), c, model, g)
+    on_missed(t, ROW, state_box(t.kf.parts[0]), c, model, g)
 
 
 def predict(t, model):
-    t.set_state(ROW, K.predict(t.state(ROW), model))
+    K.predict(t.kf, model)
 
 
 def set_velocity(t, v):
-    t.mean[0, 4:] = v
+    t.kf.parts[1, 0] = v
 
 
 def predicted_box(t):
-    return BoundingBox(*state_box(t.mean)[0])
+    return BoundingBox(*state_box(t.kf.parts[0])[0])
+
+
+def test_state_box_of_negative_size_slots_keeps_a_positive_size():
+    # Coasting can drive the area and aspect slots below 0; the box read from
+    # them must keep a positive width and height, or an IoU would be 0 / 0.
+    pos = np.array([[100.0, 50.0, -4.0, -0.5], [100.0, 50.0, -4.0, 0.5], [100.0, 50.0, 400.0, -0.5]])
+    sizes = state_box(pos)[:, 2:]
+    assert (sizes > 0).all() and np.isfinite(sizes).all()
 
 
 class TestOnMatched:
@@ -232,7 +240,7 @@ class TestOnMissed:
         t, model = make_tracked(c)
         # Seed the buffer with a distinctive old velocity, then change it.
         set_velocity(t, [7.0, 0, 0, 0])
-        K.record_velocity(t.vel_ring, t.vel_count, ROW, t.mean[ROW])
+        K.record_velocity(t.vel_ring, t.vel_count, ROW, t.kf.parts[1, ROW])
         set_velocity(t, [99.0, 0, 0, 0])
         miss(t, c, model, grid(), frozenset())
         assert t.view(0).kf.mean[4] == 7.0
@@ -241,7 +249,7 @@ class TestOnMissed:
         c = cfg(lost_maintain_frames=0, enable_lost_maintain=False,
                 enable_velocity_rollback=False)
         t, model = make_tracked(c)
-        K.record_velocity(t.vel_ring, t.vel_count, ROW, t.mean[ROW])
+        K.record_velocity(t.vel_ring, t.vel_count, ROW, t.kf.parts[1, ROW])
         set_velocity(t, [99.0, 0, 0, 0])
         miss(t, c, model, grid(), frozenset())
         assert t.view(0).kf.mean[4] == 99.0
@@ -311,7 +319,7 @@ def occluded(rows, occlusion_iou):
     new_track(t, [tid for _, _, tid in rows], ltwh(*[b for _, b, _ in rows]),
               [0.9] * len(rows), c, K.MotionModel())
     t.status[:] = [status for status, _, _ in rows]
-    flagged = infer_occlusion(ltwh_to_ltrb(state_box(t.mean)), t.status, occlusion_iou)
+    flagged = infer_occlusion(ltwh_to_ltrb(state_box(t.kf.parts[0])), t.status, occlusion_iou)
     return set(t.ids[flagged].tolist())
 
 
