@@ -1,7 +1,7 @@
 """Location-aware multi-object tracking: tracker, metrics, and scene tools."""
 
 from .config import TrackerConfig
-from .geometry import BoundingBox, Point2, bottom_middle, iou
+from .geometry import BoundingBox, Point2, iou
 from .mesh import LossThreshold, MeshGrid
 from .metrics import MetricsReport, evaluate
 from .pipeline import Detection, FrameDetections, FrameOutput, SequencingError, Tracker, run
@@ -23,7 +23,6 @@ __all__ = [
     "SequencingError",
     "Tracker",
     "TrackerConfig",
-    "bottom_middle",
     "evaluate",
     "generate",
     "iou",

@@ -5,6 +5,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
+# Keeps a grid's counts and flags (9 bytes a cell) under 10 MB.
+MAX_MESH_CELLS = 1_000_000
+
 
 @dataclass
 class TrackerConfig:
@@ -69,6 +72,8 @@ class TrackerConfig:
                 raise ValueError(f"{name} must be finite and > 0")
         if self.mesh_cols < 1 or self.mesh_rows < 1:
             raise ValueError("mesh must have at least one cell per axis")
+        if int(self.mesh_cols) * int(self.mesh_rows) > MAX_MESH_CELLS:
+            raise ValueError(f"mesh_cols * mesh_rows must be at most {MAX_MESH_CELLS:,} cells")
         if not self.conf_low < self.conf_high:
             raise ValueError("conf_low must be below conf_high")
         if not 1 <= self.vel_buffer_len <= 30:

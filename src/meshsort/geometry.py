@@ -88,11 +88,6 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
     return min(inter / (a.area + b.area - inter), 1.0)
 
 
-def bottom_middle(b: BoundingBox) -> Point2:
-    """Bottom-center point of a box, the anchor used for grid cell lookups."""
-    return Point2(b.left + b.width / 2.0, b.top + b.height)
-
-
 def ltwh_to_measurement(boxes: np.ndarray) -> np.ndarray:
     """(..., 4) [left, top, width, height] rows to [center_x, center_y, area, aspect] rows."""
     w, h = boxes[..., 2], boxes[..., 3]

@@ -30,7 +30,8 @@ were; it shares the cost matrices and the solver with the library. The
 reference velocity ring is the ``VelocityBuffer`` class and its rollback that
 the two ring functions of ``meshsort.kalman`` replaced, kept as they were
 but for taking ``(n, 8)`` means where they took beliefs; it shares the mean
-layout with the library. ``make_frame`` builds a frame from (box, score) pairs.
+layout with the library. ``make_frame`` builds a frame from (box, score) pairs,
+and ``bottom_middle`` is the scalar form of the tracker's grid anchor.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from meshsort.association import biou_cost, iou_cost
-from meshsort.geometry import MAX_COORD, BoundingBox, boxes_to_ltrb, iou_matrix
+from meshsort.geometry import MAX_COORD, BoundingBox, Point2, boxes_to_ltrb, iou_matrix
 from meshsort.kalman import MEAS_DIM, STATE_DIM, KalmanState, _measurement_height, _RATES, _SLOTS
 from meshsort.metrics import (
     HOTA_ALPHAS,
@@ -1191,3 +1192,8 @@ def make_frame(index: int, dets: Sequence[tuple[BoundingBox, float]]) -> FrameDe
     return FrameDetections(
         index=index, detections=tuple(Detection(b, s) for b, s in dets)
     )
+
+
+def bottom_middle(b: BoundingBox) -> Point2:
+    """Bottom-center point of a box, the anchor used for grid cell lookups."""
+    return Point2(b.left + b.width / 2.0, b.top + b.height)

@@ -336,6 +336,8 @@ class TestErrors:
         ("conf_high = inf", "conf_high must lie in [0, 1]"),
         ("frame_width = inf", "frame_width must be finite and > 0"),
         ("mesh_threshold_slope = nan", "mesh_threshold_slope must be finite and >= 0"),
+        # This grid once died allocating 29.1 TiB, with a traceback.
+        ("mesh_cols = 1000000000000", "mesh_cols * mesh_rows must be at most 1,000,000 cells"),
     ])
     def test_track_config_out_of_range_exits_one(self, tmp_path, scene_file, capsys, line, message):
         # Each value once ran, giving an empty or a different result file.
@@ -348,12 +350,16 @@ class TestErrors:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not res.exists()
 
-    def test_ablate_grid_out_of_range_exits_one(self, tmp_path, scene_file, capsys, monkeypatch):
+    @pytest.mark.parametrize("grid, message", [
+        ("init_conf=0.7,2", "init_conf must lie in [0, 1]"),
+        ("mesh_cols=4,1000000000000", "mesh_cols * mesh_rows must be at most 1,000,000 cells"),
+    ])
+    def test_ablate_grid_out_of_range_exits_one(self, tmp_path, scene_file, capsys, monkeypatch, grid, message):
         monkeypatch.setenv("MESH_SORT_THREADS", "1")
-        rc = main(["ablate", "--grid", "init_conf=0.7,2", "--scene", str(scene_file),
+        rc = main(["ablate", "--grid", grid, "--scene", str(scene_file),
                    "--out", str(tmp_path / "t.txt")])
         assert rc == 1
-        assert capsys.readouterr().err == "error: init_conf must lie in [0, 1]\n"
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_track_numerics_error_exits_one(self, tmp_path, scene_file, capsys, monkeypatch):
         _, dets = _synth_files(tmp_path, scene_file)

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from meshsort import scenarios, synth
 from meshsort.config import TrackerConfig
-from meshsort.geometry import BoundingBox, bottom_middle, iou
+from meshsort.geometry import BoundingBox, iou
 from meshsort.mesh import MeshGrid
 from meshsort.pipeline import (
     Detection,
@@ -18,8 +18,9 @@ from meshsort.pipeline import (
     Tracker,
     run,
 )
+from meshsort.tracks import state_box
 
-from oracles import make_frame, recount_mesh_events
+from oracles import bottom_middle, make_frame, recount_mesh_events
 
 
 def cfg(**kw):
@@ -261,6 +262,13 @@ class TestConfigEdges:
             Tracker(cfg(**{key: value}))
         assert str(exc.value) == f"{key} must {rule}"
 
+    def test_mesh_cell_count_is_bounded(self):
+        assert Tracker(cfg(mesh_cols=1000, mesh_rows=1000)).grid.counts.size == 1_000_000
+        # 2**32 squared wraps to 0 in int64; the bound multiplies Python ints.
+        for cols, rows in ((1000, 1001), (np.int64(2**32), np.int64(2**32))):
+            with pytest.raises(ValueError, match=r"^mesh_cols \* mesh_rows must be at most 1,000,000 cells$"):
+                Tracker(cfg(mesh_cols=cols, mesh_rows=rows))
+
     def test_init_threshold_never_undercuts_conf_low(self):
         tracker = Tracker(cfg(min_hits=1, init_conf=0.02, conf_low=0.1))
         out = tracker.step(make_frame(1, [(box(100), 0.05)]))
@@ -293,6 +301,33 @@ class TestStats:
             tracker.step(make_frame(f, []))
         stats = tracker.stats()
         assert (stats.removed, stats.predicts, stats.doomed_predicts) == (1, frames - 1, frames - 1)
+
+
+def _reappearance_box_error(scene, rollback):
+    """1 − IoU of the ground-truth box and the target's one-step forecast at the frame it reappears."""
+    gt, frames = synth.generate(scene)
+    tracker = Tracker(TrackerConfig.baseline(
+        frame_width=scene.frame_width, frame_height=scene.frame_height,
+        enable_velocity_rollback=rollback, min_hits=1))
+    present = [fd.index for fd in frames if fd.detections]
+    gap = [f for f in range(2, scene.frames + 1) if f not in present]
+    reappear = min(f for f in present if f > max(gap))
+    for fd in frames:
+        if fd.index == reappear:
+            break
+        tracker.step(fd)
+    [track] = [t for t in tracker.tracks if t.track_id == 1]
+    forecast = BoundingBox(*state_box((track.kf.parts[0] + track.kf.parts[1])[None])[0])
+    return 1.0 - iou(forecast, gt[1][reappear])
+
+
+def test_rollback_improves_the_size_forecast_at_reappearance():
+    """Rolling the velocity back to before the noisy frames ahead of a gap
+    brings the forecast box closer to where the target reappears."""
+    scenes = [scenarios.rollback_scene(seed) for seed in range(1, 51)]
+    errs = {rollback: np.mean([_reappearance_box_error(s, rollback) for s in scenes])
+            for rollback in (False, True)}
+    assert errs[True] < errs[False]
 
 
 # --- metamorphic properties --------------------------------------------------

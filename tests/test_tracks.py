@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from meshsort import kalman as K
 from meshsort.config import TrackerConfig
-from meshsort.geometry import BoundingBox, bottom_middle, ltwh_to_ltrb
+from meshsort.geometry import BoundingBox, ltwh_to_ltrb
 from meshsort.mesh import MeshGrid
 from meshsort.tracks import (
     TrackStatus,
@@ -15,6 +15,8 @@ from meshsort.tracks import (
     on_missed,
     state_box,
 )
+
+from oracles import bottom_middle
 
 # Each test drives a one-row table through the array API; ROW selects it and
 # t.view(0) reads it back as a per-track view.
